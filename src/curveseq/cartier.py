@@ -13,8 +13,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
 from .curve import (
     BAD_PRIMES,
     CurveForm,
@@ -30,7 +28,7 @@ from .curve import (
 )
 from .exactnum import ModInt, QuadExt, require_prime, sqrt_mod
 from .polyring import Polynomial, RationalFunction
-from .series import LaurentSeries, TruncatedSeries
+from .series import LaurentSeries, TruncatedSeries, _convolve_mod
 
 
 def cartier_series(g: TruncatedSeries, p: int) -> TruncatedSeries:
@@ -179,16 +177,17 @@ class CartierInvariants:
 
 
 def poly_pow_mod(coeffs: list[int], e: int, p: int) -> list[int]:
-    """Coefficients of f^e mod p (numpy convolution, exact in int64)."""
-    result = np.array([1], dtype=np.int64)
-    base = np.array([c % p for c in coeffs], dtype=np.int64)
+    """Coefficients of f^e mod p by repeated squaring (overflow-guarded
+    convolution)."""
+    result = [1]
+    base = [int(c) % p for c in coeffs]
     while e:
         if e & 1:
-            result = np.convolve(result, base) % p
+            result = _convolve_mod(result, base, len(result) + len(base) - 1, p)
         e >>= 1
         if e:
-            base = np.convolve(base, base) % p
-    return [int(v) for v in result]
+            base = _convolve_mod(base, base, 2 * len(base) - 1, p)
+    return result
 
 
 def alphabeta_weierstrass(f_coeffs, p: int) -> CartierInvariants:
@@ -215,14 +214,18 @@ def alphabeta_quartic(p: int, cross_check: bool = False) -> CartierInvariants:
     alpha' = [x^(p-1)] Q^((p-1)/2), beta' = [x^(p-1)] (x^2+x) Q^((p-1)/2).
 
     The coefficient of x^(2p-1) in (x^2+x) Q^((p-1)/2) must vanish (it is the
-    regularity of C(eta) at infinity) and is asserted.
+    regularity of C(eta) at infinity) and is asserted.  With a_k the
+    coefficients of Q^((p-1)/2), [x^k] (x^2+x) Q^((p-1)/2) = a_(k-2) + a_(k-1).
     """
     require_good_prime(p)
     power = poly_pow_mod(list(q_polynomial().coeffs), (p - 1) // 2, p)
-    shifted = np.convolve(np.array([0, 1, 1], dtype=np.int64), np.array(power, dtype=np.int64)) % p
-    alpha = power[p - 1] if p - 1 < len(power) else 0
-    beta = int(shifted[p - 1]) if p - 1 < len(shifted) else 0
-    sanity = int(shifted[2 * p - 1]) if 2 * p - 1 < len(shifted) else 0
+
+    def a(k: int) -> int:
+        return power[k] if 0 <= k < len(power) else 0
+
+    alpha = a(p - 1)
+    beta = (a(p - 3) + a(p - 2)) % p
+    sanity = (a(2 * p - 3) + a(2 * p - 2)) % p
     if sanity != 0:
         raise AssertionError(f"[x^(2p-1)] (x^2+x) Q^((p-1)/2) = {sanity} != 0 at p = {p}")
     inv = CartierInvariants(p, ModInt(alpha, p), ModInt(beta, p), "quartic-E")

@@ -24,6 +24,7 @@ from .cartier import (
     log_exactness_test,
 )
 from .curve import (
+    BAD_PRIMES,
     CurveModel,
     closed_forms,
     s_series,
@@ -34,6 +35,7 @@ from .curve import (
 from .exactnum import is_prime, reduce_fraction_mod
 from .frobenius import asd_check, point_count, supersingular_scan
 from .modpspace import (
+    EXCLUDED_PRIMES,
     compute_vp,
     extendability_test,
     sigma_blocks,
@@ -248,7 +250,7 @@ def cmd_modp_space(args) -> Report:
         print(f"{'p':>5} {'cartier form':>22}  basis")
         count = 0
         for q in range(7, args.pmax + 1):
-            if not is_prime(q) or q in (13,):
+            if not is_prime(q) or q in EXCLUDED_PRIMES:
                 continue
             space = compute_vp(q, brute_validate=False)
             print(f"{q:>5} {str(space.cartier):>22}  {space.basis[0]} , {space.basis[1]}")
@@ -305,7 +307,7 @@ def cmd_cartier(args) -> Report:
     bad = []
     alpha_zero, beta_zero, combo_zero = [], [], []
     for q in range(3, pmax + 1):
-        if not is_prime(q) or q in (5, 13):
+        if not is_prime(q) or q in BAD_PRIMES:
             continue
         iv = alphabeta_quartic(q)
         if iv.both_zero:
@@ -362,30 +364,45 @@ def cmd_frobenius(args) -> Report:
     pmax = args.pmax or 50
     rep = Report("frobenius", {"curve": [a, b], "pmax": pmax})
     mismatches = []
+    good = 0
     for p in range(5, pmax + 1):
         if not is_prime(p) or (4 * a**3 + 27 * b**2) % p == 0:
             continue
+        good += 1
         td = point_count(a, b, p)
         inv = alphabeta_weierstrass([b % p, a % p, 0, 1], p)
         print(f"p={p:>4}  #E={td.count:>5}  trace={td.trace:>4}  alpha={inv.alpha.value}")
         if td.trace % p != inv.alpha.value:
             mismatches.append(p)
-    rep.add(
-        "alpha = trace of Frobenius mod p",
-        not mismatches,
-        f"p <= {pmax}",
-        None if not mismatches else {"mismatches": mismatches},
-    )
+    # a check that examined no prime reports skip, never a vacuous pass
+    if not good:
+        rep.skip("alpha = trace of Frobenius mod p", f"no prime of good reduction in [5, {pmax}]")
+    else:
+        rep.add(
+            "alpha = trace of Frobenius mod p",
+            not mismatches,
+            f"p <= {pmax}",
+            None if not mismatches else {"mismatches": mismatches},
+        )
     scan = supersingular_scan(a, b, pmax, vp_limit=args.vp_limit)
     supers = [r.p for r in scan.supersingular]
-    rep.add("supersingular beta nonzero", all(r.beta_nonzero for r in scan.supersingular), f"supers: {supers}")
+    if not supers:
+        rep.skip("supersingular beta nonzero", f"no supersingular prime in [5, {pmax}]")
+    else:
+        rep.add("supersingular beta nonzero", all(r.beta_nonzero for r in scan.supersingular), f"supers: {supers}")
     checked = [r for r in scan.supersingular if r.vp_c_p2_is_1 is not None]
-    rep.add("v_p(c_(p^2)) = 1 at supersingular p", all(r.vp_c_p2_is_1 for r in checked), f"{len(checked)} primes checked")
+    if not checked:
+        rep.skip("v_p(c_(p^2)) = 1 at supersingular p", "no supersingular prime expanded")
+    else:
+        rep.add("v_p(c_(p^2)) = 1 at supersingular p", all(r.vp_c_p2_is_1 for r in checked), f"{len(checked)} primes checked")
     skipped = [r.p for r in scan.supersingular if r.vp_c_p2_is_1 is None]
     if skipped:
         rep.skip("v_p(c_(p^2)) above --vp-limit", f"not expanded at p in {skipped}")
     if (a, b) == (0, 1):
-        rep.add("alpha_p = 0 iff p = 2 mod 3 (CM)", bool(scan.cm_pattern_ok))
+        if not good:
+            rep.skip("alpha_p = 0 iff p = 2 mod 3 (CM)", f"no prime of good reduction in [5, {pmax}]")
+        else:
+            rep.add("alpha_p = 0 iff p = 2 mod 3 (CM)", bool(scan.cm_pattern_ok))
     return rep
 
 

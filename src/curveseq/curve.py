@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactnum import padic_valuation
+from .exactnum import padic_valuation, reduce_fraction_mod
 from .polyring import Polynomial, RationalFunction, resultant
 from .recurrence import (
     A_COEFFS,
@@ -101,10 +101,6 @@ class CurveFunction:
 
     def __neg__(self):
         return CurveFunction(-self.u, -self.v)
-
-    def conjugate(self) -> "CurveFunction":
-        """u - v*y (the image under y -> -y)."""
-        return CurveFunction(self.u, -self.v)
 
     def _coerce(self, other):
         if isinstance(other, CurveFunction):
@@ -428,11 +424,7 @@ def s_series(n: int, modulus: int | None = None) -> TruncatedSeries:
     c = main_sequence(n)
     if modulus is None:
         return TruncatedSeries(c, n)
-    return TruncatedSeries([_mod_frac(v, modulus) for v in c], n, modulus)
-
-
-def _mod_frac(v: Fraction, m: int) -> int:
-    return v.numerator % m * pow(v.denominator % m, -1, m) % m
+    return TruncatedSeries([reduce_fraction_mod(v, modulus) for v in c], n, modulus)
 
 
 # -- exact identity suite -----------------------------------------------------------
@@ -662,7 +654,7 @@ def xi_form(init: InitialData, modulus: int | None = None) -> CurveForm:
     forms = rhs_forms(init.normalized())
     coeffs = list(forms.r_tilde_coeffs)
     if modulus is not None:
-        num = Polynomial([_mod_frac(c, modulus) for c in coeffs], modulus)
+        num = Polynomial([reduce_fraction_mod(c, modulus) for c in coeffs], modulus)
     else:
         num = Polynomial(coeffs)
     den = Polynomial([2], modulus) * t_polynomial(modulus) * t_polynomial(modulus)

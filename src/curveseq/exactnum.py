@@ -153,6 +153,21 @@ def divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
+def prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, ascending (trial division)."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
 class ModInt:
     """An integer modulo a fixed modulus, usually a prime p (the field F_p).
 
@@ -167,9 +182,7 @@ class ModInt:
         if modulus < 2:
             raise ValueError("modulus must be >= 2")
         if isinstance(value, Fraction):
-            num = value.numerator % modulus
-            den = value.denominator % modulus
-            value = num * pow(den, -1, modulus)
+            value = reduce_fraction_mod(value, modulus)
         object.__setattr__(self, "value", value % modulus)
         object.__setattr__(self, "modulus", modulus)
 

@@ -87,8 +87,3 @@ def rank_fraction(rows: list[list[Fraction]]) -> int:
         if rank == len(mat):
             break
     return rank
-
-
-def in_span_mod(vectors: list[list[int]], v: list[int], p: int) -> bool:
-    base = rank_mod(vectors, p) if vectors else 0
-    return rank_mod(vectors + [v], p) == base

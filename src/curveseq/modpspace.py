@@ -23,6 +23,7 @@ from .polyring import Polynomial, RationalFunction
 from .recurrence import (
     MAIN_RECURRENCE,
     SPECIAL_DIRECTION,
+    _step_modp,
     extend_modp,
     main_sequence,
     poly_eval,
@@ -69,17 +70,17 @@ def tail_vector_mod(p: int) -> tuple[int, int, int, int]:
 # -- vectorized exhaustive extension ------------------------------------------------
 
 
-def _enumerate_initials(p: int) -> list[np.ndarray]:
+def _enumerate_initials(p: int, lanes: int = 0) -> list[np.ndarray]:
+    """The window (C_0, ..., C_4) = (0, V) for every V in F_p^4 (C-order),
+    followed by ``lanes`` all-zero lanes."""
     total = p**4
-    idx = np.arange(total, dtype=np.int64)
-    window = [np.zeros(total, dtype=np.int64)]
+    idx = np.arange(total + lanes, dtype=np.int64)
+    window = [np.zeros(total + lanes, dtype=np.int64)]
     for k in range(4):
-        window.append(idx // p ** (3 - k) % p)
+        col = idx // p ** (3 - k) % p
+        col[total:] = 0
+        window.append(col)
     return window
-
-
-def _constraint_coeffs(n: int, p: int) -> list[int]:
-    return [poly_eval(poly, n) % p for _, poly in MAIN_RECURRENCE.shifts[:-1]]
 
 
 def extension_constraints(p: int, blocks: int) -> tuple[list[np.ndarray], np.ndarray]:
@@ -87,46 +88,28 @@ def extension_constraints(p: int, blocks: int) -> tuple[list[np.ndarray], np.nda
     and on the unit free-choice sequences.
 
     Returns (constraint value arrays L_k over F_p^4, sensitivity matrix S with
-    S[k][j] = effect of free choice j on constraint k).
+    S[k][j] = effect of free choice j on constraint k).  The unit sequences
+    ride along as ``blocks`` extra lanes (lane j is 1 at the j-th free index,
+    0 elsewhere), and only the last five values are kept: memory is O(p^4).
     """
-    n_terms = blocks * p + 2
-    window = _enumerate_initials(p)
+    # for odd p the free indices m = 1 mod p below blocks*p+2 are at most
+    # ``blocks``; at p = 2 every index is free
+    if p < 3:
+        raise ValueError("extension_constraints requires p >= 3")
     total = p**4
-    unit_runs: list[list[int]] = []
+    window = _enumerate_initials(p, lanes=blocks)
     constraints: list[np.ndarray] = []
-    sensitivities: list[list[int]] = []
-    values = window  # full history; blocks*p+2 arrays of p^4 ints
-    for m in range(5, n_terms):
-        n = m - 5
-        lead = poly_eval(MAIN_RECURRENCE.leading_poly, n) % p
-        coeffs = _constraint_coeffs(n, p)
-        acc = np.zeros(total, dtype=np.int64)
-        for j, cf in enumerate(coeffs):
-            if cf:
-                acc = (acc + cf * values[n + j]) % p
-        unit_accs = []
-        for run in unit_runs:
-            s = 0
-            for j, cf in enumerate(coeffs):
-                s = (s + cf * run[n + j]) % p
-            unit_accs.append(s)
-        if lead == 0:
-            constraints.append(acc)
-            sensitivities.append(unit_accs)
-            values.append(np.zeros(total, dtype=np.int64))
-            for run in unit_runs:
-                run.append(0)
-            # a fresh unit run: all zero so far, choice 1 at this index
-            unit_runs.append([0] * m + [1])
-        else:
-            inv = pow(lead, -1, p)
-            values.append((-acc * inv) % p)
-            for k, run in enumerate(unit_runs):
-                run.append(-unit_accs[k] * inv % p)
-    s_matrix = np.array(
-        [[row[j] if j < len(row) else 0 for j in range(len(unit_runs))] for row in sensitivities],
-        dtype=np.int64,
-    )
+    lane_rows: list[np.ndarray] = []
+    for m in range(5, blocks * p + 2):
+        value, residual = _step_modp(MAIN_RECURRENCE, window, m - 5, p)
+        if value is None:
+            value = np.zeros(total + blocks, dtype=np.int64)
+            value[total + len(constraints)] = 1
+            constraints.append(residual[:total])
+            lane_rows.append(residual[total:])
+        window = window[1:] + [value]
+    k = len(constraints)
+    s_matrix = np.array([row[:k] for row in lane_rows], dtype=np.int64)
     return constraints, s_matrix
 
 

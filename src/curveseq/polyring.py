@@ -259,10 +259,6 @@ class RationalFunction:
     def __setattr__(self, *args):
         raise AttributeError("RationalFunction is immutable")
 
-    @classmethod
-    def from_coeffs(cls, num, den=(1,), modulus: int | None = None):
-        return cls(Polynomial(num, modulus), Polynomial(den, modulus))
-
     @property
     def modulus(self):
         return self.num.modulus
@@ -272,9 +268,6 @@ class RationalFunction:
 
     def __bool__(self):
         return not self.is_zero()
-
-    def is_constant(self) -> bool:
-        return self.num.degree <= 0 and self.den.degree == 0
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, Polynomial)):
@@ -350,10 +343,6 @@ class RationalFunction:
         num = self.num.eval_laurent(x, precision_bound)
         den = self.den.eval_laurent(x, precision_bound)
         return num / den
-
-    def degree_bounds(self) -> tuple[int, int]:
-        """(numerator degree, denominator degree) of the reduced form."""
-        return self.num.degree, self.den.degree
 
     def reduce_mod(self, p: int) -> "RationalFunction":
         return RationalFunction(self.num.reduce_mod(p), self.den.reduce_mod(p))

@@ -14,11 +14,12 @@ but imposes a linear consistency constraint on the five values before it.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .exactnum import padic_valuation, reduce_fraction_mod
+from .exactnum import padic_valuation, prime_factors, reduce_fraction_mod
 from .linalg import rank_fraction
 
 
@@ -234,6 +235,28 @@ class ModPSolution:
         return self.violated_at is None
 
 
+def _step_modp(spec: Recurrence, window: Sequence, n: int, p: int):
+    """One step of the recurrence over F_p at index n.
+
+    ``window`` holds values[n .. n+d-1] as ints or int64 arrays (one lane per
+    element; coefficients stay below p, so lanes are exact for p < 2^30).
+    Returns (forced value at n+d, None) where P_d(n) != 0 mod p, and
+    (None, consistency residual of the window) where n+d is a free index.
+    """
+    d = len(window)
+    acc, lead = 0, 0
+    for j, poly in spec.shifts:
+        c = poly_eval(poly, n) % p
+        if j == d:
+            lead = c
+        elif c:
+            acc = acc + c * window[j]
+    acc = acc % p
+    if lead:
+        return -acc * pow(lead, -1, p) % p, None
+    return None, acc
+
+
 def extend_modp(
     spec: Recurrence,
     init: Sequence[int],
@@ -257,24 +280,16 @@ def extend_modp(
         raise ValueError(f"need exactly {d} initial values")
     values = [v % p for v in init]
     sol = ModPSolution(p, values)
-    lead = spec.leading_poly
-    lower = [(j, poly) for j, poly in spec.shifts if j < d]
     for m in range(d, n_terms):
-        n = m - d
-        denom = poly_eval(lead, n) % p
-        acc = 0
-        for j, poly in lower:
-            acc = (acc + poly_eval(poly, n) * values[n + j]) % p
-        if denom == 0:
+        value, residual = _step_modp(spec, values[m - d :], m - d, p)
+        if value is None:
             # the window below m is constrained; the value at m is free
-            if acc % p != 0:
+            if residual:
                 sol.violated_at = m
                 return sol
-            choice = choice_policy(m, values) % p
-            sol.free_choices.append((m, choice))
-            values.append(choice)
-        else:
-            values.append(-acc * pow(denom, -1, p) % p)
+            value = choice_policy(m, values) % p
+            sol.free_choices.append((m, value))
+        values.append(value)
     return sol
 
 
@@ -355,42 +370,16 @@ def denominator_profile(seq: Sequence[Fraction], d: int) -> DenominatorProfile:
     lcm_val = 1  # lcm(1..m-1), maintained incrementally
     for m, c in enumerate(seq):
         if m >= 2:
-            lcm_val = _lcm(lcm_val, m - 1)
+            lcm_val = math.lcm(lcm_val, m - 1)
         den = (Fraction(d) * Fraction(16) ** m * c).denominator
         denominators.append(den)
-        support.update(_prime_factors(den))
+        support.update(prime_factors(den))
         if witness is None and lcm_val % den != 0:
-            bad = next(p for p in _prime_factors(den) if _vp_int(lcm_val, p) < _vp_int(den, p))
+            bad = next(
+                p for p in prime_factors(den) if padic_valuation(lcm_val, p) < padic_valuation(den, p)
+            )
             witness = (m, bad)
     return DenominatorProfile(d, witness is None, witness, denominators, sorted(support))
-
-
-def _lcm(a: int, b: int) -> int:
-    import math
-
-    return math.lcm(a, b)
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _vp_int(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
 
 
 def integrality_witness(seq: Sequence[Fraction], p: int, n_limit: int) -> int | None:
@@ -405,7 +394,7 @@ def common_denominator(init: InitialData) -> int:
     """A natural d for the denominator bound: lcm of the R-coefficient denominators."""
     d = 1
     for c in rhs_forms(init).r_coeffs:
-        d = _lcm(d, c.denominator)
+        d = math.lcm(d, c.denominator)
     return d
 
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exactnum import divisors, generalized_binomial, is_p_integral, mobius
+from .exactnum import divisors, generalized_binomial, is_p_integral, mobius, reduce_fraction_mod
 
 _NUMPY_CUTOFF = 48
 
@@ -26,7 +26,7 @@ def _convolve_mod(a: list[int], b: list[int], n_out: int, m: int) -> list[int]:
         # exact in int64: coefficients < m, sums bounded by len * m^2
         if min(len(a), len(b)) * m * m < 2**62:
             c = np.convolve(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
-            return [int(v) % m for v in c[:n_out]]
+            return (c[:n_out] % m).tolist()
     out = [0] * n_out
     for i, ai in enumerate(a):
         if ai == 0 or i >= n_out:
@@ -282,7 +282,7 @@ def _scalar_inverse(c):
 
 def _to_int_mod(c, m: int) -> int:
     if isinstance(c, Fraction):
-        return c.numerator % m * pow(c.denominator % m, -1, m) % m
+        return reduce_fraction_mod(c, m)
     if hasattr(c, "value"):  # ModInt
         if c.modulus != m:
             raise ValueError("mixed moduli")
@@ -398,6 +398,20 @@ def _mul_one_minus_xm_power(coeffs: list[Fraction], m: int, a: Fraction, n: int)
     return out
 
 
+def _mobius_exponents(c, m_max: int) -> list[Fraction]:
+    """a_n = -(sum_{d|n} mu(d) c_{n/d})/n for n = 1..m_max: the exponents of
+    prod (1 - x^n)^(a_n) whose x f'/f has coefficients c."""
+    exps = []
+    for n in range(1, m_max + 1):
+        acc = Fraction(0)
+        for d in divisors(n):
+            mu = mobius(d)
+            if mu:
+                acc += mu * c[n // d]
+        exps.append(-acc / n)
+    return exps
+
+
 def dieudonne_exponents(f: TruncatedSeries, m_max: int) -> DieudonneExponents:
     """Exponents via the Moebius formula a_n = -(sum_{m|n} mu(m) c_{n/m})/n,
     where c = coefficients of x f'/f."""
@@ -407,15 +421,7 @@ def dieudonne_exponents(f: TruncatedSeries, m_max: int) -> DieudonneExponents:
         raise ValueError("f(0) must be 1")
     if m_max >= f.precision:
         raise ValueError("need precision > m_max")
-    c = f.x_log_derivative()
-    exps = []
-    for n in range(1, m_max + 1):
-        acc = Fraction(0)
-        for m in divisors(n):
-            mu = mobius(m)
-            if mu:
-                acc += mu * c[n // m]
-        exps.append(-acc / n)
+    exps = _mobius_exponents(f.x_log_derivative(), m_max)
     return DieudonneExponents(tuple(exps), m_max)
 
 
@@ -495,20 +501,9 @@ def congruence_scan(
     report = CongruenceReport(p, r_max, n_max, not failures, failures=tuple(failures))
     if reconstruct and report.ok:
         m = min(witness_terms, n_max)
-        exps = []
-        integral = True
-        for n in range(1, m + 1):
-            acc = Fraction(0)
-            for d in divisors(n):
-                mu = mobius(d)
-                if mu:
-                    acc += mu * c[n // d]
-            a_n = -acc / n
-            exps.append(a_n)
-            if not is_p_integral(a_n, p):
-                integral = False
+        exps = _mobius_exponents(c, m)
         report.witness_exponents = DieudonneExponents(tuple(exps), m)
-        report.witness_integral = integral
+        report.witness_integral = all(is_p_integral(a_n, p) for a_n in exps)
         # the witness is prod (1-x^n)^(a_n); x f'/f must re-derive the input
         back = report.witness_exponents.reconstruct().x_log_derivative()
         report.witness_rederives = back.coeffs[1 : m + 1] == list(c[1 : m + 1])
@@ -529,10 +524,6 @@ class LaurentSeries:
 
     def __setattr__(self, *args):
         raise AttributeError("LaurentSeries is immutable")
-
-    @classmethod
-    def from_series(cls, series: TruncatedSeries) -> "LaurentSeries":
-        return cls(0, series)
 
     @property
     def bound(self) -> int:

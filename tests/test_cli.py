@@ -97,6 +97,16 @@ def test_frobenius_command(capsys):
     assert code == 0
 
 
+def test_frobenius_no_good_prime_skips(tmp_path, capsys):
+    # every prime is bad for y^2 = x^3: nothing is compared, so nothing passes
+    path = tmp_path / "frob.json"
+    code, out = run_cli(["frobenius", "--curve", "0,0", "--json", str(path)], capsys)
+    assert code == 0
+    checks = json.loads(path.read_text())["checks"]
+    assert len(checks) == 3
+    assert all(c["status"] == "skip" and c["details"] for c in checks)
+
+
 def test_all_quick(capsys):
     import time
 

@@ -52,6 +52,21 @@ def test_bruteforce_stable_at_deeper_blocks():
         assert np.array_equal(base, deeper)
 
 
+def test_bruteforce_oracle_memory_is_o_p4():
+    # the oracle keeps a five-term window, not its whole history: peak
+    # memory is a fixed number of p^4 int64 arrays, independent of p
+    import tracemalloc
+
+    p = 23
+    tracemalloc.start()
+    try:
+        vp_bruteforce_mask(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * p**4 * 8
+
+
 def test_excluded_primes_raise():
     for p in (2, 3, 5, 13):
         with pytest.raises(ValueError):
