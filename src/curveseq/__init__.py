@@ -18,6 +18,7 @@ from .recurrence import (
     MAIN_INITIAL_DATA,
     InitialData,
     Recurrence,
+    extend_integral,
     extend_modp,
     extend_rational,
     main_sequence,
@@ -37,6 +38,7 @@ __all__ = [
     "MAIN_INITIAL_DATA",
     "InitialData",
     "Recurrence",
+    "extend_integral",
     "extend_modp",
     "extend_rational",
     "main_sequence",

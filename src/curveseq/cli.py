@@ -2,8 +2,9 @@
 
 Every subcommand runs a battery of checks, prints a human table, and with
 --json PATH writes the report as JSON.  Exit status: 0 all checks pass,
-1 verification failure, 2 usage error.  Exact values are serialized as
-"num/den" strings, prime-field values as {"value": v, "p": p}.
+1 a claim refuted, 2 usage or domain error (a one-line message, no
+traceback).  Exact values are serialized as "num/den" strings, prime-field
+values as {"value": v, "p": p}.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .cartier import (
     exactness_test,
     legendre_hasse,
     log_exactness_test,
+    require_good_prime,
 )
 from .curve import (
     BAD_PRIMES,
@@ -32,12 +34,13 @@ from .curve import (
     verify_algebraic_identities,
     verify_ode,
 )
-from .exactnum import is_prime, reduce_fraction_mod
+from .exactnum import is_prime, reduce_fraction_mod, require_prime
 from .frobenius import asd_check, point_count, supersingular_scan
 from .modpspace import (
     EXCLUDED_PRIMES,
     compute_vp,
     extendability_test,
+    require_vp_prime,
     sigma_blocks,
     union_check,
     wp_witnesses,
@@ -48,8 +51,8 @@ from .recurrence import (
     MAIN_INITIAL_DATA,
     common_denominator,
     denominator_profile,
+    extend_integral,
     extend_rational,
-    main_sequence,
     special_detector,
 )
 from .series import congruence_scan
@@ -134,6 +137,25 @@ def _parse_init(text: str) -> InitialData:
 def _parse_curve(text: str) -> tuple[int, int]:
     a, b = text.split(",")
     return int(a), int(b)
+
+
+def _int_arg(minimum: int, check=None):
+    """An argparse type: an int of at least ``minimum`` that ``check`` (a
+    domain check raising ValueError) accepts.  A domain error becomes a
+    one-line usage error (exit 2) instead of a traceback."""
+
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+            if check is not None:
+                check(n)
+            if n < minimum:
+                raise ValueError(f"{n} is below the minimum {minimum}")
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return n
+
+    return parse
 
 
 def _print_report(rep: Report):
@@ -241,21 +263,18 @@ def cmd_closed_forms(args) -> Report:
 
 def cmd_modp_space(args) -> Report:
     pmax = getattr(args, "pmax", None)
-    if args.p is None and pmax is None:
-        raise SystemExit(2)
     if pmax is not None:
-        args.pmax = pmax
         # how V_p varies with p: tabulate the defining form and basis
-        rep = Report("modp-space", {"pmax": args.pmax})
+        rep = Report("modp-space", {"pmax": pmax})
         print(f"{'p':>5} {'cartier form':>22}  basis")
         count = 0
-        for q in range(7, args.pmax + 1):
+        for q in range(7, pmax + 1):
             if not is_prime(q) or q in EXCLUDED_PRIMES:
                 continue
             space = compute_vp(q, brute_validate=False)
             print(f"{q:>5} {str(space.cartier):>22}  {space.basis[0]} , {space.basis[1]}")
             count += 1
-        rep.add(f"dim V_p = 2 for {count} good primes <= {args.pmax}", True)
+        rep.add(f"dim V_p = 2 for {count} good primes <= {pmax}", True)
         return rep
     p = args.p
     rep = Report("modp-space", {"p": p})
@@ -343,18 +362,16 @@ def cmd_cartier(args) -> Report:
     rep.add("K' = -(m+1) H identity", lh.derivative_identity)
     rep.add("hypergeometric ODE", lh.ode_identity)
     kmax = getattr(args, "kmax", None) or 5
-    c = main_sequence(kmax * p + p + 6)
+    nums, dens = extend_integral(MAIN_RECURRENCE, MAIN_INITIAL_DATA, kmax * p + p + 6)
+
+    def c(i: int) -> int:
+        return reduce_fraction_mod((nums[i], dens[i]), p)
+
     plus_ok = all(
-        (6 * reduce_fraction_mod(c[k * p + 4], p)
-         + reduce_fraction_mod(c[k * p + 2], p)
-         + reduce_fraction_mod(c[k * p + 1], p)) % p == 0
-        for k in range(0, kmax)
+        (6 * c(k * p + 4) + c(k * p + 2) + c(k * p + 1)) % p == 0 for k in range(0, kmax)
     )
     rep.add("6 c_(kp+4) + c_(kp+2) + c_(kp+1) = 0 mod p", plus_ok, f"k < {kmax}, p={p}")
-    minus_ok = all(
-        (reduce_fraction_mod(c[k * p - 1], p) + reduce_fraction_mod(c[k * p - 2], p)) % p == 0
-        for k in range(1, kmax)
-    )
+    minus_ok = all((c(k * p - 1) + c(k * p - 2)) % p == 0 for k in range(1, kmax))
     rep.add("c_(kp-1) + c_(kp-2) = 0 mod p (witness d(2y))", minus_ok, f"k < {kmax}, p={p}")
     return rep
 
@@ -463,11 +480,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("seq", cmd_seq, help="extend the recurrence over Q")
     p.add_argument("--init", type=_parse_init, help="C_0..C_4 as comma-separated rationals")
-    p.add_argument("--n", type=int, default=10)
+    p.add_argument("--n", type=_int_arg(1), default=10)
 
     p = add("congruence", cmd_congruence, help="scan c_(kp^(r+1)) = c_(kp^r) mod p^(r+1)")
     p.add_argument("--init", type=_parse_init)
-    p.add_argument("--p", type=int, default=5)
+    p.add_argument("--p", type=_int_arg(2, require_prime), default=5)
     p.add_argument("--rmax", type=int, default=1)
     p.add_argument("--nmax", type=int, default=200)
 
@@ -478,15 +495,15 @@ def build_parser() -> argparse.ArgumentParser:
     add("identities", cmd_identities, help="exact curve/model identity suite")
 
     p = add("closed-forms", cmd_closed_forms, help="b_n / l_n tables and 2-adic facts")
-    p.add_argument("--n", type=int, default=40)
+    p.add_argument("--n", type=_int_arg(4), default=40)  # the b- and l-tables pin 5 rows
 
     p = add("modp-space", cmd_modp_space, help="V_p dimension, basis, union theorem")
-    p.add_argument("--p", type=int)
+    p.add_argument("--p", type=_int_arg(2, require_vp_prime))
     p.add_argument("--pmax", type=int, help="tabulate V_p across good primes instead")
     p.add_argument("--seed", type=int)
 
     p = add("cartier", cmd_cartier, help="Cartier invariants and exactness checks")
-    p.add_argument("--p", type=int, default=7)
+    p.add_argument("--p", type=_int_arg(5, require_good_prime), default=7)
     p.add_argument("--pmax", type=int)
     p.add_argument("--kmax", type=int, help="range of k in the congruence families")
     p.add_argument("--seed", type=int)
@@ -498,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("asd", cmd_asd, help="Atkin-Swinnerton-Dyer congruences")
     p.add_argument("--curve", type=_parse_curve, metavar="A,B")
-    p.add_argument("--p", type=int, default=5)
+    p.add_argument("--p", type=_int_arg(5, require_prime), default=5)
     p.add_argument("--rmax", type=int, default=2)
     p.add_argument("--nmax", type=int, default=5)
 
@@ -511,6 +528,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # domain errors that involve more than one argument
+    if args.command == "modp-space" and args.p is None and args.pmax is None:
+        parser.error("modp-space needs --p or --pmax")
+    if args.command == "asd":
+        a, b = args.curve or (0, 1)
+        if (4 * a**3 + 27 * b**2) % args.p == 0:
+            parser.error(f"the curve ({a}, {b}) is singular mod p = {args.p}")
     rep: Report = args.handler(args)
     _print_report(rep)
     if args.json:

@@ -20,8 +20,11 @@ from .recurrence import (
     A_COEFFS,
     B_COEFFS,
     InitialData,
+    MAIN_INITIAL_DATA,
     MAIN_RECURRENCE,
+    extend_integral,
     extend_rational,
+    main_sequence,
     rhs_forms,
 )
 from .series import LaurentSeries, TruncatedSeries, from_polynomial
@@ -419,12 +422,10 @@ def verify_ode(f: TruncatedSeries) -> TruncatedSeries:
 
 def s_series(n: int, modulus: int | None = None) -> TruncatedSeries:
     """The main generating function as a series (via the recurrence)."""
-    from .recurrence import MAIN_INITIAL_DATA, main_sequence
-
-    c = main_sequence(n)
     if modulus is None:
-        return TruncatedSeries(c, n)
-    return TruncatedSeries([reduce_fraction_mod(v, modulus) for v in c], n, modulus)
+        return TruncatedSeries(main_sequence(n), n)
+    pairs = zip(*extend_integral(MAIN_RECURRENCE, MAIN_INITIAL_DATA, n))
+    return TruncatedSeries([reduce_fraction_mod(q, modulus) for q in pairs], n, modulus)
 
 
 # -- exact identity suite -----------------------------------------------------------
@@ -604,8 +605,6 @@ def closed_forms(n_max: int) -> list[ClosedFormRow]:
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     b = [b_coefficient(n) for n in range(n_max + 1)]
-    from .recurrence import MAIN_INITIAL_DATA
-
     c = extend_rational(MAIN_RECURRENCE, MAIN_INITIAL_DATA, n_max + 1)
     rows = []
     for n in range(n_max + 1):

@@ -274,9 +274,23 @@ def fp(value: int | Fraction, p: int) -> ModInt:
     return ModInt(value, p)
 
 
-def reduce_fraction_mod(q: Fraction, m: int) -> int:
-    """q mod m as an integer in [0, m); requires gcd(den(q), m) = 1."""
-    return q.numerator % m * pow(q.denominator % m, -1, m) % m
+def reduce_fraction_mod(q: Fraction | tuple[int, int], m: int) -> int:
+    """q mod m as an integer in [0, m).
+
+    q is a Fraction or a (numerator, denominator) pair, not necessarily in
+    lowest terms: common factors of m are cancelled before inverting.  Raises
+    ValueError when q is not m-integral (its reduced denominator shares a
+    factor with m).
+    """
+    num, den = q if isinstance(q, tuple) else (q.numerator, q.denominator)
+    shared = math.gcd(den, m)
+    while shared > 1:
+        g = math.gcd(num, shared)
+        if g == 1:
+            raise ValueError(f"{num}/{den} is not {m}-integral")
+        num, den = num // g, den // g
+        shared = math.gcd(den, m)
+    return num % m * pow(den % m, -1, m) % m
 
 
 class QuadExt:

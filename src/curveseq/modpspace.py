@@ -21,11 +21,12 @@ from .exactnum import reduce_fraction_mod
 from .linalg import kernel_mod, rank_mod
 from .polyring import Polynomial, RationalFunction
 from .recurrence import (
+    MAIN_INITIAL_DATA,
     MAIN_RECURRENCE,
     SPECIAL_DIRECTION,
     _step_modp,
+    extend_integral,
     extend_modp,
-    main_sequence,
     poly_eval,
 )
 
@@ -63,8 +64,8 @@ def special_vector_mod(p: int) -> tuple[int, int, int, int]:
 
 def tail_vector_mod(p: int) -> tuple[int, int, int, int]:
     """(c_{p+1}, ..., c_{p+4}) reduced mod p."""
-    c = main_sequence(p + 5)
-    return tuple(reduce_fraction_mod(c[p + i], p) for i in (1, 2, 3, 4))
+    nums, dens = extend_integral(MAIN_RECURRENCE, MAIN_INITIAL_DATA, p + 5)
+    return tuple(reduce_fraction_mod((nums[p + i], dens[p + i]), p) for i in (1, 2, 3, 4))
 
 
 # -- vectorized exhaustive extension ------------------------------------------------
@@ -274,7 +275,8 @@ def sigma_blocks(p: int, m_max: int) -> SigmaBlocks:
     satisfies the recurrence, and sigma_0, sigma_1 are independent."""
     require_good_prime(p)
     length = (m_max + 2) * p + 6
-    cbar = [reduce_fraction_mod(v, p) for v in main_sequence(length)]
+    pairs = zip(*extend_integral(MAIN_RECURRENCE, MAIN_INITIAL_DATA, length))
+    cbar = [reduce_fraction_mod(q, p) for q in pairs]
     blocks = tuple(
         tuple(cbar[m * p + 1 : m * p + p]) for m in range(m_max + 1)
     )
@@ -364,8 +366,9 @@ def union_functional_degenerate(p: int) -> bool:
     this congruence holds, and then EVERY member of V_p passes the C_p = C_1
     test.  Sporadic: the only instance below 1050 is p = 37."""
     require_vp_prime(p)
-    c = main_sequence(2 * p + 1)
-    return reduce_fraction_mod(c[2 * p], p) == reduce_fraction_mod(c[p + 1], p)
+    nums, dens = extend_integral(MAIN_RECURRENCE, MAIN_INITIAL_DATA, 2 * p + 1)
+    c2p, cp1 = (reduce_fraction_mod((nums[i], dens[i]), p) for i in (2 * p, p + 1))
+    return c2p == cp1
 
 
 def _is_proportional_mod(v: Sequence[int], p: int) -> bool:
@@ -425,7 +428,8 @@ def wp_witnesses(p: int, k: int, length: int | None = None) -> list[list[int]]:
             w += [0] * (length - len(w))
             seqs.append([v % 2 for v in w[:length]])
     else:
-        cbar = [reduce_fraction_mod(v, p) for v in main_sequence(length)]
+        pairs = zip(*extend_integral(MAIN_RECURRENCE, MAIN_INITIAL_DATA, length))
+        cbar = [reduce_fraction_mod(q, p) for q in pairs]
         seqs = []
         for j in range(k):
             seqs.append([0] * (j * p) + cbar[: length - j * p])

@@ -138,26 +138,54 @@ def special_detector(init: InitialData) -> tuple[bool, Fraction]:
     return init.is_special, init.hyperplane_value
 
 
-def extend_rational(spec: Recurrence, init: InitialData | Sequence, n_terms: int) -> list[Fraction]:
-    """The unique rational solution with the given initial data, to index n_terms-1."""
-    values = list(init.values if isinstance(init, InitialData) else (Fraction(v) for v in init))
-    if len(values) != spec.order:
-        raise ValueError(f"need exactly {spec.order} initial values")
-    values = [Fraction(v) for v in values]
+def extend_integral(
+    spec: Recurrence, init: InitialData | Sequence, n_terms: int
+) -> tuple[list[int], list[int]]:
+    """The unique rational solution to index n_terms-1, as (numerators,
+    denominators) with c_n = numerators[n] / denominators[n], denominators > 0.
+
+    The d-term window is held as integer numerators over one shared
+    denominator D.  A step forms acc = sum_{j<d} P_j(n) w_j, so that
+    c_{n+d} = -acc / (P_d(n) D); it cancels only g = gcd(acc, P_d(n)) and
+    scales the other numerators and D by P_d(n)/g.  The pairs need not be in
+    lowest terms (exactnum.reduce_fraction_mod accepts them as they are).
+    """
+    values = [Fraction(v) for v in (init.values if isinstance(init, InitialData) else init)]
     d = spec.order
+    if len(values) != d:
+        raise ValueError(f"need exactly {d} initial values")
+    den = math.lcm(*(v.denominator for v in values))
+    window = [v.numerator * (den // v.denominator) for v in values]
+    head = max(0, min(d, n_terms))
+    nums, dens = window[:head], [den] * head
     lead = spec.leading_poly
     lower = [(j, poly) for j, poly in spec.shifts if j < d]
     for n in range(0, n_terms - d):
-        denom = poly_eval(lead, n)
-        if denom == 0:
+        scale = poly_eval(lead, n)
+        if scale == 0:
             raise ZeroDivisionError(f"leading coefficient vanishes at n = {n}")
-        acc = Fraction(0)
+        acc = 0
         for j, poly in lower:
             c = poly_eval(poly, n)
             if c:
-                acc += c * values[n + j]
-        values.append(-acc / denom)
-    return values[:n_terms]
+                acc += c * window[j]
+        g = math.gcd(acc, scale)
+        scale, new = scale // g, -acc // g
+        if scale < 0:
+            scale, new = -scale, -new
+        del window[0]
+        if scale != 1:
+            window = [w * scale for w in window]
+            den *= scale
+        window.append(new)
+        nums.append(new)
+        dens.append(den)
+    return nums, dens
+
+
+def extend_rational(spec: Recurrence, init: InitialData | Sequence, n_terms: int) -> list[Fraction]:
+    """The unique rational solution with the given initial data, to index n_terms-1."""
+    return [Fraction(a, b) for a, b in zip(*extend_integral(spec, init, n_terms))]
 
 
 def main_sequence(n_terms: int) -> list[Fraction]:

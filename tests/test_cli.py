@@ -48,6 +48,28 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["modp-space", "--p", "13"],  # bad reduction
+        ["cartier", "--p", "4"],  # not prime
+        ["asd", "--p", "3"],  # below 5
+        ["asd", "--curve", "1,1", "--p", "31"],  # singular mod p
+        ["modp-space"],  # neither --p nor --pmax
+        ["seq", "--n", "-3"],
+        ["closed-forms", "--n", "3"],  # the pinned tables need 5 rows
+    ],
+)
+def test_domain_error_exit_code(argv, capsys):
+    # an input outside the domain is a usage error: exit 2, one message line
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "error: " in err.strip().splitlines()[-1]
+
+
 def test_modp_space_and_json_roundtrip(tmp_path, capsys):
     path = tmp_path / "report.json"
     code, out = run_cli(["modp-space", "--p", "7", "--json", str(path)], capsys)

@@ -149,6 +149,37 @@ def test_reduce_fraction_mod():
             reduce(Fraction(3, 98), 7)
 
 
+@given(
+    st.integers(-(10**30), 10**30),
+    st.integers(1, 10**30),
+    st.sampled_from((2, 3, 7, 101, 10007)),
+    st.integers(0, 3),
+    st.booleans(),
+)
+def test_reduce_fraction_mod_pair_form(a, b, p, k, square):
+    # a pair need not be in lowest terms; shared factors of p cancel first
+    m = p * p if square else p
+    q = Fraction(a, b)
+    pairs = [(a, b), (a * p**k, b * p**k), (-a * p**k, -b * p**k)]
+    if q.denominator % p == 0:
+        for pair in pairs:
+            with pytest.raises(ValueError):
+                reduce_fraction_mod(pair, m)
+    else:
+        want = reduce_fraction_mod(q, m)
+        assert want == q.numerator * pow(q.denominator, -1, m) % m
+        assert all(reduce_fraction_mod(pair, m) == want for pair in pairs)
+
+
+def test_reduce_fraction_mod_pair_not_integral():
+    assert reduce_fraction_mod((7 * 3, 7 * 2), 7) == 3 * pow(2, -1, 7) % 7
+    assert reduce_fraction_mod((0, 49), 7) == 0
+    with pytest.raises(ValueError):
+        reduce_fraction_mod((7 * 3, 7 * 49), 7)  # 3/49
+    with pytest.raises(ValueError):
+        reduce_fraction_mod((2, 14), 49)  # 1/7 mod 7^2
+
+
 def test_sqrt_mod():
     assert sqrt_mod(0, 7) == 0
     r = sqrt_mod(65, 7)

@@ -170,6 +170,17 @@ def test_union_degenerates_at_37():
         assert not union_functional_degenerate(p), p
 
 
+def test_37_is_the_only_degenerate_prime_below_1050():
+    """The sporadic claim in full: among the good primes 7 <= p < 1050 the
+    C_p = C_1 functional vanishes on V_p only at p = 37."""
+    from curveseq.exactnum import is_prime
+    from curveseq.modpspace import EXCLUDED_PRIMES, union_functional_degenerate
+
+    good = [p for p in range(7, 1050) if is_prime(p) and p not in EXCLUDED_PRIMES]
+    assert len(good) == 172  # the scan is not vacuous
+    assert [p for p in good if union_functional_degenerate(p)] == [37]
+
+
 def test_union_counterexample_at_37_from_first_principles():
     """Machinery-independent witness for the p = 37 degeneracy: the sequence
     u_n = 16 c_n + 22 c_{37+n} (mod 37) is a sum of two honest solutions

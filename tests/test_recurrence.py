@@ -3,14 +3,19 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from curveseq.exactnum import padic_valuation, reduce_fraction_mod
 from curveseq.recurrence import (
     FOOTNOTE_RECURRENCE,
     MAIN_RECURRENCE,
     MAIN_INITIAL_DATA,
     InitialData,
+    Recurrence,
     common_denominator,
     denominator_profile,
+    extend_integral,
     extend_modp,
     extend_rational,
     integrality_witness,
@@ -230,3 +235,69 @@ def test_json_round_trip():
     data = json.loads(text)
     assert data[5] == "-77/128"
     assert sequence_from_json(text) == c
+
+
+# -- the integer kernel against a per-op Fraction loop ---------------------------
+
+
+def fraction_loop(spec, init, n_terms):
+    """Test-only oracle: the recurrence stepped one Fraction operation at a
+    time, with its own polynomial evaluation."""
+    values = [Fraction(v) for v in init]
+    d = spec.order
+    polys = dict(spec.shifts)
+    for n in range(n_terms - d):
+        acc = Fraction(0)
+        for j in range(d):
+            acc += sum(c * n**k for k, c in enumerate(polys.get(j, ()))) * values[n + j]
+        values.append(-acc / sum(c * n**k for k, c in enumerate(polys[d])))
+    return values[:n_terms]
+
+
+rationals = st.fractions(max_denominator=10**6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(st.just([0] * 5), st.lists(rationals, min_size=5, max_size=5)),
+    st.integers(0, 80),
+)
+def test_extend_rational_matches_fraction_loop_main(values, n_terms):
+    init = InitialData.of(*values)
+    assert extend_rational(MAIN_RECURRENCE, init, n_terms) == fraction_loop(
+        MAIN_RECURRENCE, init.values, n_terms
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(st.just([0, 0]), st.lists(rationals, min_size=2, max_size=2)),
+    st.integers(0, 80),
+)
+def test_extend_rational_matches_fraction_loop_footnote(values, n_terms):
+    assert extend_rational(FOOTNOTE_RECURRENCE, values, n_terms) == fraction_loop(
+        FOOTNOTE_RECURRENCE, values, n_terms
+    )
+
+
+def test_extend_rational_vanishing_leading_coefficient():
+    # (n - 3) g_{n+1} + g_n = 0: the leading coefficient is negative up to
+    # n = 2, and the step at n = 3 divides by zero
+    spec = Recurrence(((0, (1,)), (1, (-3, 1))))
+    nums, dens = extend_integral(spec, [1], 4)
+    assert all(d > 0 for d in dens)
+    assert extend_rational(spec, [1], 4) == fraction_loop(spec, [1], 4)
+    with pytest.raises(ZeroDivisionError):
+        extend_rational(spec, [1], 5)
+    with pytest.raises(ZeroDivisionError):
+        fraction_loop(spec, [1], 5)
+
+
+def test_extend_integral_shared_denominator_is_least():
+    # on the main data the shared denominator is the lcm of the window's
+    # reduced denominators: the kernel carries no excess factor
+    nums, dens = extend_integral(MAIN_RECURRENCE, MAIN_INITIAL_DATA, 1001)
+    c = [Fraction(a, b) for a, b in zip(nums, dens)]
+    assert c == main_sequence(1001)
+    for k in range(4, 1001):
+        assert dens[k] == math.lcm(*(v.denominator for v in c[k - 4 : k + 1]))
