@@ -10,6 +10,7 @@ controlled by the pole divisor of the form.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -28,7 +29,7 @@ from .curve import (
 )
 from .exactnum import ModInt, QuadExt, require_prime, sqrt_mod
 from .polyring import Polynomial, RationalFunction
-from .series import LaurentSeries, TruncatedSeries, _convolve_mod
+from .series import LaurentSeries, TruncatedSeries
 
 
 def cartier_series(g: TruncatedSeries, p: int) -> TruncatedSeries:
@@ -176,20 +177,6 @@ class CartierInvariants:
         return not self.alpha and not self.beta
 
 
-def poly_pow_mod(coeffs: list[int], e: int, p: int) -> list[int]:
-    """Coefficients of f^e mod p by repeated squaring (overflow-guarded
-    convolution)."""
-    result = [1]
-    base = [int(c) % p for c in coeffs]
-    while e:
-        if e & 1:
-            result = _convolve_mod(result, base, len(result) + len(base) - 1, p)
-        e >>= 1
-        if e:
-            base = _convolve_mod(base, base, 2 * len(base) - 1, p)
-    return result
-
-
 def alphabeta_weierstrass(f_coeffs, p: int) -> CartierInvariants:
     """Invariants for y^2 = f(x), f a monic cubic nonsingular mod p:
     alpha = [x^(p-1)] f^((p-1)/2) (the Hasse invariant),
@@ -203,10 +190,8 @@ def alphabeta_weierstrass(f_coeffs, p: int) -> CartierInvariants:
     fpoly = Polynomial(coeffs, p)
     if fpoly.gcd(fpoly.derivative()).degree != 0:
         raise ValueError("singular reduction: f has a repeated root mod p")
-    power = poly_pow_mod(coeffs, (p - 1) // 2, p)
-    alpha = power[p - 1] if p - 1 < len(power) else 0
-    beta = power[p - 2] if p - 2 < len(power) else 0
-    return CartierInvariants(p, ModInt(alpha, p), ModInt(beta, p), "weierstrass")
+    power = fpoly ** ((p - 1) // 2)
+    return CartierInvariants(p, ModInt(power[p - 1], p), ModInt(power[p - 2], p), "weierstrass")
 
 
 def alphabeta_quartic(p: int, cross_check: bool = False) -> CartierInvariants:
@@ -218,14 +203,10 @@ def alphabeta_quartic(p: int, cross_check: bool = False) -> CartierInvariants:
     coefficients of Q^((p-1)/2), [x^k] (x^2+x) Q^((p-1)/2) = a_(k-2) + a_(k-1).
     """
     require_good_prime(p)
-    power = poly_pow_mod(list(q_polynomial().coeffs), (p - 1) // 2, p)
-
-    def a(k: int) -> int:
-        return power[k] if 0 <= k < len(power) else 0
-
-    alpha = a(p - 1)
-    beta = (a(p - 3) + a(p - 2)) % p
-    sanity = (a(2 * p - 3) + a(2 * p - 2)) % p
+    power = q_polynomial(p) ** ((p - 1) // 2)
+    alpha = power[p - 1]
+    beta = (power[p - 3] + power[p - 2]) % p
+    sanity = (power[2 * p - 3] + power[2 * p - 2]) % p
     if sanity != 0:
         raise AssertionError(f"[x^(2p-1)] (x^2+x) Q^((p-1)/2) = {sanity} != 0 at p = {p}")
     inv = CartierInvariants(p, ModInt(alpha, p), ModInt(beta, p), "quartic-E")
@@ -268,13 +249,11 @@ class LegendreHasseData:
 def _h_polynomials(p: int) -> list[Polynomial]:
     """H_i(lambda) from (x-1)^m (x-lambda)^m = sum_i H_i(lambda) x^i."""
     m = (p - 1) // 2
-    import math as _math
-
     # (x-1)^m: constants; (x-lambda)^m: x^(m-j) carries (-lambda)^j
-    a = [(_math.comb(m, k) * (-1) ** (m - k)) % p for k in range(m + 1)]  # coeff of x^k
+    a = [(math.comb(m, k) * (-1) ** (m - k)) % p for k in range(m + 1)]  # coeff of x^k
     b = []  # b[j] = lambda-poly coefficient of x^j in (x-lambda)^m
     for j in range(m + 1):
-        coeffs = [0] * (m - j) + [(_math.comb(m, m - j) * (-1) ** (m - j)) % p]
+        coeffs = [0] * (m - j) + [(math.comb(m, m - j) * (-1) ** (m - j)) % p]
         b.append(Polynomial(coeffs, p))
     out = [Polynomial([], p) for _ in range(2 * m + 1)]
     for k, ak in enumerate(a):
@@ -314,9 +293,7 @@ def legendre_hasse(lam0: int, p: int, rng: random.Random | None = None) -> Legen
                 deriv_ok = False
                 break
 
-    import math as _math
-
-    f_poly = Polynomial([_math.comb(m, k) * _math.comb(m + 1, k) % p for k in range(m + 1)], p)
+    f_poly = Polynomial([math.comb(m, k) * math.comb(m + 1, k) % p for k in range(m + 1)], p)
     z = Polynomial([0, 1], p)
     ode = (
         z * (1 - z) * f_poly.derivative().derivative()

@@ -274,7 +274,10 @@ def cmd_modp_space(args) -> Report:
             space = compute_vp(q, brute_validate=False)
             print(f"{q:>5} {str(space.cartier):>22}  {space.basis[0]} , {space.basis[1]}")
             count += 1
-        rep.add(f"dim V_p = 2 for {count} good primes <= {pmax}", True)
+        if not count:
+            rep.skip(f"dim V_p = 2 for good primes <= {pmax}", "no good prime; the tabulation starts at p = 7")
+        else:
+            rep.add(f"dim V_p = 2 for {count} good primes <= {pmax}", True)
         return rep
     p = args.p
     rep = Report("modp-space", {"p": p})
@@ -485,12 +488,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("congruence", cmd_congruence, help="scan c_(kp^(r+1)) = c_(kp^r) mod p^(r+1)")
     p.add_argument("--init", type=_parse_init)
     p.add_argument("--p", type=_int_arg(2, require_prime), default=5)
-    p.add_argument("--rmax", type=int, default=1)
-    p.add_argument("--nmax", type=int, default=200)
+    p.add_argument("--rmax", type=_int_arg(0), default=1)
+    p.add_argument("--nmax", type=_int_arg(2), default=200)
 
     p = add("denom", cmd_denom, help="denominator growth bound")
     p.add_argument("--init", type=_parse_init)
-    p.add_argument("--n", type=int, default=200)
+    p.add_argument("--n", type=_int_arg(2), default=200)
 
     add("identities", cmd_identities, help="exact curve/model identity suite")
 
@@ -499,25 +502,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("modp-space", cmd_modp_space, help="V_p dimension, basis, union theorem")
     p.add_argument("--p", type=_int_arg(2, require_vp_prime))
-    p.add_argument("--pmax", type=int, help="tabulate V_p across good primes instead")
+    p.add_argument("--pmax", type=_int_arg(2), help="tabulate V_p across good primes instead")
     p.add_argument("--seed", type=int)
 
     p = add("cartier", cmd_cartier, help="Cartier invariants and exactness checks")
     p.add_argument("--p", type=_int_arg(5, require_good_prime), default=7)
-    p.add_argument("--pmax", type=int)
-    p.add_argument("--kmax", type=int, help="range of k in the congruence families")
+    p.add_argument("--pmax", type=_int_arg(3))
+    p.add_argument("--kmax", type=_int_arg(2), help="range of k in the congruence families")
     p.add_argument("--seed", type=int)
 
     p = add("frobenius", cmd_frobenius, help="point counts, traces, supersingular scan")
     p.add_argument("--curve", type=_parse_curve, metavar="A,B")
-    p.add_argument("--pmax", type=int)
+    p.add_argument("--pmax", type=_int_arg(2))
     p.add_argument("--vp-limit", type=int, dest="vp_limit")
 
     p = add("asd", cmd_asd, help="Atkin-Swinnerton-Dyer congruences")
     p.add_argument("--curve", type=_parse_curve, metavar="A,B")
     p.add_argument("--p", type=_int_arg(5, require_prime), default=5)
-    p.add_argument("--rmax", type=int, default=2)
-    p.add_argument("--nmax", type=int, default=5)
+    p.add_argument("--rmax", type=_int_arg(1), default=2)
+    p.add_argument("--nmax", type=_int_arg(1), default=5)
 
     p = add("all", cmd_all, help="run the whole battery")
     p.add_argument("--quick", action="store_true")
@@ -531,6 +534,8 @@ def main(argv: list[str] | None = None) -> int:
     # domain errors that involve more than one argument
     if args.command == "modp-space" and args.p is None and args.pmax is None:
         parser.error("modp-space needs --p or --pmax")
+    if args.command == "congruence" and args.nmax < args.p:
+        parser.error(f"--nmax {args.nmax} is below --p {args.p}: no congruence would be checked")
     if args.command == "asd":
         a, b = args.curve or (0, 1)
         if (4 * a**3 + 27 * b**2) % args.p == 0:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactnum import padic_valuation, reduce_fraction_mod
+from .exactnum import padic_valuation, prime_factors, reduce_fraction_mod
 from .polyring import Polynomial, RationalFunction, resultant
 from .recurrence import (
     A_COEFFS,
@@ -548,7 +548,7 @@ class CurveModel:
 
         q = q_polynomial()
         disc = resultant(q, q.derivative())
-        support = _prime_support(int(disc))
+        support = set(prime_factors(abs(int(disc))))
         out.append(
             IdentityCheck(
                 "bad primes = {2, 5, 13}",
@@ -558,21 +558,6 @@ class CurveModel:
         )
         out.append(IdentityCheck("Q squarefree (gcd(Q,Q') = 1)", q.gcd(q.derivative()).degree == 0))
         return out
-
-
-def _prime_support(n: int) -> set[int]:
-    n = abs(n)
-    out = set()
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.add(n)
-    return out
 
 
 # -- closed forms and 2-adic facts ---------------------------------------------------

@@ -126,9 +126,8 @@ def vp_bruteforce_mask(p: int, blocks: int = 2) -> np.ndarray:
     constraints, s_matrix = extension_constraints(p, blocks)
     if not constraints:
         return np.ones(p**4, dtype=bool)
-    left_null = kernel_mod([list(col) for col in s_matrix.T], p) if s_matrix.size else []
-    if not s_matrix.size:
-        left_null = [[1 if i == k else 0 for i in range(len(constraints))] for k in range(len(constraints))]
+    # with a constraint there is at least one lane, so s_matrix is not empty
+    left_null = kernel_mod([list(col) for col in s_matrix.T], p)
     mask = np.ones(p**4, dtype=bool)
     for nu in left_null:
         acc = np.zeros(p**4, dtype=np.int64)

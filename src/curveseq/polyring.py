@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .series import LaurentSeries, TruncatedSeries, _to_int_mod
+from .series import LaurentSeries, TruncatedSeries, _convolve, _to_int_mod
 
 
 class Polynomial:
@@ -114,29 +114,25 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check(other)
-        if self.is_zero() or other.is_zero():
-            return self._wrap([])
-        out = [self._zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
-        m = self.modulus
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] = (out[i + j] + a * b) % m if m is not None else out[i + j] + a * b
-        return self._wrap(out)
+        n = len(self.coeffs) + len(other.coeffs) - 1
+        return self._wrap(_convolve(self.coeffs, other.coeffs, n, self.modulus))
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
-        result = self._wrap([self._one()])
-        base = self
+        if e < 0:
+            raise ValueError(f"negative exponent {e}")
+        # square the raw coefficient lists and wrap once; the last squaring
+        # would be unused, so it is skipped
+        m = self.modulus
+        result, base = [self._one()], self.coeffs
         while e:
             if e & 1:
-                result = result * base
-            base = base * base
+                result = _convolve(result, base, len(result) + len(base) - 1, m)
             e >>= 1
-        return result
+            if e:
+                base = _convolve(base, base, 2 * len(base) - 1, m)
+        return self._wrap(result)
 
     def _scalar_inv(self, c):
         if self.modulus is not None:
@@ -182,9 +178,6 @@ class Polynomial:
         return a.monic() if not a.is_zero() else a
 
     def derivative(self) -> "Polynomial":
-        m = self.modulus
-        if m is not None:
-            return self._wrap([i * c % m for i, c in enumerate(self.coeffs)][1:])
         return self._wrap([c * i for i, c in enumerate(self.coeffs)][1:])
 
     def __call__(self, x):

@@ -21,20 +21,22 @@ from .exactnum import divisors, generalized_binomial, is_p_integral, mobius, red
 _NUMPY_CUTOFF = 48
 
 
-def _convolve_mod(a: list[int], b: list[int], n_out: int, m: int) -> list[int]:
-    if len(a) >= _NUMPY_CUTOFF and len(b) >= _NUMPY_CUTOFF:
+def _convolve(a: list, b: list, n_out: int, modulus: int | None) -> list:
+    """The first ``n_out`` coefficients of the product of two coefficient
+    lists: reduced mod ``modulus``, or exact scalars when it is None."""
+    if modulus is not None and len(a) >= _NUMPY_CUTOFF and len(b) >= _NUMPY_CUTOFF:
         # exact in int64: coefficients < m, sums bounded by len * m^2
-        if min(len(a), len(b)) * m * m < 2**62:
+        if min(len(a), len(b)) * modulus * modulus < 2**62:
             c = np.convolve(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
-            return (c[:n_out] % m).tolist()
-    out = [0] * n_out
-    for i, ai in enumerate(a):
-        if ai == 0 or i >= n_out:
+            return (c[:n_out] % modulus).tolist()
+    out = [0 if modulus is not None else _zero_like(a)] * n_out
+    for i, ai in enumerate(a[:n_out]):
+        if not ai:
             continue
         for j, bj in enumerate(b[: n_out - i]):
             if bj:
-                out[i + j] = (out[i + j] + ai * bj) % m
-    return out
+                out[i + j] = out[i + j] + ai * bj
+    return out if modulus is None else [c % modulus for c in out]
 
 
 class TruncatedSeries:
@@ -145,17 +147,7 @@ class TruncatedSeries:
         if isinstance(other, TruncatedSeries):
             self._check_domain(other)
             n = min(self.precision, other.precision)
-            if self.modulus is not None:
-                return self._wrap(_convolve_mod(self.coeffs, other.coeffs, n, self.modulus), n)
-            out = [self._zero() for _ in range(n)]
-            for i, a in enumerate(self.coeffs[:n]):
-                if not a:
-                    continue
-                for j in range(n - i):
-                    b = other.coeffs[j]
-                    if b:
-                        out[i + j] = out[i + j] + a * b
-            return self._wrap(out, n)
+            return self._wrap(_convolve(self.coeffs, other.coeffs, n, self.modulus), n)
         return self.scale(other)
 
     __rmul__ = __mul__
@@ -191,10 +183,10 @@ class TruncatedSeries:
             # Newton iteration g <- g*(2 - f*g), doubling the known order
             while len(g) < n:
                 k = min(2 * len(g), n)
-                fg = _convolve_mod(self.coeffs[:k], g, k, m)
+                fg = _convolve(self.coeffs[:k], g, k, m)
                 t = [(-v) % m for v in fg]
                 t[0] = (t[0] + 2) % m
-                g = _convolve_mod(g, t, k, m)
+                g = _convolve(g, t, k, m)
             return self._wrap(g, n)
         inv0 = _scalar_inverse(f0)
         out = [inv0]
@@ -219,43 +211,33 @@ class TruncatedSeries:
         """Square root with prescribed value at 0; needs root0^2 = f(0), char != 2."""
         if self.precision == 0:
             return self
-        if self.modulus == 2:
+        m = self.modulus
+        if m == 2:
             raise ValueError("no square roots in characteristic 2")
-        if self.modulus is not None and not isinstance(root0, int):
-            root0 = _to_int_mod(root0, self.modulus)
-        if _ne(root0 * root0, self.coeffs[0], self.modulus):
+        if m is not None:
+            root0 = root0 % m if isinstance(root0, int) else _to_int_mod(root0, m)
+        elif isinstance(root0, int):
+            root0 = Fraction(root0)
+        if _ne(root0 * root0, self.coeffs[0], m):
             raise ValueError("root0^2 does not match the constant term")
         if not root0:
             raise ValueError("root0 must be a unit")
-        n = self.precision
-        if self.modulus is not None:
-            m = self.modulus
-            inv2r = pow(2 * root0, -1, m)
-            out = [root0 % m]
-            for k in range(1, n):
-                acc = 0
-                for i in range(1, k):
-                    acc += out[i] * out[k - i]
-                out.append((self.coeffs[k] - acc) * inv2r % m)
-            return self._wrap(out, n)
-        inv2r = _scalar_inverse(root0 + root0)
-        out = [root0 * Fraction(1) if isinstance(root0, int) else root0]
-        for k in range(1, n):
+        inv2r = pow(2 * root0, -1, m) if m is not None else _scalar_inverse(root0 + root0)
+        out = [root0]
+        for k in range(1, self.precision):
             acc = self._zero()
             for i in range(1, k):
                 acc = acc + out[i] * out[k - i]
-            out.append((self.coeffs[k] - acc) * inv2r)
-        return self._wrap(out, n)
+            c = (self.coeffs[k] - acc) * inv2r
+            # reduce as we go, or the integers grow with k
+            out.append(c if m is None else c % m)
+        return self._wrap(out, self.precision)
 
     def derivative(self) -> "TruncatedSeries":
         n = self.precision
         if n == 0:
             return self
-        if self.modulus is not None:
-            out = [(i * c) % self.modulus for i, c in enumerate(self.coeffs)][1:]
-        else:
-            out = [c * i for i, c in enumerate(self.coeffs)][1:]
-        return self._wrap(out, n - 1)
+        return self._wrap([c * i for i, c in enumerate(self.coeffs)][1:], n - 1)
 
     def log_derivative(self) -> "TruncatedSeries":
         """f'/f to precision N-1; additive on products."""
@@ -345,11 +327,7 @@ def divided_derivative(f: TruncatedSeries, k: int) -> TruncatedSeries:
     n = f.precision
     if n <= k:
         return TruncatedSeries([], 0, f.modulus)
-    if f.modulus is not None:
-        out = [math.comb(i, k) % f.modulus * f.coeffs[i] % f.modulus for i in range(k, n)]
-    else:
-        out = [f.coeffs[i] * math.comb(i, k) for i in range(k, n)]
-    return TruncatedSeries(out, n - k, f.modulus)
+    return TruncatedSeries([f.coeffs[i] * math.comb(i, k) for i in range(k, n)], n - k, f.modulus)
 
 
 def phi_and_divided_derivative(f: TruncatedSeries, p: int, k: int):
@@ -606,10 +584,7 @@ class LaurentSeries:
 
     def derivative(self) -> "LaurentSeries":
         s = self.series
-        if s.modulus is not None:
-            out = [(self.offset + i) * c % s.modulus for i, c in enumerate(s.coeffs)]
-        else:
-            out = [c * (self.offset + i) for i, c in enumerate(s.coeffs)]
+        out = [c * (self.offset + i) for i, c in enumerate(s.coeffs)]
         return LaurentSeries(self.offset - 1, TruncatedSeries(out, s.precision, s.modulus))
 
     def truncate_bound(self, bound: int) -> "LaurentSeries":

@@ -16,7 +16,6 @@ from curveseq.cartier import (
     log_exact_in_series_field,
     log_exactness_test,
     pole_bound_check,
-    poly_pow_mod,
     reduce_form,
     residue_check,
     x_shift_form,
@@ -33,7 +32,7 @@ from curveseq.curve import (
     s_series,
     xi_s,
 )
-from curveseq.exactnum import is_prime, reduce_fraction_mod
+from curveseq.exactnum import reduce_fraction_mod
 from curveseq.modpspace import xi_form_modp
 from curveseq.polyring import Polynomial, RationalFunction
 from curveseq.recurrence import main_sequence
@@ -183,32 +182,6 @@ def test_quartic_sanity_coefficient_all_p():
     for p in range(3, 101):
         if is_prime(p) and p not in (5, 13):
             alphabeta_quartic(p)
-
-
-def test_poly_pow_mod():
-    assert poly_pow_mod([1, 1], 3, 5) == [1, 3, 3, 1]
-    assert poly_pow_mod([4, 0, 1, 2, 1], 1, 7) == [4, 0, 1, 2, 1]
-
-
-def test_poly_pow_mod_large_modulus():
-    # past 2^40 an int64 convolution overflows; the result must stay exact
-    def naive_pow(coeffs, e, p):
-        out = [1]
-        for _ in range(e):
-            nxt = [0] * (len(out) + len(coeffs) - 1)
-            for i, a in enumerate(out):
-                for j, b in enumerate(coeffs):
-                    nxt[i + j] = (nxt[i + j] + a * b) % p
-            out = nxt
-        return out
-
-    p = 2**40 + 15
-    while not is_prime(p):
-        p += 2
-    assert poly_pow_mod([p - 1, p - 2, 3], 2, p) == [1, 4, p - 2, p - 12, 9]
-    rng = random.Random(5)
-    long = [rng.randrange(p) for _ in range(60)]
-    assert poly_pow_mod(long, 3, p) == naive_pow(long, 3, p)
 
 
 def test_legendre_hasse_identities():

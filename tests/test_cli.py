@@ -58,6 +58,16 @@ def test_usage_error_exit_code():
         ["modp-space"],  # neither --p nor --pmax
         ["seq", "--n", "-3"],
         ["closed-forms", "--n", "3"],  # the pinned tables need 5 rows
+        ["congruence", "--nmax", "-5"],
+        ["congruence", "--rmax", "-1"],
+        ["congruence", "--p", "7", "--nmax", "5"],  # no k p <= nmax
+        ["denom", "--n", "-4"],
+        ["cartier", "--kmax", "-2"],
+        ["cartier", "--pmax", "-3"],
+        ["asd", "--rmax", "0"],
+        ["asd", "--nmax", "0"],
+        ["modp-space", "--pmax", "1"],
+        ["frobenius", "--pmax", "0"],
     ],
 )
 def test_domain_error_exit_code(argv, capsys):
@@ -90,6 +100,16 @@ def test_modp_space_pmax_tabulation(capsys):
     code, out = run_cli(["modp-space", "--pmax", "23"], capsys)
     assert code == 0
     assert "cartier form" in out and "23" in out
+
+
+def test_modp_space_pmax_without_good_prime_skips(tmp_path, capsys):
+    # the tabulation starts at p = 7: below it nothing is examined
+    path = tmp_path / "modp.json"
+    code, out = run_cli(["modp-space", "--pmax", "3", "--json", str(path)], capsys)
+    assert code == 0
+    checks = json.loads(path.read_text())["checks"]
+    assert len(checks) == 1
+    assert checks[0]["status"] == "skip" and checks[0]["details"]
 
 
 def test_identities_command(capsys):

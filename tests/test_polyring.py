@@ -1,6 +1,10 @@
 import random
 from fractions import Fraction
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from curveseq.exactnum import is_prime
 from curveseq.polyring import Polynomial, RationalFunction, poly_x, resultant
 from curveseq.series import LaurentSeries, from_polynomial
 
@@ -21,6 +25,87 @@ def test_polynomial_mod_path():
     assert (f * f).modulus == 5
     q, r = (f * f).divmod(f)
     assert q == f and r.is_zero()
+
+
+def naive_product(a, b, modulus):
+    """Schoolbook product of two coefficient lists, the reference for ``*``."""
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out if modulus is None else [c % modulus for c in out]
+
+
+# lengths on both sides of the numpy cutoff (48); 2^61 - 1 is past the
+# int64 guard, so its long products take the exact Python path
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([7, 1009, 2**61 - 1]),
+    st.sampled_from([0, 1, 5, 47, 48, 49, 90]),
+    st.sampled_from([1, 3, 47, 48, 60]),
+    st.randoms(use_true_random=False),
+)
+def test_product_matches_naive_mod_p(p, len_a, len_b, rng):
+    a = [rng.randrange(p) for _ in range(len_a)]
+    b = [rng.randrange(p) for _ in range(len_b)]
+    assert Polynomial(a, p) * Polynomial(b, p) == Polynomial(naive_product(a, b, p), p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.fractions(max_denominator=50), max_size=12),
+    st.lists(st.fractions(max_denominator=50), max_size=12),
+)
+def test_product_matches_naive_over_q(a, b):
+    assert Polynomial(a) * Polynomial(b) == Polynomial(naive_product(a, b, None))
+
+
+# the squarings cross the numpy cutoff, so the Python path's output feeds
+# the int64 path: it must come back reduced (the example overflows if not)
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([None, 7, 1000003, 2**61 - 1]),
+    st.lists(st.integers(-50, 50), min_size=1, max_size=13),
+    st.integers(0, 20),
+)
+@example(1000003, [-3, 1, -4, 1, -5, 9, -2, 6, -5, 3, -5, 8, -9], 20)
+def test_power_matches_repeated_naive_product(modulus, coeffs, e):
+    want = [1]
+    for _ in range(e):
+        want = naive_product(want, coeffs, modulus)
+    assert Polynomial(coeffs, modulus) ** e == Polynomial(want, modulus)
+
+
+def test_polynomial_pow():
+    assert (Polynomial([1, 1], 5) ** 3).coeffs == [1, 3, 3, 1]
+    assert (Polynomial([4, 0, 1, 2, 1], 7) ** 1).coeffs == [4, 0, 1, 2, 1]
+
+
+def test_polynomial_pow_large_modulus():
+    # past 2^40 an int64 convolution overflows; the result must stay exact
+    def naive_pow(coeffs, e, p):
+        out = [1]
+        for _ in range(e):
+            nxt = [0] * (len(out) + len(coeffs) - 1)
+            for i, a in enumerate(out):
+                for j, b in enumerate(coeffs):
+                    nxt[i + j] = (nxt[i + j] + a * b) % p
+            out = nxt
+        return out
+
+    p = 2**40 + 15
+    while not is_prime(p):
+        p += 2
+    assert (Polynomial([p - 1, p - 2, 3], p) ** 2).coeffs == [1, 4, p - 2, p - 12, 9]
+    rng = random.Random(5)
+    long = [rng.randrange(p) for _ in range(60)]
+    assert (Polynomial(long, p) ** 3).coeffs == naive_pow(long, 3, p)
+
+
+def test_polynomial_pow_negative_exponent_raises():
+    for modulus in (None, 7):
+        with pytest.raises(ValueError):
+            Polynomial([1, 1], modulus) ** -1
 
 
 def test_divmod_and_gcd():
