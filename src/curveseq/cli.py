@@ -487,7 +487,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("congruence", cmd_congruence, help="scan c_(kp^(r+1)) = c_(kp^r) mod p^(r+1)")
     p.add_argument("--init", type=_parse_init)
-    p.add_argument("--p", type=_int_arg(2, require_prime), default=5)
+    # c_n is not 2-integral (only 2^(2n-3) c_n is), so the theorem needs p odd
+    p.add_argument("--p", type=_int_arg(3, require_prime), default=5)
     p.add_argument("--rmax", type=_int_arg(0), default=1)
     p.add_argument("--nmax", type=_int_arg(2), default=200)
 
@@ -514,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("frobenius", cmd_frobenius, help="point counts, traces, supersingular scan")
     p.add_argument("--curve", type=_parse_curve, metavar="A,B")
     p.add_argument("--pmax", type=_int_arg(2))
-    p.add_argument("--vp-limit", type=int, dest="vp_limit")
+    p.add_argument("--vp-limit", type=_int_arg(5), dest="vp_limit")  # the scan starts at p = 5
 
     p = add("asd", cmd_asd, help="Atkin-Swinnerton-Dyer congruences")
     p.add_argument("--curve", type=_parse_curve, metavar="A,B")

@@ -353,27 +353,52 @@ class DieudonneExponents:
 
     def reconstruct(self) -> TruncatedSeries:
         """prod_{m<=M} (1 - x^m)^{a_m} to precision M+1."""
-        n = self.precision + 1
-        coeffs = [Fraction(1)] + [Fraction(0)] * (n - 1)
-        for m, a in enumerate(self.exponents, start=1):
-            if a:
-                coeffs = _mul_one_minus_xm_power(coeffs, m, a, n)
-        return TruncatedSeries(coeffs, n)
+        nums, den = _exponent_product(self.exponents, self.precision + 1)
+        return TruncatedSeries([Fraction(v, den) for v in nums], len(nums))
 
 
-def _mul_one_minus_xm_power(coeffs: list[Fraction], m: int, a: Fraction, n: int) -> list[Fraction]:
-    """coeffs * (1 - x^m)^a truncated at order n; the factor is sparse in x^m."""
-    out = [Fraction(0)] * n
-    k = 0
-    while m * k < n:
-        fc = generalized_binomial(a, k) * (-1) ** k
-        if fc:
+def _exponent_product(exponents, n: int) -> tuple[list[int], int]:
+    """prod_m (1 - x^m)^{a_m} mod x^n for a_1, a_2, ... = ``exponents``, as
+    integer numerators over their least common denominator."""
+    nums, den = [1] + [0] * (n - 1), 1
+    for m, a in enumerate(exponents, start=1):
+        if a:
+            nums, den = _mul_one_minus_xm_power(nums, den, m, a, n)
+    return nums, den
+
+
+def _mul_one_minus_xm_power(nums: list[int], den: int, m: int, a: Fraction, n: int) -> tuple[list[int], int]:
+    """(nums/den) * (1 - x^m)^a truncated at order n, on integer numerators
+    over one shared denominator; the factor is sparse in x^m.
+
+    For a = u/v the factor's k-th coefficient is (-1)^k binom(a, k) =
+    prod_{i<k} (i v - u) / (v^k k!); its K = (n-1)//m + 1 terms go over
+    v^(K-1) (K-1)! less their content.  The returned den is the least common
+    denominator, as gcd(den, numerators) is cancelled.
+    """
+    u, v = a.numerator, a.denominator
+    n_terms = (n - 1) // m + 1
+    tops = [1]
+    for i in range(n_terms - 1):
+        tops.append(tops[-1] * (i * v - u))
+    factor = [0] * n_terms
+    scale = 1  # v^(K-1-k) (K-1)!/k!
+    for k in range(n_terms - 1, -1, -1):
+        factor[k] = tops[k] * scale
+        scale *= v * k
+    factor_den = v ** (n_terms - 1) * math.factorial(n_terms - 1)
+    content = math.gcd(factor_den, *factor)
+    out = [0] * n
+    for k, fk in enumerate(factor):
+        if fk:
+            fk //= content
             e = m * k
-            for i in range(n - e):
-                if coeffs[i]:
-                    out[i + e] += coeffs[i] * fc
-        k += 1
-    return out
+            for i, ni in enumerate(nums[: n - e]):
+                if ni:
+                    out[i + e] += fk * ni
+    den *= factor_den // content
+    g = math.gcd(den, *out)
+    return [c // g for c in out], den // g
 
 
 def _mobius_exponents(c, m_max: int) -> list[Fraction]:
@@ -410,13 +435,13 @@ def dieudonne_exponents_peeling(f: TruncatedSeries, m_max: int) -> DieudonneExpo
     if m_max >= f.precision:
         raise ValueError("need precision > m_max")
     n = m_max + 1
-    partial = [Fraction(1)] + [Fraction(0)] * (n - 1)
+    nums, den = [1] + [0] * (n - 1), 1
     exps = []
     for m in range(1, m_max + 1):
-        a = partial[m] - f[m]
+        a = Fraction(nums[m], den) - f[m]
         exps.append(a)
         if a:
-            partial = _mul_one_minus_xm_power(partial, m, a, n)
+            nums, den = _mul_one_minus_xm_power(nums, den, m, a, n)
     return DieudonneExponents(tuple(exps), m_max)
 
 
@@ -483,9 +508,22 @@ def congruence_scan(
         report.witness_exponents = DieudonneExponents(tuple(exps), m)
         report.witness_integral = all(is_p_integral(a_n, p) for a_n in exps)
         # the witness is prod (1-x^n)^(a_n); x f'/f must re-derive the input
-        back = report.witness_exponents.reconstruct().x_log_derivative()
-        report.witness_rederives = back.coeffs[1 : m + 1] == list(c[1 : m + 1])
+        nums, _ = _exponent_product(exps, m + 1)
+        report.witness_rederives = _rederives(nums, c[: m + 1])
     return report
+
+
+def _rederives(nums: list[int], c) -> bool:
+    """Whether f = N/D with N = ``nums`` and f(0) = 1 has
+    x f'/f = c_1 x + ... + c_M x^M mod x^(M+1), M = len(c) - 1.
+
+    As f(0) = 1 that is the product identity x f' = c f with c_0 taken as 0,
+    checked on integers: with c = C/E, E the lcm of the denominators of c,
+    n E N_n = sum_j C_j N_(n-j) for n <= M.
+    """
+    e = math.lcm(*(v.denominator for v in c[1:]))
+    scaled = [0] + [v.numerator * (e // v.denominator) for v in c[1:]]
+    return _convolve(nums, scaled, len(c), None) == [k * e * v for k, v in enumerate(nums)]
 
 
 # -- Laurent series -----------------------------------------------------------

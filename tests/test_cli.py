@@ -61,6 +61,7 @@ def test_usage_error_exit_code():
         ["congruence", "--nmax", "-5"],
         ["congruence", "--rmax", "-1"],
         ["congruence", "--p", "7", "--nmax", "5"],  # no k p <= nmax
+        ["congruence", "--p", "2", "--nmax", "2", "--rmax", "0"],  # c_n is not 2-integral
         ["denom", "--n", "-4"],
         ["cartier", "--kmax", "-2"],
         ["cartier", "--pmax", "-3"],
@@ -68,6 +69,7 @@ def test_usage_error_exit_code():
         ["asd", "--nmax", "0"],
         ["modp-space", "--pmax", "1"],
         ["frobenius", "--pmax", "0"],
+        ["frobenius", "--vp-limit", "4"],  # no prime below 5 is expanded
     ],
 )
 def test_domain_error_exit_code(argv, capsys):

@@ -3,13 +3,17 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from curveseq.curve import s_series
+from curveseq.exactnum import generalized_binomial
 from curveseq.recurrence import main_sequence
 from curveseq.series import (
+    DieudonneExponents,
     LaurentSeries,
     TruncatedSeries,
+    _exponent_product,
+    _rederives,
     binomial_power,
     congruence_scan,
     dieudonne_exponents,
@@ -190,6 +194,78 @@ def test_dieudonne_peeling_cross_check_random():
         b = dieudonne_exponents_peeling(f, m)
         assert a.exponents == b.exponents
         assert a.reconstruct().agrees_with(f.truncate(m + 1), m + 1)
+
+
+def fraction_product(exponents, n: int) -> list[Fraction]:
+    """Reference: prod_m (1 - x^m)^{a_m} mod x^n, one Fraction factor at a
+    time, each coefficient (-1)^k binom(a_m, k) from generalized_binomial."""
+    coeffs = [Fraction(1)] + [Fraction(0)] * (n - 1)
+    for m, a in enumerate(exponents, start=1):
+        out = [Fraction(0)] * n
+        for k in range((n - 1) // m + 1):
+            fc = generalized_binomial(a, k) * (-1) ** k
+            for i in range(n - m * k):
+                out[i + m * k] += coeffs[i] * fc
+        coeffs = out
+    return coeffs
+
+
+# zeros, negatives, odd and even denominators
+exponent_lists = st.lists(
+    st.one_of(
+        st.just(Fraction(0)),
+        st.builds(Fraction, st.integers(-40, 40), st.sampled_from([1, 2, 3, 4, 5, 6, 8, 9, 15, 16, 49])),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(exponent_lists)
+def test_exponent_product_matches_fraction_reference(exps):
+    m_max = len(exps)
+    ref = fraction_product(exps, m_max + 1)
+    nums, den = _exponent_product(exps, m_max + 1)
+    assert den == math.lcm(*(v.denominator for v in ref))
+    assert DieudonneExponents(tuple(exps), m_max).reconstruct().coeffs == ref
+    f = TruncatedSeries(ref + [Fraction(7, 3)])  # beyond x^m_max: ignored
+    assert list(dieudonne_exponents_peeling(f, m_max).exponents) == exps
+
+
+def test_main_witness_denominator_is_least():
+    # the congruence witness of curveseq all: p = 3, m = 200
+    rep = congruence_scan(main_sequence(501), 3, 2, 500, reconstruct=True)
+    assert rep.witness_exponents.precision == 200
+    nums, den = _exponent_product(rep.witness_exponents.exponents, 201)
+    assert den > 1
+    assert den == math.lcm(*(Fraction(v, den).denominator for v in nums))
+
+
+def test_rederivation_detects_any_changed_term():
+    m = 200
+    c = main_sequence(m + 1)
+    witness = congruence_scan(c, 3, 2, m, reconstruct=True).witness_exponents
+    nums, _ = _exponent_product(witness.exponents, m + 1)
+    assert _rederives(nums, c)
+    for n in range(1, m + 1):
+        changed = list(c)
+        changed[n] += 1 if n % 2 else Fraction(1, 3)
+        assert not _rederives(nums, changed), n
+
+
+@settings(max_examples=60, deadline=None)
+@given(exponent_lists, st.integers(0, 40), st.fractions(max_denominator=12), st.fractions(max_denominator=12))
+def test_rederivation_agrees_with_x_log_derivative(exps, index, delta, c0):
+    # the old comparison: x f'/f of the product against c_1..c_M
+    m = len(exps)
+    f = TruncatedSeries(fraction_product(exps, m + 1))
+    back = f.x_log_derivative().coeffs
+    c = [c0] + back[1:]
+    if 1 <= index <= m:
+        c[index] += delta
+    nums, _ = _exponent_product(exps, m + 1)
+    assert _rederives(nums, c) == (back[1:] == c[1:])
 
 
 def test_congruence_scan_main_sequence():
