@@ -19,7 +19,6 @@ from fractions import Fraction
 from . import __version__
 from .cartier import (
     alphabeta_quartic,
-    alphabeta_weierstrass,
     exactness_test,
     legendre_hasse,
     log_exactness_test,
@@ -33,9 +32,10 @@ from .curve import (
     two_adic_facts,
     verify_algebraic_identities,
     verify_ode,
+    xi_form,
 )
-from .exactnum import is_prime, reduce_fraction_mod, require_prime
-from .frobenius import asd_check, point_count, supersingular_scan
+from .exactnum import is_prime, require_prime
+from .frobenius import asd_check, point_count, singular_mod, supersingular_scan
 from .modpspace import (
     EXCLUDED_PRIMES,
     compute_vp,
@@ -46,13 +46,14 @@ from .modpspace import (
     wp_witnesses,
 )
 from .recurrence import (
+    HYPERPLANE_FORM,
     InitialData,
     MAIN_RECURRENCE,
     MAIN_INITIAL_DATA,
     common_denominator,
     denominator_profile,
-    extend_integral,
     extend_rational,
+    form_value,
     special_detector,
 )
 from .series import congruence_scan
@@ -130,7 +131,10 @@ def report_from_json(text: str) -> Report:
 
 
 def _parse_init(text: str) -> InitialData:
-    parts = [Fraction(v) for v in text.split(",")]
+    try:
+        parts = [Fraction(v) for v in text.split(",")]
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from None
     return InitialData.of(*parts)
 
 
@@ -353,9 +357,7 @@ def cmd_cartier(args) -> Report:
         "C(xi/2) = xi/2 (logarithmically exact)",
         log_exactness_test(CurveForm(xi_s(p).g * half), p),
     )
-    from .modpspace import xi_form_modp
-
-    res = exactness_test(xi_form_modp((0, 0, 0, 1), p), p)
+    res = exactness_test(xi_form((0, 0, 0, 1), p), p)
     rep.add(
         "xi form off the hyperplane is not exact",
         not res.exact and res.witness_m is not None and res.witness_m <= res.bound,
@@ -365,16 +367,12 @@ def cmd_cartier(args) -> Report:
     rep.add("K' = -(m+1) H identity", lh.derivative_identity)
     rep.add("hypergeometric ODE", lh.ode_identity)
     kmax = getattr(args, "kmax", None) or 5
-    nums, dens = extend_integral(MAIN_RECURRENCE, MAIN_INITIAL_DATA, kmax * p + p + 6)
-
-    def c(i: int) -> int:
-        return reduce_fraction_mod((nums[i], dens[i]), p)
-
+    c = s_series(kmax * p + p + 6, modulus=p).coeffs
     plus_ok = all(
-        (6 * c(k * p + 4) + c(k * p + 2) + c(k * p + 1)) % p == 0 for k in range(0, kmax)
+        form_value(HYPERPLANE_FORM, c[k * p + 1 : k * p + 5]) % p == 0 for k in range(0, kmax)
     )
     rep.add("6 c_(kp+4) + c_(kp+2) + c_(kp+1) = 0 mod p", plus_ok, f"k < {kmax}, p={p}")
-    minus_ok = all((c(k * p - 1) + c(k * p - 2)) % p == 0 for k in range(1, kmax))
+    minus_ok = all((c[k * p - 1] + c[k * p - 2]) % p == 0 for k in range(1, kmax))
     rep.add("c_(kp-1) + c_(kp-2) = 0 mod p (witness d(2y))", minus_ok, f"k < {kmax}, p={p}")
     return rep
 
@@ -383,14 +381,11 @@ def cmd_frobenius(args) -> Report:
     a, b = args.curve or (0, 1)
     pmax = args.pmax or 50
     rep = Report("frobenius", {"curve": [a, b], "pmax": pmax})
+    scan = supersingular_scan(a, b, pmax, vp_limit=args.vp_limit)
     mismatches = []
-    good = 0
-    for p in range(5, pmax + 1):
-        if not is_prime(p) or (4 * a**3 + 27 * b**2) % p == 0:
-            continue
-        good += 1
+    good = len(scan.invariants)
+    for p, inv in scan.invariants.items():
         td = point_count(a, b, p)
-        inv = alphabeta_weierstrass([b % p, a % p, 0, 1], p)
         print(f"p={p:>4}  #E={td.count:>5}  trace={td.trace:>4}  alpha={inv.alpha.value}")
         if td.trace % p != inv.alpha.value:
             mismatches.append(p)
@@ -404,7 +399,6 @@ def cmd_frobenius(args) -> Report:
             f"p <= {pmax}",
             None if not mismatches else {"mismatches": mismatches},
         )
-    scan = supersingular_scan(a, b, pmax, vp_limit=args.vp_limit)
     supers = [r.p for r in scan.supersingular]
     if not supers:
         rep.skip("supersingular beta nonzero", f"no supersingular prime in [5, {pmax}]")
@@ -502,8 +496,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_int_arg(4), default=40)  # the b- and l-tables pin 5 rows
 
     p = add("modp-space", cmd_modp_space, help="V_p dimension, basis, union theorem")
-    p.add_argument("--p", type=_int_arg(2, require_vp_prime))
-    p.add_argument("--pmax", type=_int_arg(2), help="tabulate V_p across good primes instead")
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--p", type=_int_arg(2, require_vp_prime))
+    which.add_argument("--pmax", type=_int_arg(2), help="tabulate V_p across good primes instead")
     p.add_argument("--seed", type=int)
 
     p = add("cartier", cmd_cartier, help="Cartier invariants and exactness checks")
@@ -533,13 +528,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     # domain errors that involve more than one argument
-    if args.command == "modp-space" and args.p is None and args.pmax is None:
-        parser.error("modp-space needs --p or --pmax")
     if args.command == "congruence" and args.nmax < args.p:
         parser.error(f"--nmax {args.nmax} is below --p {args.p}: no congruence would be checked")
     if args.command == "asd":
         a, b = args.curve or (0, 1)
-        if (4 * a**3 + 27 * b**2) % args.p == 0:
+        if singular_mod(a, b, args.p):
             parser.error(f"the curve ({a}, {b}) is singular mod p = {args.p}")
     rep: Report = args.handler(args)
     _print_report(rep)

@@ -19,13 +19,16 @@ from .polyring import Polynomial, RationalFunction, resultant
 from .recurrence import (
     A_COEFFS,
     B_COEFFS,
+    CONSTANT_BLOCK,
+    R_TILDE_ROWS,
+    T2_BLOCK,
     InitialData,
     MAIN_INITIAL_DATA,
     MAIN_RECURRENCE,
     extend_integral,
     extend_rational,
+    form_value,
     main_sequence,
-    rhs_forms,
 )
 from .series import LaurentSeries, TruncatedSeries, from_polynomial
 
@@ -633,29 +636,23 @@ def two_adic_facts(m_max: int) -> TwoAdicReport:
 # -- quadrature -------------------------------------------------------------------
 
 
-def xi_form(init: InitialData, modulus: int | None = None) -> CurveForm:
-    """The form R~(x)/(2(1+2x)^2) * omega attached to initial data (C_0 -> 0)."""
-    forms = rhs_forms(init.normalized())
-    coeffs = list(forms.r_tilde_coeffs)
-    if modulus is not None:
-        num = Polynomial([reduce_fraction_mod(c, modulus) for c in coeffs], modulus)
-    else:
-        num = Polynomial(coeffs)
+def xi_form(c4: Sequence, modulus: int | None = None) -> CurveForm:
+    """The form R~(x)/(2(1+2x)^2) * omega attached to data (C_1..C_4), over Q
+    or, for p-integral data, over F_p (modulus = p)."""
+    num = Polynomial([form_value(row, c4) for row in R_TILDE_ROWS], modulus)
     den = Polynomial([2], modulus) * t_polynomial(modulus) * t_polynomial(modulus)
     return CurveForm(CurveFunction.rational(RationalFunction(num, den), modulus))
 
 
 def k_constants(init: InitialData) -> tuple[Fraction, Fraction]:
-    """K_1 = (-31C_1+18C_2-8C_3+12C_4)/4 and K_2 = (3C_1+2C_2+8C_3+12C_4)/4.
+    """K_1 = T2_BLOCK(C)/4 and K_2 = CONSTANT_BLOCK(C)/4, C = (C_1..C_4).
 
-    When 6C_4 + C_2 + C_1 = 0 the attached form decomposes exactly as
-    (K_2/2 + (K_1/2)/t^2) omega -- K_2 carries the constant block, K_1 the
-    t^-2 block; xi_quadrature verifies the identity.
+    On the hyperplane (InitialData.hyperplane_value = 0) the attached form
+    decomposes exactly as (K_2/2 + (K_1/2)/t^2) omega -- K_2 carries the
+    constant block, K_1 the t^-2 block; xi_quadrature verifies the identity.
     """
-    c = init.values
-    k1 = Fraction(-31 * c[1] + 18 * c[2] - 8 * c[3] + 12 * c[4], 4)
-    k2 = Fraction(3 * c[1] + 2 * c[2] + 8 * c[3] + 12 * c[4], 4)
-    return k1, k2
+    c4 = init.values[1:]
+    return Fraction(form_value(T2_BLOCK, c4), 4), Fraction(form_value(CONSTANT_BLOCK, c4), 4)
 
 
 @dataclass
@@ -680,7 +677,7 @@ def xi_quadrature(init: InitialData, n: int) -> XiQuadrature:
     s_vals = s_series(n)
     big_s = TruncatedSeries(c_seq, n)
     f = (big_s.divide_by_x(1)) * (s_vals.divide_by_x(1).inverse())
-    form = xi_form(init)
+    form = xi_form(init.values[1:])
     k1, k2 = k_constants(init)
     hyper_zero = init.hyperplane_value == 0
 

@@ -15,9 +15,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cartier import alphabeta_weierstrass
-from .exactnum import require_prime
+from .cartier import CartierInvariants, alphabeta_weierstrass
+from .exactnum import is_prime, require_prime
 from .series import LaurentSeries, TruncatedSeries, from_polynomial
+
+
+def singular_mod(a: int, b: int, p: int) -> bool:
+    """Whether y^2 = x^3 + ax + b is singular mod the prime p >= 5, i.e. p
+    divides 4a^3 + 27b^2."""
+    return (4 * a**3 + 27 * b**2) % p == 0
 
 
 @dataclass(frozen=True)
@@ -34,7 +40,7 @@ def point_count(a: int, b: int, p: int) -> TraceData:
     require_prime(p)
     if p < 5:
         raise ValueError("p >= 5 required")
-    if (4 * a**3 + 27 * b**2) % p == 0:
+    if singular_mod(a, b, p):
         raise ValueError(f"singular curve mod {p}")
     chi = [-1] * p
     chi[0] = 0
@@ -149,6 +155,8 @@ class SupersingularReport:
     p_max: int
     supersingular: list[SupersingularRow]
     cm_pattern_ok: bool | None  # for (0, 1): alpha_p = 0 iff p = 2 mod 3
+    #: (alpha, beta) at every good prime 5 <= p <= p_max, in increasing p
+    invariants: dict[int, CartierInvariants]
 
 
 def supersingular_scan(a: int, b: int, p_max: int, vp_limit: int | None = None) -> SupersingularReport:
@@ -159,14 +167,13 @@ def supersingular_scan(a: int, b: int, p_max: int, vp_limit: int | None = None) 
     ``vp_limit`` bounds the primes for which the (expensive) expansion check
     runs; None means all of them.
     """
-    from .exactnum import is_prime
-
     rows = []
+    invariants = {}
     pattern_ok: bool | None = (a, b) == (0, 1) or None
     for p in range(5, p_max + 1):
-        if not is_prime(p) or (4 * a**3 + 27 * b**2) % p == 0:
+        if not is_prime(p) or singular_mod(a, b, p):
             continue
-        inv = alphabeta_weierstrass([b % p, a % p, 0, 1], p)
+        inv = invariants[p] = alphabeta_weierstrass([b % p, a % p, 0, 1], p)
         if (a, b) == (0, 1):
             want = p % 3 == 2
             if (inv.alpha.value == 0) != want:
@@ -179,4 +186,4 @@ def supersingular_scan(a: int, b: int, p_max: int, vp_limit: int | None = None) 
             v = exp.c(p * p)
             vp_ok = v % p == 0 and (v // p) % p != 0
         rows.append(SupersingularRow(p, bool(inv.beta), vp_ok))
-    return SupersingularReport(a, b, p_max, rows, pattern_ok)
+    return SupersingularReport(a, b, p_max, rows, pattern_ok, invariants)

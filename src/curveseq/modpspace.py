@@ -2,10 +2,10 @@
 
 W_p (all F_p-solutions) is infinite dimensional; its projection to
 (C_1, ..., C_4) is, for good p distinct from 3, the 2-dimensional kernel of
-two explicit linear forms: the residue hyperplane C_1 + C_2 + 6 C_4 = 0 and
-a Cartier form built from the invariants (alpha', beta') of the reduced
-curve.  A fully enumerative extension search over F_p^4 (vectorized) serves
-as the independent oracle for the closed form.
+two explicit linear forms: the residue hyperplane and a Cartier form built
+from the invariants (alpha', beta') of the reduced curve (their integer rows
+live in ``recurrence``).  A fully enumerative extension search over F_p^4
+(vectorized) serves as the independent oracle for the closed form.
 """
 
 from __future__ import annotations
@@ -16,28 +16,24 @@ from typing import Sequence
 import numpy as np
 
 from .cartier import alphabeta_quartic, exactness_test, require_good_prime
-from .curve import CurveForm, CurveFunction, expand_form, origin_place
+from .curve import expand_form, origin_place, s_series, xi_form
 from .exactnum import reduce_fraction_mod
 from .linalg import kernel_mod, rank_mod
-from .polyring import Polynomial, RationalFunction
 from .recurrence import (
+    CONSTANT_BLOCK,
+    HYPERPLANE_FORM,
     MAIN_INITIAL_DATA,
     MAIN_RECURRENCE,
     SPECIAL_DIRECTION,
+    T2_BLOCK,
     _step_modp,
     extend_integral,
     extend_modp,
+    form_value,
     poly_eval,
 )
 
 EXCLUDED_PRIMES = (2, 3, 5, 13)
-
-HYPERPLANE_FORM = (1, 1, 0, 6)
-#: the two constant blocks of the decomposed form xi = (K + K'/t^2) omega,
-#: written as integer forms in (C_1..C_4); the vanishing of C(xi) pairs the
-#: constant block with 65 alpha' and the t^-2 block with alpha' + 4 beta'
-CONSTANT_BLOCK = (3, 2, 8, 12)
-T2_BLOCK = (-31, 18, -8, 12)
 
 
 def require_vp_prime(p: int) -> int:
@@ -48,7 +44,7 @@ def require_vp_prime(p: int) -> int:
 
 
 def cartier_form(p: int) -> list[int]:
-    """65 alpha' (3,2,8,12) + (alpha' + 4 beta') (-31,18,-8,12) mod p."""
+    """65 alpha' CONSTANT_BLOCK + (alpha' + 4 beta') T2_BLOCK mod p."""
     require_vp_prime(p)
     inv = alphabeta_quartic(p)
     a, b = inv.alpha.value, inv.beta.value
@@ -199,9 +195,7 @@ class VpSpace:
     dim: int
 
     def contains(self, v: Sequence[int]) -> bool:
-        h = sum(a * b for a, b in zip(self.hyperplane, v)) % self.p
-        c = sum(a * b for a, b in zip(self.cartier, v)) % self.p
-        return h == 0 and c == 0
+        return all(form_value(row, v) % self.p == 0 for row in (self.hyperplane, self.cartier))
 
     def elements(self):
         """All p^2 members (spanned by the two basis vectors)."""
@@ -273,9 +267,7 @@ def sigma_blocks(p: int, m_max: int) -> SigmaBlocks:
     """sigma_m = (c_{pm+1}, ..., c_{pm+p-1}) mod p; each tail (c_{mp+n})_n
     satisfies the recurrence, and sigma_0, sigma_1 are independent."""
     require_good_prime(p)
-    length = (m_max + 2) * p + 6
-    pairs = zip(*extend_integral(MAIN_RECURRENCE, MAIN_INITIAL_DATA, length))
-    cbar = [reduce_fraction_mod(q, p) for q in pairs]
+    cbar = s_series((m_max + 2) * p + 6, modulus=p).coeffs
     blocks = tuple(
         tuple(cbar[m * p + 1 : m * p + p]) for m in range(m_max + 1)
     )
@@ -287,17 +279,6 @@ def sigma_blocks(p: int, m_max: int) -> SigmaBlocks:
 
 
 # -- extendability ------------------------------------------------------------------
-
-
-def xi_form_modp(init4: Sequence[int], p: int) -> CurveForm:
-    """R~/(2(1+2x)^2) omega for data (C_1..C_4) over F_p."""
-    c1, c2, c3, c4 = (v % p for v in init4)
-    r0 = (4 * c2 - 8 * c1) % p
-    r1 = (8 * c3 + c1) % p
-    r2 = (12 * c4 + 8 * c3 + 2 * c2 + 3 * c1) % p
-    num = Polynomial([r0, r1, r2], p)
-    den = Polynomial([2], p) * Polynomial([1, 2], p) ** 2
-    return CurveForm(CurveFunction.rational(RationalFunction(num, den), p))
 
 
 @dataclass(frozen=True)
@@ -320,10 +301,8 @@ def extendability_test(init4: Sequence[int], p: int) -> ExtendabilityResult:
     (b) exactness of the attached differential form, decided from expansion
     coefficients."""
     require_vp_prime(p)
-    hyper = sum(a * b for a, b in zip(HYPERPLANE_FORM, init4)) % p == 0
-    cart = sum(a * b for a, b in zip(cartier_form(p), init4)) % p == 0
-    closed = hyper and cart
-    res = exactness_test(xi_form_modp(init4, p), p)
+    closed = all(form_value(row, init4) % p == 0 for row in (HYPERPLANE_FORM, cartier_form(p)))
+    res = exactness_test(xi_form(init4, p), p)
     result = ExtendabilityResult(closed, res.exact, res.witness_m)
     if not result.agree:
         raise AssertionError(f"extendability routes disagree at p = {p}, init = {tuple(init4)}")
@@ -341,7 +320,7 @@ def xi_obstruction_matrix(p: int, blocks: int = 8) -> list[list[int]]:
     for i in range(4):
         e = [0, 0, 0, 0]
         e[i] = 1
-        w = expand_form(xi_form_modp(e, p), place, slack=16)
+        w = expand_form(xi_form(e, p), place, slack=16)
         cols.append([w.coefficient(m * p - 1) for m in range(1, blocks + 1)])
     return [[cols[i][m] for i in range(4)] for m in range(blocks)]
 
@@ -427,8 +406,7 @@ def wp_witnesses(p: int, k: int, length: int | None = None) -> list[list[int]]:
             w += [0] * (length - len(w))
             seqs.append([v % 2 for v in w[:length]])
     else:
-        pairs = zip(*extend_integral(MAIN_RECURRENCE, MAIN_INITIAL_DATA, length))
-        cbar = [reduce_fraction_mod(q, p) for q in pairs]
+        cbar = s_series(length, modulus=p).coeffs
         seqs = []
         for j in range(k):
             seqs.append([0] * (j * p) + cbar[: length - j * p])

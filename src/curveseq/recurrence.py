@@ -94,6 +94,26 @@ B_COEFFS = (4, 16, 0, 1, 1)
 
 SPECIAL_DIRECTION = (Fraction(1), Fraction(2), Fraction(-1, 8), Fraction(-1, 2))
 
+# The linear forms in the initial data, as integer rows in (C_1..C_4).  They
+# serve Q (rational data) and F_p (reduce the value mod p) alike.
+
+#: the residue hyperplane C_1 + C_2 + 6 C_4; it vanishes on special data
+HYPERPLANE_FORM = (1, 1, 0, 6)
+#: R~ = R/x^2 at C_0 = 0: one row per coefficient of x^0, x^1, x^2
+R_TILDE_ROWS = ((-8, 4, 0, 0), (1, 0, 8, 0), (3, 2, 8, 12))
+#: on the hyperplane the form xi = R~/(2(1+2x)^2) omega decomposes as
+#: (K_2 + K_1/(1+2x)^2) omega / 2; 4 K_2 is the constant block, 4 K_1 the
+#: (1+2x)^-2 block.  Mod p, C(xi) = 0 pairs the constant block with
+#: 65 alpha' and the other block with alpha' + 4 beta'.
+CONSTANT_BLOCK = (3, 2, 8, 12)
+T2_BLOCK = (-31, 18, -8, 12)
+
+
+def form_value(row: Sequence[int], c4: Sequence):
+    """The linear form ``row`` at (C_1..C_4): a Fraction for rational data, an
+    int (still to be reduced mod p) for integer data."""
+    return sum(a * c for a, c in zip(row, c4))
+
 
 @dataclass(frozen=True)
 class InitialData:
@@ -118,8 +138,7 @@ class InitialData:
 
     @property
     def hyperplane_value(self) -> Fraction:
-        c = self.values
-        return 6 * c[4] + c[2] + c[1]
+        return form_value(HYPERPLANE_FORM, self.values[1:])
 
     def normalized(self) -> "InitialData":
         """Same data with C_0 = 0 (the convention used by the quadrature path)."""
@@ -290,7 +309,7 @@ def extend_modp(
     init: Sequence[int],
     p: int,
     n_terms: int,
-    choice_policy: ChoicePolicy | str = "zero",
+    choice_policy: ChoicePolicy = zero_policy,
 ) -> ModPSolution:
     """Extend initial data over F_p, inserting policy values at the free
     indexes m = 1 mod p and checking the consistency constraint there.
@@ -299,10 +318,6 @@ def extend_modp(
     """
     if p < 3:
         raise ValueError("extend_modp requires p >= 3")
-    if isinstance(choice_policy, str):
-        if choice_policy != "zero":
-            raise ValueError(f"unknown policy {choice_policy!r}")
-        choice_policy = zero_policy
     d = spec.order
     if len(init) != d:
         raise ValueError(f"need exactly {d} initial values")
@@ -343,20 +358,9 @@ class RhsForms:
 
 
 def rhs_forms(init: InitialData) -> RhsForms:
-    c = init.values
-    r = (
-        -4 * c[0],
-        -16 * c[0],
-        4 * c[2] - 8 * c[1],
-        8 * c[3] + c[1] - c[0],
-        12 * c[4] + 8 * c[3] + 2 * c[2] + 3 * c[1] - c[0],
-    )
-    r_tilde = (
-        4 * c[2] - 8 * c[1],
-        8 * c[3] + c[1],
-        12 * c[4] + 8 * c[3] + 2 * c[2] + 3 * c[1],
-    )
-    return RhsForms(r, r_tilde)
+    c0 = init.values[0]
+    r0, r1, r2 = (form_value(row, init.values[1:]) for row in R_TILDE_ROWS)
+    return RhsForms((-4 * c0, -16 * c0, r0, r1 - c0, r2 - c0), (r0, r1, r2))
 
 
 def rhs_form_matrix() -> list[list[Fraction]]:

@@ -30,10 +30,10 @@ from curveseq.curve import (
     origin_place,
     q_polynomial,
     s_series,
+    xi_form,
     xi_s,
 )
 from curveseq.exactnum import reduce_fraction_mod
-from curveseq.modpspace import xi_form_modp
 from curveseq.polyring import Polynomial, RationalFunction
 from curveseq.recurrence import main_sequence
 from curveseq.series import LaurentSeries, TruncatedSeries, from_polynomial
@@ -96,11 +96,11 @@ def test_semilinearity_over_pth_powers():
 
 
 def test_exactness_xi_family():
-    f = xi_form_modp((0, 0, 0, 1), 7)
+    f = xi_form((0, 0, 0, 1), 7)
     res = exactness_test(f, 7)
     assert not res.exact and res.witness_m is not None and res.witness_m <= 8
     assert res.bound == 8
-    f2 = xi_form_modp((1, 2, 6, 3), 7)  # special vector mod 7
+    f2 = xi_form((1, 2, 6, 3), 7)  # special vector mod 7
     assert exactness_test(f2, 7).exact
 
 
@@ -203,12 +203,12 @@ def test_legendre_hasse_exhaustive_f13():
 
 
 def test_residue_check_xi_family():
-    res = residue_check(xi_form_modp((0, 0, 0, 1), 7), 7)
+    res = residue_check(xi_form((0, 0, 0, 1), 7), 7)
     t_residues = [v for k, v in res.items() if k.startswith("t=0")]
     assert all(bool(v) for v in t_residues)  # R~'(-1/2) = -12 != 0
-    res2 = residue_check(xi_form_modp((1, 1, 0, 0), 11), 11)  # hyperplane: 1+1+0 != 0
+    res2 = residue_check(xi_form((1, 1, 0, 0), 11), 11)  # hyperplane: 1+1+0 != 0
     assert any(bool(v) for v in res2.values())
-    res3 = residue_check(xi_form_modp((1, 2, 6, 3), 7), 7)
+    res3 = residue_check(xi_form((1, 2, 6, 3), 7), 7)
     assert not any(bool(v) for v in res3.values())
 
 
@@ -220,7 +220,7 @@ def test_residue_xi_s_at_infinity_mod_p():
 
 
 def test_pole_bounds_xi():
-    rows = pole_bound_check(xi_form_modp((0, 0, 0, 1), 7), 7)
+    rows = pole_bound_check(xi_form((0, 0, 0, 1), 7), 7)
     assert all(r.ok for r in rows)
     t_rows = [r for r in rows if r.place.startswith("t=0")]
     assert all(r.v_form == -2 for r in t_rows)
@@ -323,5 +323,5 @@ def test_no_stronger_periodicity():
 
 
 def test_exactness_scan_bound_values():
-    assert exactness_scan_bound(xi_form_modp((0, 0, 0, 1), 7)) == 8
+    assert exactness_scan_bound(xi_form((0, 0, 0, 1), 7)) == 8
     assert exactness_scan_bound(omega(7)) == 4

@@ -70,6 +70,9 @@ def test_usage_error_exit_code():
         ["modp-space", "--pmax", "1"],
         ["frobenius", "--pmax", "0"],
         ["frobenius", "--vp-limit", "4"],  # no prime below 5 is expanded
+        ["modp-space", "--p", "7", "--pmax", "10"],  # both
+        ["seq", "--init", "1/0,1,2,3,4"],  # zero denominator
+        ["congruence", "--init", "0,1,2,3,1/0"],
     ],
 )
 def test_domain_error_exit_code(argv, capsys):

@@ -119,6 +119,15 @@ def test_supersingular_scan_cm_curve():
     assert rep.cm_pattern_ok
 
 
+@pytest.mark.parametrize("a, b", [(0, 1), (2, 3)])  # (2, 3) is bad at 5 and 11
+def test_supersingular_scan_keeps_invariants_of_every_good_prime(a, b):
+    rep = supersingular_scan(a, b, 50, vp_limit=5)
+    good = [p for p in range(5, 51) if is_prime(p) and (4 * a**3 + 27 * b**2) % p]
+    assert list(rep.invariants) == good
+    for p, inv in rep.invariants.items():
+        assert inv.alpha.value == point_count(a, b, p).trace % p
+
+
 def test_supersingular_vp_limit():
     rep = supersingular_scan(0, 1, 50, vp_limit=11)
     checked = [r for r in rep.supersingular if r.vp_c_p2_is_1 is not None]

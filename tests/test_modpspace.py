@@ -1,13 +1,15 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from curveseq.cartier import alphabeta_quartic, reduce_form
+from curveseq.curve import k_constants, xi_form
+from curveseq.exactnum import reduce_fraction_mod
 from curveseq.linalg import rank_mod
 from curveseq.modpspace import (
-    CONSTANT_BLOCK,
-    HYPERPLANE_FORM,
-    T2_BLOCK,
     cartier_form,
     compute_vp,
     extendability_test,
@@ -19,10 +21,17 @@ from curveseq.modpspace import (
     vp_bruteforce_literal,
     vp_bruteforce_mask,
     wp_witnesses,
-    xi_form_modp,
     xi_obstruction_matrix,
 )
-from curveseq.recurrence import MAIN_RECURRENCE, extend_modp
+from curveseq.recurrence import (
+    CONSTANT_BLOCK,
+    HYPERPLANE_FORM,
+    MAIN_RECURRENCE,
+    T2_BLOCK,
+    InitialData,
+    extend_modp,
+    form_value,
+)
 
 
 def test_compute_vp_small_primes():
@@ -86,6 +95,28 @@ def test_defining_forms_independent():
         assert rank_mod(rows, p) == 3
     # and they collapse mod 3 (the reason 3 is excluded)
     assert rank_mod([list(HYPERPLANE_FORM), list(T2_BLOCK), list(CONSTANT_BLOCK)], 3) < 3
+
+
+# rationals whose denominators avoid 7, 11, 17, 19 and 23
+p_integral = st.builds(
+    Fraction, st.integers(-10**6, 10**6), st.sampled_from([1, 2, 3, 4, 5, 6, 8, 13, 16, 39])
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([7, 11, 17, 19, 23]), st.tuples(*[p_integral] * 4))
+def test_q_and_fp_readings_of_the_initial_data_forms_agree(p, c4):
+    # the F_p reading of each form is the reduction of its Q reading
+    assert xi_form(c4, p) == reduce_form(xi_form(c4), p)
+    init = InitialData.of(0, *c4)
+    cbar = [reduce_fraction_mod(c, p) for c in c4]
+    space = compute_vp(p, brute_validate=False)
+    assert reduce_fraction_mod(init.hyperplane_value, p) == form_value(space.hyperplane, cbar) % p
+    k1, k2 = (reduce_fraction_mod(4 * k, p) for k in k_constants(init))
+    inv = alphabeta_quartic(p)
+    a, b = inv.alpha.value, inv.beta.value
+    assert (65 * a * k2 + (a + 4 * b) * k1) % p == form_value(space.cartier, cbar) % p
+    assert list(space.cartier) == cartier_form(p)
 
 
 def test_sigma_blocks_p7():
