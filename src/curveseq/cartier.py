@@ -37,21 +37,15 @@ def cartier_series(g: TruncatedSeries, p: int) -> TruncatedSeries:
     require_prime(p)
     if g.modulus != p:
         raise ValueError("series must live over F_p")
-    n_out = g.precision // p
-    return TruncatedSeries([g.coeffs[p * (m + 1) - 1] for m in range(n_out)], n_out, p)
+    return cartier_laurent(LaurentSeries(0, g), p).series
 
 
 def cartier_laurent(w: LaurentSeries, p: int) -> LaurentSeries:
     """The same coefficient picking on a Laurent expansion w(t) dt."""
-    e_min = w.offset
-    f_min = -((-(e_min + 1)) // p) - 1  # smallest f with p(f+1)-1 >= e_min
-    f_bound = w.bound // p  # exclusive: needs p(f+1)-1 < bound
-    coeffs = []
-    for f in range(f_min, f_bound):
-        coeffs.append(w.coefficient(p * (f + 1) - 1))
-    n = max(f_bound - f_min, 0)
-    series = TruncatedSeries(coeffs[:n], n, w.modulus)
-    return LaurentSeries(f_min, series)
+    f_min = -((-(w.offset + 1)) // p) - 1  # smallest f with p(f+1)-1 >= offset
+    # exclusive bound: p(f+1)-1 < w.bound
+    coeffs = [w.coefficient(p * (f + 1) - 1) for f in range(f_min, w.bound // p)]
+    return LaurentSeries(f_min, TruncatedSeries(coeffs, len(coeffs), w.modulus))
 
 
 def require_good_prime(p: int) -> int:
@@ -97,6 +91,21 @@ def _origin_expansion_of(form: CurveForm, p: int, needed_bound: int) -> LaurentS
     return expand_form(form, place, slack=slack // 2)
 
 
+def _cartier_pair(
+    form: CurveForm, p: int, budget: int, precision: int
+) -> tuple[LaurentSeries, LaurentSeries]:
+    """The (0, 2)-expansion w of the reduced form through about ``precision``
+    and its Cartier image C(w), both known through exponent ``budget``."""
+    require_good_prime(p)
+    if form.modulus != p:
+        raise ValueError("form must be reduced mod p")
+    w = _origin_expansion_of(form, p, precision)
+    c = cartier_laurent(w, p)
+    if min(w.bound, c.bound) <= budget:
+        raise ValueError(f"insufficient expansion precision for a Cartier decision through {budget}")
+    return w, c
+
+
 def exactness_test(form: CurveForm, p: int) -> ExactnessResult:
     """Decide whether the reduced form is exact (= killed by Cartier).
 
@@ -105,16 +114,9 @@ def exactness_test(form: CurveForm, p: int) -> ExactnessResult:
     on every exponent from its valuation floor through B + 4, then h would
     have more zeros than poles, so h = 0 and the form is exact (C1).
     """
-    require_good_prime(p)
-    if form.modulus != p:
-        raise ValueError("form must be reduced mod p")
     blocks = exactness_scan_bound(form)
-    w = _origin_expansion_of(form, p, p * (blocks + 3) + p)
-    c = cartier_laurent(w, p)
-    f0 = min(c.offset, 0)
-    if c.bound <= blocks:
-        raise ValueError("insufficient expansion precision for exactness decision")
-    for f in range(f0, blocks + 1):
+    _, c = _cartier_pair(form, p, blocks, p * (blocks + 3) + p)
+    for f in range(min(c.offset, 0), blocks + 1):
         if c.coefficient(f):
             return ExactnessResult(False, f + 1, blocks)
     return ExactnessResult(True, None, blocks)
@@ -126,35 +128,22 @@ def exact_in_series_field(w: TruncatedSeries, p: int) -> bool:
     This is the plain series-field criterion (no curve, any prime); it checks
     the available coefficients and leaves degree-bound reasoning to callers.
     """
-    require_prime(p)
-    if w.modulus != p:
-        raise ValueError("series must live over F_p")
     return cartier_series(w, p).is_zero()
 
 
 def log_exact_in_series_field(w: TruncatedSeries, p: int) -> bool:
     """w dx fixed by Cartier in F_p((x)), on the available coefficients."""
-    require_prime(p)
-    if w.modulus != p:
-        raise ValueError("series must live over F_p")
     img = cartier_series(w, p)
     return img.coeffs == w.coeffs[: img.precision]
 
 
 def log_exactness_test(form: CurveForm, p: int) -> bool:
     """C(form) = form iff the form is d(phi)/phi for some function phi (C2)."""
-    require_good_prime(p)
-    if form.modulus != p:
-        raise ValueError("form must be reduced mod p")
     # (C(form) - form)/omega has at most 2B + 4 poles; vanishing from the
     # valuation floor through that budget forces it to be zero
     budget = 2 * pole_degree_bound(form) + 4
-    w = _origin_expansion_of(form, p, p * (budget + 4) + p)
-    c = cartier_laurent(w, p)
-    e0 = min(w.offset, c.offset, 0)
-    if min(w.bound, c.bound) <= budget:
-        raise ValueError("insufficient precision for log-exactness decision")
-    for e in range(e0, budget + 1):
+    w, c = _cartier_pair(form, p, budget, p * (budget + 4) + p)
+    for e in range(min(w.offset, c.offset, 0), budget + 1):
         if w.coefficient(e) != c.coefficient(e):
             return False
     return True

@@ -26,6 +26,7 @@ from .cartier import (
 )
 from .curve import (
     BAD_PRIMES,
+    CurveForm,
     CurveModel,
     closed_forms,
     s_series,
@@ -33,6 +34,7 @@ from .curve import (
     verify_algebraic_identities,
     verify_ode,
     xi_form,
+    xi_s,
 )
 from .exactnum import is_prime, require_prime
 from .frobenius import asd_check, point_count, singular_mod, supersingular_scan
@@ -132,15 +134,19 @@ def report_from_json(text: str) -> Report:
 
 def _parse_init(text: str) -> InitialData:
     try:
-        parts = [Fraction(v) for v in text.split(",")]
+        return InitialData.of(*(Fraction(v) for v in text.split(",")))
     except ZeroDivisionError:
         raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from None
-    return InitialData.of(*parts)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"need 5 rationals C_0,...,C_4, got {text!r}") from None
 
 
 def _parse_curve(text: str) -> tuple[int, int]:
-    a, b = text.split(",")
-    return int(a), int(b)
+    try:
+        a, b = (int(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"need 2 integers A,B, got {text!r}") from None
+    return a, b
 
 
 def _int_arg(minimum: int, check=None):
@@ -350,8 +356,6 @@ def cmd_cartier(args) -> Report:
         True,
         f"alpha'=0 at {alpha_zero}; beta'=0 at {beta_zero}; alpha'+4beta'=0 at {combo_zero}",
     )
-    from .curve import xi_s, CurveForm
-
     half = pow(2, -1, p)
     rep.add(
         "C(xi/2) = xi/2 (logarithmically exact)",
@@ -524,10 +528,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_values(argv: list[str]) -> list[str]:
+    """Pass ``--curve A,B`` on as ``--curve=A,B``, and ``--init`` likewise:
+    argparse would read a value with a leading minus sign (``--curve -1,5``)
+    as an option."""
+    out = []
+    for tok in argv:
+        if out and out[-1] in ("--curve", "--init"):
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_values(sys.argv[1:] if argv is None else argv))
     # domain errors that involve more than one argument
+    if args.command == "modp-space" and args.pmax is not None and args.seed is not None:
+        parser.error("--seed has no effect with --pmax: the tabulation draws no random vectors")
     if args.command == "congruence" and args.nmax < args.p:
         parser.error(f"--nmax {args.nmax} is below --p {args.p}: no congruence would be checked")
     if args.command == "asd":

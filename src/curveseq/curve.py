@@ -281,12 +281,8 @@ def xi_s(modulus: int | None = None) -> CurveForm:
 
 
 def differential_of(f: CurveFunction) -> CurveForm:
-    """d(f) as a form g*omega: g = (v'Q + vQ'/2) + u'y."""
-    modulus = f.modulus
-    q = _as_ratfunc(q_polynomial(modulus), modulus)
-    qd = _as_ratfunc(q_polynomial(modulus).derivative(), modulus)
-    g_u = f.v.derivative() * q + f.v * qd * _half(modulus)
-    return CurveForm(CurveFunction(g_u, f.u.derivative()))
+    """d(f) = f' dx = (f' y) omega."""
+    return CurveForm(f.derivative() * fn_y(f.modulus))
 
 
 # -- places and expansions ---------------------------------------------------------

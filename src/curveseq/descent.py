@@ -5,12 +5,23 @@ unknown as phi = b_0^p + b_1^p x + ... + b_{p-1}^p x^(p-1) turns a first-order
 equation a_1 phi' + a_0 phi = u into a p x p linear system over K in the b_i.
 A power-series solution therefore forces a rational (here: polynomial)
 solution, recovered by exact linear algebra on the coefficients.
+
+Since (b_i^p)' = 0,
+
+    Gamma(sum_i b_i^p x^i) = sum_i b_i^p (i a_1 x^(i-1) + a_0 x^i),
+
+and over F_p the map b -> b^p only moves the coefficient of x^q to x^(qp).
+So the degree-k equation of the r-th component of that system is the
+x^(kp+r) coefficient of Gamma(phi) = u in the unknowns phi_0, phi_1, ...:
+the p x p system is the operator's own coefficient matrix with its rows
+regrouped by residue mod p, and it is solved in that form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .cartier import require_good_prime
 from .exactnum import require_prime
 from .linalg import kernel_mod, solve_affine_mod
 from .polyring import Polynomial, RationalFunction
@@ -113,17 +124,14 @@ def clear_denominator(
 
 def polynomial_solution_search(p: int, degree_bound: int) -> Polynomial | None:
     """Minimal-degree nonzero polynomial solution of the main equation mod p,
-    normalized monic, or None below the bound."""
-    from .cartier import require_good_prime
+    normalized monic, or None below the bound.
 
+    In the RREF of the operator matrix the kernel vector of a free column f
+    is supported on columns <= f, so the vector of the lowest free column has
+    the least degree of any solution."""
     require_good_prime(p)
-    op = main_operator(p)
-    for d in range(1, degree_bound + 1):
-        basis = _nullspace(op, d, p)
-        if basis:
-            vec = min(basis, key=lambda v: max(i for i, c in enumerate(v) if c))
-            return Polynomial(vec, p).monic()
-    return None
+    basis = _nullspace(main_operator(p), degree_bound, p)
+    return Polynomial(basis[0], p).monic() if basis else None
 
 
 def solution_space_dimension(p: int, degree_bound: int) -> int:
@@ -132,15 +140,23 @@ def solution_space_dimension(p: int, degree_bound: int) -> int:
     return len(_nullspace(op, degree_bound, p))
 
 
-def _nullspace(op: FirstOrderOperator, degree_bound: int, p: int) -> list[list[int]]:
-    ncols = degree_bound + 1
-    max_deg = degree_bound + max(op.a1.degree - 1, op.a0.degree, 0) + 1
-    rows = [[0] * ncols for _ in range(max_deg + 1)]
-    for k in range(ncols):
-        mono = Polynomial([0] * k + [1], p)
-        img = op.apply_poly(mono)
-        for d, c in enumerate(img.coeffs):
+def _image_degree(op: FirstOrderOperator, degree_bound: int) -> int:
+    """A bound for deg Gamma(phi) when deg phi <= degree_bound."""
+    return degree_bound + max(op.a1.degree - 1, op.a0.degree, 0)
+
+
+def _operator_rows(op: FirstOrderOperator, degree_bound: int, n_rows: int, p: int) -> list[list[int]]:
+    """The first n_rows coefficient rows of phi -> Gamma(phi) on deg phi <=
+    degree_bound: column k holds the coefficients of Gamma(x^k)."""
+    rows = [[0] * (degree_bound + 1) for _ in range(n_rows)]
+    for k in range(degree_bound + 1):
+        for d, c in enumerate(op.apply_poly(Polynomial([0] * k + [1], p)).coeffs):
             rows[d][k] = c
+    return rows
+
+
+def _nullspace(op: FirstOrderOperator, degree_bound: int, p: int) -> list[list[int]]:
+    rows = _operator_rows(op, degree_bound, _image_degree(op, degree_bound) + 1, p)
     return kernel_mod(rows, p)
 
 
@@ -157,101 +173,30 @@ def descend_series_solution(
     series: TruncatedSeries,
     p: int,
     degree_bound: int,
-    match_order: int | None = None,
 ) -> DescentResult:
     """Recover a polynomial solution of Gamma(phi) = rhs from a series solution.
 
-    The p x p system over F_p(x) from the p-basis decomposition is assembled
-    with the components b_i sought as polynomials (deg phi <= degree_bound);
-    the first ``match_order`` series coefficients pin the solution (default:
-    one block, min(p, precision)).  Raises DescentError when inconsistent.
+    The p x p system over F_p(x) in the components b_i (sought as
+    polynomials, deg phi <= degree_bound) is the coefficient system of
+    Gamma(phi) = rhs regrouped by residue class, so it is solved on phi's
+    coefficients directly; the first min(p, precision) series coefficients
+    pin the solution.  Raises DescentError when inconsistent.
     """
     require_prime(p)
     if series.modulus != p or op.modulus != p or rhs.modulus != p:
         raise ValueError("operator, rhs and series must live over F_p")
-    if match_order is None:
-        match_order = min(p, series.precision)
-    match_order = min(match_order, series.precision)
+    n_rows = max(_image_degree(op, degree_bound), rhs.degree) + 1
+    rows = _operator_rows(op, degree_bound, n_rows, p)
+    values = [rhs[d] for d in range(n_rows)]
+    # pins phi_n = s_n; beyond the degree bound a pin is the row 0 = s_n
+    for n in range(min(p, series.precision)):
+        rows.append([int(k == n) for k in range(degree_bound + 1)])
+        values.append(series.coeffs[n])
 
-    a1_comp = poly_components(op.a1, p)
-    a0_comp = poly_components(op.a0, p)
-    u_comp = poly_components(rhs, p)
-
-    # unknown layout: b_i has degree <= db_i; column (i, q) -> b_i[q]
-    db = [(degree_bound - i) // p for i in range(p)]
-    col_of = {}
-    for i in range(p):
-        for q in range(db[i] + 1):
-            col_of[(i, q)] = len(col_of)
-    ncols = len(col_of)
-
-    eq_rows: list[list[int]] = []
-    eq_rhs: list[int] = []
-
-    # the r-th component identity: sum_{i,j} [i A1_j b_i x^s | from a1]
-    #   + sum_{i,j} [A0_j b_i x^s | from a0] = U_r
-    max_shift = (2 * p + max(op.a1.degree, op.a0.degree)) // p + 2
-    comp_deg = max((c.degree for c in a1_comp + a0_comp), default=0)
-    for r in range(p):
-        deg_r = max(db) + max(comp_deg, 0) + max_shift + 2
-        rows_r = [[0] * ncols for _ in range(deg_r + 1)]
-        rhs_r = [0] * (deg_r + 1)
-        for d, c in enumerate(u_comp[r].coeffs):
-            rhs_r[d] = c
-        for i in range(p):
-            for j, aj in enumerate(a1_comp):
-                if aj.is_zero() or i == 0:
-                    continue
-                e = i - 1 + j
-                if e % p != r:
-                    continue
-                s = (e - r) // p
-                for dc, cc in enumerate(aj.coeffs):
-                    if not cc:
-                        continue
-                    for q in range(db[i] + 1):
-                        rows_r[dc + s + q][col_of[(i, q)]] = (
-                            rows_r[dc + s + q][col_of[(i, q)]] + i * cc
-                        ) % p
-            for j, aj in enumerate(a0_comp):
-                if aj.is_zero():
-                    continue
-                e = i + j
-                if e % p != r:
-                    continue
-                s = (e - r) // p
-                for dc, cc in enumerate(aj.coeffs):
-                    if not cc:
-                        continue
-                    for q in range(db[i] + 1):
-                        rows_r[dc + s + q][col_of[(i, q)]] = (
-                            rows_r[dc + s + q][col_of[(i, q)]] + cc
-                        ) % p
-        eq_rows.extend(rows_r)
-        eq_rhs.extend(rhs_r)
-
-    # series assignments: phi_n = b_{n mod p}[n div p]
-    for n in range(match_order):
-        q, i = divmod(n, p)
-        row = [0] * ncols
-        want = series.coeffs[n]
-        if (i, q) in col_of:
-            row[col_of[(i, q)]] = 1
-        elif want == 0:
-            continue
-        eq_rows.append(row)
-        eq_rhs.append(want)
-
-    sol = solve_affine_mod(eq_rows, eq_rhs, p)
+    sol = solve_affine_mod(rows, values, p)
     if sol is None:
         raise DescentError("p-basis system inconsistent under the degree bound")
-
-    comps = []
-    for i in range(p):
-        comps.append(Polynomial([sol[col_of[(i, q)]] for q in range(db[i] + 1)], p))
-    phi = Polynomial([], p)
-    for i, b in enumerate(comps):
-        phi = phi + frobenius_power(b, p) * Polynomial([0] * i + [1], p)
+    phi = Polynomial(sol, p)
     if op.apply_poly(phi) != rhs:
         raise DescentError("reconstructed polynomial does not solve the equation")
 
@@ -261,4 +206,4 @@ def descend_series_solution(
             agreement += 1
         else:
             break
-    return DescentResult(phi, tuple(comps), agreement)
+    return DescentResult(phi, tuple(poly_components(phi, p)), agreement)

@@ -239,8 +239,6 @@ class ModInt:
         return self.inverse() * other
 
     def __pow__(self, k: int):
-        if k < 0:
-            return ModInt(pow(self.value, k, self.modulus), self.modulus)
         return ModInt(pow(self.value, k, self.modulus), self.modulus)
 
     def __eq__(self, other):

@@ -10,7 +10,9 @@ live in ``recurrence``).  A fully enumerative extension search over F_p^4
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
+from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -155,8 +157,6 @@ def vp_bruteforce_literal(p: int, blocks: int = 2) -> set[tuple[int, int, int, i
     require_good_prime(p)
     n_terms = blocks * p + 2
     out = set()
-    from itertools import product
-
     for v in product(range(p), repeat=4):
         good = False
         for f1 in range(p):
@@ -370,8 +370,6 @@ def union_check(p: int, sample: int | None = None, seed: int = 0) -> UnionReport
     if sample is None:
         candidates = list(space.elements())
     else:
-        import random
-
         rng = random.Random(seed)
         b1, b2 = space.basis
         candidates = []

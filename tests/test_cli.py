@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -73,6 +74,12 @@ def test_usage_error_exit_code():
         ["modp-space", "--p", "7", "--pmax", "10"],  # both
         ["seq", "--init", "1/0,1,2,3,4"],  # zero denominator
         ["congruence", "--init", "0,1,2,3,1/0"],
+        ["modp-space", "--pmax", "43", "--seed", "3"],  # the tabulation draws nothing
+        ["seq", "--init", "1,2"],  # too few values
+        ["seq", "--init", "0,1,2,3,x"],  # not a rational
+        ["frobenius", "--curve", "1"],  # one value
+        ["asd", "--curve", "1,b"],  # not an integer
+        ["frobenius", "--curve"],  # no value
     ],
 )
 def test_domain_error_exit_code(argv, capsys):
@@ -83,6 +90,27 @@ def test_domain_error_exit_code(argv, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert "error: " in err.strip().splitlines()[-1]
+    assert not re.search(r"\b_\w+", err), err  # no private function named
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (["frobenius", "--pmax", "40", "--vp-limit", "20"], "--curve", "-1,5"),
+        (["asd", "--p", "7", "--rmax", "2", "--nmax", "3"], "--curve", "-1,5"),
+        (["seq", "--n", "8"], "--init", "-1,0,2,-1/8,-1/2"),
+    ],
+    ids=["frobenius", "asd", "seq"],
+)
+def test_negative_value_parses(argv, flag, value, tmp_path, capsys):
+    # argparse reads "-1,5" as an option unless it is joined to the flag
+    outputs = []
+    for value_args in ([flag, value], [f"{flag}={value}"]):
+        path = tmp_path / "report.json"
+        code, out = run_cli([argv[0], *value_args, *argv[1:], "--json", str(path)], capsys)
+        outputs.append((code, out, path.read_text()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0
 
 
 def test_modp_space_and_json_roundtrip(tmp_path, capsys):

@@ -73,6 +73,21 @@ def test_function_field_arithmetic():
     assert (differential_of(z).g * 2) == (z * xi_s().g)
 
 
+@pytest.mark.parametrize("modulus", [None, 7])
+def test_differential_of_matches_the_written_out_rule(modulus):
+    # d(u + v y) = ((v'Q + vQ'/2) + u' y) omega, spelled out without y'
+    q = RationalFunction(q_polynomial(modulus))
+    half = Fraction(1, 2) if modulus is None else pow(2, -1, modulus)
+    mixed = CurveFunction(
+        RationalFunction(Polynomial([1, 2, 3], modulus), Polynomial([1, 1], modulus)),
+        RationalFunction(Polynomial([0, 5], modulus), Polynomial([2, 0, 1], modulus)),
+    )
+    for f in (fn_z(modulus), fn_s(modulus), fn_y(modulus), fn_t(modulus) * fn_y(modulus), mixed):
+        u, v = f.u, f.v
+        want = CurveFunction(v.derivative() * q + v * q.derivative() * half, u.derivative())
+        assert differential_of(f).g == want
+
+
 def test_expand_at_origin_golden():
     y_exp = expand_at_origin(fn_y(), 6)
     assert y_exp.coeffs[:4] == [Fraction(2), Fraction(0), Fraction(1, 4), Fraction(1, 2)]

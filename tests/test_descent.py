@@ -1,11 +1,14 @@
+import itertools
 import random
 
 import pytest
 
-from curveseq.curve import s_series
+from curveseq.curve import BAD_PRIMES, s_series
 from curveseq.descent import (
     DescentError,
     FirstOrderOperator,
+    _nullspace,
+    clear_denominator,
     descend_series_solution,
     frobenius_power,
     main_operator,
@@ -14,8 +17,11 @@ from curveseq.descent import (
     polynomial_solution_search,
     solution_space_dimension,
 )
+from curveseq.exactnum import is_prime
 from curveseq.polyring import Polynomial, RationalFunction
 from curveseq.series import TruncatedSeries
+
+GOOD_PRIMES = [p for p in range(3, 32) if is_prime(p) and p not in BAD_PRIMES]
 
 
 def known_polynomial_solution(p: int) -> Polynomial:
@@ -58,7 +64,7 @@ def test_poly_components_recombine():
 
 
 def test_polynomial_solution_search():
-    for p in (3, 7):
+    for p in GOOD_PRIMES:
         sol = polynomial_solution_search(p, 4 * p)
         assert sol is not None and sol.degree == 2 * p
         assert sol == known_polynomial_solution(p).monic()
@@ -83,8 +89,6 @@ def test_solution_space_is_kp_module():
     assert op.apply_poly(phi).is_zero()
     shifted = phi * Polynomial([0] * p + [1], p)
     assert op.apply_poly(shifted).is_zero()
-    from curveseq.descent import _nullspace
-
     for vec in _nullspace(op, 4 * p, p):
         candidate = Polynomial(vec, p)
         q, r = candidate.divmod(phi)
@@ -105,7 +109,7 @@ def test_descend_obstructed_rhs():
 
 
 def test_descend_recovers_curve_polynomial():
-    for p in (3, 7, 11):
+    for p in GOOD_PRIMES:
         sbar = s_series(3 * p + 2, modulus=p)
         op = main_operator(p)
         assert op.apply_series(sbar).is_zero()
@@ -117,8 +121,6 @@ def test_descend_recovers_curve_polynomial():
 def test_descend_with_declared_denominator():
     # Gamma = (1-x)^2 d/dx, u = 1: the series solution 1 + x + x^2 + ... is the
     # rational function 1/(1-x); searching psi = phi (1-x) finds psi = 1
-    from curveseq.descent import clear_denominator
-
     p = 5
     den = Polynomial([1, -1], p)
     op = FirstOrderOperator(den * den, Polynomial([], p))
@@ -137,3 +139,53 @@ def test_descend_agreement_is_shared_precision():
     sbar = s_series(4 * p, modulus=p)
     res = descend_series_solution(main_operator(p), Polynomial([], p), sbar, p, 2 * p)
     assert res.agreement < 4 * p
+
+
+def test_descend_rhs_beyond_the_image_is_inconsistent():
+    # deg rhs = 60 exceeds every image of deg phi <= 6 under d/dx
+    op = FirstOrderOperator(Polynomial([1], 5), Polynomial([], 5))
+    rhs = Polynomial([0] * 60 + [1], 5)
+    with pytest.raises(DescentError):
+        descend_series_solution(op, rhs, TruncatedSeries([0] * 8, 8, 5), 5, 6)
+
+
+def test_descend_matches_exhaustive_search_over_f3():
+    # every phi of degree <= bound is tried: descent raises exactly when no
+    # phi solves Gamma(phi) = rhs with phi_n = s_n for n < min(p, precision)
+    p = 3
+    rng = random.Random(13)
+
+    def rand_poly(deg):
+        return Polynomial([rng.randrange(p) for _ in range(deg + 1)], p)
+
+    raised = solved = 0
+    for case in range(60):
+        op = FirstOrderOperator(rand_poly(rng.randrange(3)), rand_poly(rng.randrange(3)))
+        if op.a1.is_zero() and op.a0.is_zero():
+            continue
+        bound = rng.randrange(7)
+        planted = rand_poly(bound)
+        rhs = op.apply_poly(planted) if case % 2 else rand_poly(rng.randrange(bound + 3))
+        precision = rng.randrange(6)
+        source = planted if rng.randrange(3) else rand_poly(bound)
+        series = TruncatedSeries([source[n] for n in range(precision)], precision, p)
+        pins = min(p, precision)
+        feasible = any(
+            op.apply_poly(phi) == rhs and all(phi[n] == series.coeffs[n] for n in range(pins))
+            for phi in (Polynomial(c, p) for c in itertools.product(range(p), repeat=bound + 1))
+        )
+        if not feasible:
+            with pytest.raises(DescentError):
+                descend_series_solution(op, rhs, series, p, bound)
+            raised += 1
+            continue
+        res = descend_series_solution(op, rhs, series, p, bound)
+        assert res.phi.degree <= bound
+        assert op.apply_poly(res.phi) == rhs
+        assert all(res.phi[n] == series.coeffs[n] for n in range(pins))
+        total = Polynomial([], p)
+        for i, c in enumerate(res.components):
+            total = total + frobenius_power(c, p) * Polynomial([0] * i + [1], p)
+        assert len(res.components) == p and total == res.phi
+        solved += 1
+    assert raised >= 10 and solved >= 10

@@ -1,4 +1,5 @@
-"""Lint guard: every name a module of the package imports is used there.
+"""Lint guards: every name a module of the package imports is used there,
+and every import sits at module level.
 
 No linter is a dependency of the project, so the check walks the syntax
 tree with the standard library.
@@ -46,6 +47,16 @@ def unused_imports(source: str) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
+def function_local_imports(source: str) -> list[str]:
+    found = {}  # line -> outermost enclosing function
+    for func in ast.walk(ast.parse(source)):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(func):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    found.setdefault(node.lineno, func.name)
+    return [f"{name} (line {line})" for line, name in sorted(found.items())]
+
+
 def test_package_modules_found():
     assert len(MODULES) >= 10
 
@@ -66,3 +77,22 @@ def test_guard_flags_an_unused_import():
         "    return 1\n"
     )
     assert unused_imports(source) == ["math (line 2)", "b (line 4)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_function_local_import(path):
+    assert function_local_imports(path.read_text()) == []
+
+
+def test_guard_flags_a_function_local_import():
+    source = (
+        "import math\n"
+        "def f():\n"
+        "    from .a import b\n"
+        "    return math.pi + b\n"
+        "class C:\n"
+        "    def g(self):\n"
+        "        def h():\n"
+        "            import random\n"
+    )
+    assert function_local_imports(source) == ["f (line 3)", "g (line 8)"]
