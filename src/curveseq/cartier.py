@@ -29,7 +29,7 @@ from .curve import (
 )
 from .exactnum import ModInt, QuadExt, require_prime, sqrt_mod
 from .polyring import Polynomial, RationalFunction
-from .series import LaurentSeries, TruncatedSeries
+from .series import LaurentSeries, TruncatedSeries, _domain_inverse
 
 
 def cartier_series(g: TruncatedSeries, p: int) -> TruncatedSeries:
@@ -306,15 +306,14 @@ def half_pole_place(p: int, sign: int, precision: int = 32) -> Place:
     """A place above x = -1/2 on the reduced curve (where t = 1 + 2x vanishes);
     defined over F_p(sqrt(65)), which may be F_p or the quadratic extension."""
     require_good_prime(p)
-    x0_int = -pow(2, -1, p) % p
+    x0_int, inv4 = -_domain_inverse(2, p), _domain_inverse(4, p)
     root65 = sqrt_mod(65 % p, p)
     if root65 is not None:
-        inv4 = pow(4, -1, p)
         x0 = ModInt(x0_int, p)
         y0 = ModInt(sign * root65 * inv4, p)
     else:
         x0 = QuadExt(x0_int, 0, p, 65)
-        y0 = QuadExt(0, sign * pow(4, -1, p), p, 65)
+        y0 = QuadExt(0, sign * inv4, p, 65)
     return finite_place(x0, y0, precision, label=f"t=0({'+' if sign > 0 else '-'})")
 
 

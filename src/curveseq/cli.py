@@ -182,7 +182,7 @@ def _print_report(rep: Report):
 
 
 def cmd_seq(args) -> Report:
-    init = args.init or MAIN_INITIAL_DATA
+    init = args.init
     rep = Report("seq", {"init": list(init.values), "n": args.n})
     seq = extend_rational(MAIN_RECURRENCE, init, args.n)
     for n, c in enumerate(seq):
@@ -195,7 +195,7 @@ def cmd_seq(args) -> Report:
 
 
 def cmd_congruence(args) -> Report:
-    init = args.init or MAIN_INITIAL_DATA
+    init = args.init
     rep = Report(
         "congruence",
         {"init": list(init.values), "p": args.p, "rmax": args.rmax, "nmax": args.nmax},
@@ -224,7 +224,7 @@ def cmd_congruence(args) -> Report:
 
 
 def cmd_denom(args) -> Report:
-    init = (args.init or MAIN_INITIAL_DATA).normalized()
+    init = args.init.normalized()
     rep = Report("denom", {"init": list(init.values), "n": args.n})
     seq = extend_rational(MAIN_RECURRENCE, init, args.n + 1)
     d = common_denominator(init)
@@ -272,7 +272,7 @@ def cmd_closed_forms(args) -> Report:
 
 
 def cmd_modp_space(args) -> Report:
-    pmax = getattr(args, "pmax", None)
+    pmax = args.pmax
     if pmax is not None:
         # how V_p varies with p: tabulate the defining form and basis
         rep = Report("modp-space", {"pmax": pmax})
@@ -321,8 +321,13 @@ def cmd_modp_space(args) -> Report:
             detail,
             None if union.equivalence_holds else {"counterexample": list(union.counterexample)},
         )
-    wp_witnesses(p, 3)
-    rep.add("W_p witnesses x^(jp) s(x)", True, "j = 0, 1, 2 satisfy the recurrence")
+    wp = wp_witnesses(p, 3)
+    rep.add(
+        "W_p witnesses x^(jp) s(x)",
+        wp.satisfy and wp.independent,
+        "j = 0, 1, 2 satisfy the recurrence",
+        None if wp.satisfy and wp.independent else {"satisfy": wp.satisfy, "independent": wp.independent},
+    )
     return rep
 
 
@@ -335,7 +340,7 @@ def cmd_cartier(args) -> Report:
         not inv.both_zero,
         f"alpha'={inv.alpha.value}, beta'={inv.beta.value}",
     )
-    pmax = args.pmax or 100
+    pmax = args.pmax
     bad = []
     alpha_zero, beta_zero, combo_zero = [], [], []
     for q in range(3, pmax + 1):
@@ -356,10 +361,9 @@ def cmd_cartier(args) -> Report:
         True,
         f"alpha'=0 at {alpha_zero}; beta'=0 at {beta_zero}; alpha'+4beta'=0 at {combo_zero}",
     )
-    half = pow(2, -1, p)
     rep.add(
         "C(xi/2) = xi/2 (logarithmically exact)",
-        log_exactness_test(CurveForm(xi_s(p).g * half), p),
+        log_exactness_test(CurveForm(xi_s(p).g * Fraction(1, 2)), p),
     )
     res = exactness_test(xi_form((0, 0, 0, 1), p), p)
     rep.add(
@@ -367,10 +371,10 @@ def cmd_cartier(args) -> Report:
         not res.exact and res.witness_m is not None and res.witness_m <= res.bound,
         f"witness m = {res.witness_m} <= {res.bound}",
     )
-    lh = legendre_hasse(3, p, random.Random(args.seed or 0))
+    lh = legendre_hasse(3, p, random.Random(args.seed))
     rep.add("K' = -(m+1) H identity", lh.derivative_identity)
     rep.add("hypergeometric ODE", lh.ode_identity)
-    kmax = getattr(args, "kmax", None) or 5
+    kmax = args.kmax
     c = s_series(kmax * p + p + 6, modulus=p).coeffs
     plus_ok = all(
         form_value(HYPERPLANE_FORM, c[k * p + 1 : k * p + 5]) % p == 0 for k in range(0, kmax)
@@ -382,8 +386,8 @@ def cmd_cartier(args) -> Report:
 
 
 def cmd_frobenius(args) -> Report:
-    a, b = args.curve or (0, 1)
-    pmax = args.pmax or 50
+    a, b = args.curve
+    pmax = args.pmax
     rep = Report("frobenius", {"curve": [a, b], "pmax": pmax})
     scan = supersingular_scan(a, b, pmax, vp_limit=args.vp_limit)
     mismatches = []
@@ -425,7 +429,7 @@ def cmd_frobenius(args) -> Report:
 
 
 def cmd_asd(args) -> Report:
-    a, b = args.curve or (0, 1)
+    a, b = args.curve
     p = args.p
     rep = Report("asd", {"curve": [a, b], "p": p, "rmax": args.rmax, "nmax": args.nmax})
     res = asd_check(a, b, p, args.rmax, args.nmax)
@@ -440,25 +444,22 @@ def cmd_asd(args) -> Report:
 
 def cmd_all(args) -> Report:
     rep = Report("all", {"quick": args.quick, "seed": args.seed})
-    quick = args.quick
-    ns = argparse.Namespace
-
-    sub = cmd_identities(ns())
-    rep.checks.extend(sub.checks)
-    sub = cmd_closed_forms(ns(n=20 if quick else 60))
-    rep.checks.extend(sub.checks)
-    sub = cmd_congruence(ns(init=None, p=3, rmax=1 if quick else 2, nmax=200 if quick else 500))
-    rep.checks.extend(sub.checks)
-    sub = cmd_denom(ns(init=None, n=100 if quick else 300))
-    rep.checks.extend(sub.checks)
-    sub = cmd_modp_space(ns(p=7, seed=args.seed))
-    rep.checks.extend(sub.checks)
-    sub = cmd_cartier(ns(p=7, pmax=50 if quick else 100, seed=args.seed))
-    rep.checks.extend(sub.checks)
-    sub = cmd_frobenius(ns(curve=(0, 1), pmax=30 if quick else 50, vp_limit=13 if quick else None))
-    rep.checks.extend(sub.checks)
-    sub = cmd_asd(ns(curve=(0, 1), p=5, rmax=2, nmax=3 if quick else 5))
-    rep.checks.extend(sub.checks)
+    q = args.quick
+    seed = [] if args.seed is None else ["--seed", str(args.seed)]
+    steps = [
+        ["identities"],
+        ["closed-forms", "--n", "20" if q else "60"],
+        ["congruence", "--p", "3", "--rmax", "1" if q else "2", "--nmax", "200" if q else "500"],
+        ["denom", "--n", "100" if q else "300"],
+        ["modp-space", "--p", "7", *seed],
+        ["cartier", "--p", "7", "--pmax", "50" if q else "100", *seed],
+        ["frobenius", "--pmax", "30", "--vp-limit", "13"] if q else ["frobenius", "--pmax", "50"],
+        ["asd", "--p", "5", "--rmax", "2", "--nmax", "3" if q else "5"],
+    ]
+    parser = build_parser()
+    for argv in steps:
+        step = _parse(parser, argv)
+        rep.checks.extend(step.handler(step).checks)
     return rep
 
 
@@ -480,18 +481,18 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("seq", cmd_seq, help="extend the recurrence over Q")
-    p.add_argument("--init", type=_parse_init, help="C_0..C_4 as comma-separated rationals")
+    p.add_argument("--init", type=_parse_init, default=MAIN_INITIAL_DATA, help="C_0..C_4 as comma-separated rationals")
     p.add_argument("--n", type=_int_arg(1), default=10)
 
     p = add("congruence", cmd_congruence, help="scan c_(kp^(r+1)) = c_(kp^r) mod p^(r+1)")
-    p.add_argument("--init", type=_parse_init)
+    p.add_argument("--init", type=_parse_init, default=MAIN_INITIAL_DATA)
     # c_n is not 2-integral (only 2^(2n-3) c_n is), so the theorem needs p odd
     p.add_argument("--p", type=_int_arg(3, require_prime), default=5)
     p.add_argument("--rmax", type=_int_arg(0), default=1)
     p.add_argument("--nmax", type=_int_arg(2), default=200)
 
     p = add("denom", cmd_denom, help="denominator growth bound")
-    p.add_argument("--init", type=_parse_init)
+    p.add_argument("--init", type=_parse_init, default=MAIN_INITIAL_DATA)
     p.add_argument("--n", type=_int_arg(2), default=200)
 
     add("identities", cmd_identities, help="exact curve/model identity suite")
@@ -503,28 +504,28 @@ def build_parser() -> argparse.ArgumentParser:
     which = p.add_mutually_exclusive_group(required=True)
     which.add_argument("--p", type=_int_arg(2, require_vp_prime))
     which.add_argument("--pmax", type=_int_arg(2), help="tabulate V_p across good primes instead")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_int_arg(0))
 
     p = add("cartier", cmd_cartier, help="Cartier invariants and exactness checks")
     p.add_argument("--p", type=_int_arg(5, require_good_prime), default=7)
-    p.add_argument("--pmax", type=_int_arg(3))
-    p.add_argument("--kmax", type=_int_arg(2), help="range of k in the congruence families")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--pmax", type=_int_arg(3), default=100)
+    p.add_argument("--kmax", type=_int_arg(2), default=5, help="range of k in the congruence families")
+    p.add_argument("--seed", type=_int_arg(0), default=0)
 
     p = add("frobenius", cmd_frobenius, help="point counts, traces, supersingular scan")
-    p.add_argument("--curve", type=_parse_curve, metavar="A,B")
-    p.add_argument("--pmax", type=_int_arg(2))
+    p.add_argument("--curve", type=_parse_curve, default=(0, 1), metavar="A,B")
+    p.add_argument("--pmax", type=_int_arg(2), default=50)
     p.add_argument("--vp-limit", type=_int_arg(5), dest="vp_limit")  # the scan starts at p = 5
 
     p = add("asd", cmd_asd, help="Atkin-Swinnerton-Dyer congruences")
-    p.add_argument("--curve", type=_parse_curve, metavar="A,B")
+    p.add_argument("--curve", type=_parse_curve, default=(0, 1), metavar="A,B")
     p.add_argument("--p", type=_int_arg(5, require_prime), default=5)
     p.add_argument("--rmax", type=_int_arg(1), default=2)
     p.add_argument("--nmax", type=_int_arg(1), default=5)
 
     p = add("all", cmd_all, help="run the whole battery")
     p.add_argument("--quick", action="store_true")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_int_arg(0))
     return parser
 
 
@@ -541,18 +542,21 @@ def _join_values(argv: list[str]) -> list[str]:
     return out
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_join_values(sys.argv[1:] if argv is None else argv))
-    # domain errors that involve more than one argument
+def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """The arguments of one command line, with the domain errors that
+    involve more than one argument."""
+    args = parser.parse_args(_join_values(argv))
     if args.command == "modp-space" and args.pmax is not None and args.seed is not None:
         parser.error("--seed has no effect with --pmax: the tabulation draws no random vectors")
     if args.command == "congruence" and args.nmax < args.p:
         parser.error(f"--nmax {args.nmax} is below --p {args.p}: no congruence would be checked")
-    if args.command == "asd":
-        a, b = args.curve or (0, 1)
-        if singular_mod(a, b, args.p):
-            parser.error(f"the curve ({a}, {b}) is singular mod p = {args.p}")
+    if args.command == "asd" and singular_mod(*args.curve, args.p):
+        parser.error(f"the curve {args.curve} is singular mod p = {args.p}")
+    return args
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parse(build_parser(), sys.argv[1:] if argv is None else argv)
     rep: Report = args.handler(args)
     _print_report(rep)
     if args.json:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exactnum import padic_valuation, prime_factors, reduce_fraction_mod
-from .polyring import Polynomial, RationalFunction, resultant
+from .polyring import Polynomial, RationalFunction, _to_ratfunc, resultant
 from .recurrence import (
     A_COEFFS,
     B_COEFFS,
@@ -30,7 +30,7 @@ from .recurrence import (
     form_value,
     main_sequence,
 )
-from .series import LaurentSeries, TruncatedSeries, from_polynomial
+from .series import LaurentSeries, TruncatedSeries, _domain_inverse, from_polynomial
 
 Q_COEFFS = (4, 0, 1, 2, 1)
 T_COEFFS = (1, 2)
@@ -75,13 +75,13 @@ class CurveFunction:
 
     @classmethod
     def rational(cls, u, modulus: int | None = None) -> "CurveFunction":
-        u = _as_ratfunc(u, modulus)
+        u = _to_ratfunc(u, modulus)
         zero = RationalFunction(Polynomial([], u.modulus))
         return cls(u, zero)
 
     @classmethod
     def y_multiple(cls, v, modulus: int | None = None) -> "CurveFunction":
-        v = _as_ratfunc(v, modulus)
+        v = _to_ratfunc(v, modulus)
         zero = RationalFunction(Polynomial([], v.modulus))
         return cls(zero, v)
 
@@ -94,7 +94,7 @@ class CurveFunction:
     def __eq__(self, other):
         if isinstance(other, CurveFunction):
             return self.u == other.u and self.v == other.v
-        other = _try_ratfunc(other, self.modulus)
+        other = _to_ratfunc(other, self.modulus)
         if other is None:
             return NotImplemented
         return self.v.is_zero() and self.u == other
@@ -111,7 +111,7 @@ class CurveFunction:
     def _coerce(self, other):
         if isinstance(other, CurveFunction):
             return other
-        r = _try_ratfunc(other, self.modulus)
+        r = _to_ratfunc(other, self.modulus)
         return None if r is None else CurveFunction.rational(r, self.modulus)
 
     def __add__(self, other):
@@ -135,7 +135,7 @@ class CurveFunction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        q = _as_ratfunc(q_polynomial(self.modulus), self.modulus)
+        q = RationalFunction(q_polynomial(self.modulus))
         u = self.u * other.u + self.v * other.v * q
         v = self.u * other.v + self.v * other.u
         return CurveFunction(u, v)
@@ -143,7 +143,7 @@ class CurveFunction:
     __rmul__ = __mul__
 
     def inverse(self) -> "CurveFunction":
-        q = _as_ratfunc(q_polynomial(self.modulus), self.modulus)
+        q = RationalFunction(q_polynomial(self.modulus))
         norm = self.u * self.u - self.v * self.v * q
         if norm.is_zero():
             if self.is_zero():
@@ -162,28 +162,11 @@ class CurveFunction:
 
     def derivative(self) -> "CurveFunction":
         """d/dx with y' = Q'(x)/(2y) rewritten as Q'(x) y / (2Q)."""
-        q = _as_ratfunc(q_polynomial(self.modulus), self.modulus)
-        qd = _as_ratfunc(q_polynomial(self.modulus).derivative(), self.modulus)
-        two_inv = _half(self.modulus)
+        q = RationalFunction(q_polynomial(self.modulus))
+        qd = RationalFunction(q_polynomial(self.modulus).derivative())
+        two_inv = _domain_inverse(2, self.modulus)
         return CurveFunction(self.u.derivative(), self.v.derivative() + self.v * qd * two_inv / q)
 
-
-def _half(modulus: int | None):
-    return Fraction(1, 2) if modulus is None else pow(2, -1, modulus)
-
-
-def _as_ratfunc(x, modulus: int | None) -> RationalFunction:
-    if isinstance(x, RationalFunction):
-        return x
-    if isinstance(x, Polynomial):
-        return RationalFunction(x)
-    return RationalFunction(Polynomial([x], modulus))
-
-
-def _try_ratfunc(x, modulus):
-    if isinstance(x, (RationalFunction, Polynomial, int, Fraction)):
-        return _as_ratfunc(x, modulus)
-    return None
 
 
 # -- named functions of the field ------------------------------------------------
@@ -299,18 +282,16 @@ class Place:
 
 def origin_place(sign: int, precision: int, modulus: int | None = None) -> Place:
     """The rational point (0, +-2); local parameter x itself."""
-    x = LaurentSeries(1, _exact_series([1], precision, modulus))
+    x = LaurentSeries(1, TruncatedSeries([1], precision, modulus))
     q = from_polynomial(Q_COEFFS, precision, modulus)
-    root = _scalar(2 * sign, modulus)
-    return Place(f"(0,{2*sign})", x, LaurentSeries(0, q.sqrt(root)))
+    return Place(f"(0,{2*sign})", x, LaurentSeries(0, q.sqrt(2 * sign)))
 
 
 def infinity_place(sign: int, precision: int, modulus: int | None = None) -> Place:
     """inf_+ or inf_-; local parameter u = 1/x, y = sign * u^-2 sqrt(1+2u+u^2+4u^4)."""
-    x = LaurentSeries(-1, _exact_series([1], precision, modulus))
+    x = LaurentSeries(-1, TruncatedSeries([1], precision, modulus))
     inner = from_polynomial([1, 2, 1, 0, 4], precision, modulus)
-    root = _scalar(sign, modulus)
-    y = LaurentSeries(-2, inner.sqrt(root))
+    y = LaurentSeries(-2, inner.sqrt(sign))
     return Place(f"inf{'+' if sign > 0 else '-'}", x, y)
 
 
@@ -320,7 +301,7 @@ def finite_place(x0, y0, precision: int, label: str | None = None) -> Place:
     Scalars are exact objects (Fraction, ModInt, QuadExt); the places above
     x = -1/2 need y0 in F_p(sqrt(65)) when 65 is a non-residue.
     """
-    one = _one_like(y0)
+    one = y0 * 0 + 1
     shifted = [c * one for c in _taylor_shift(Q_COEFFS, x0 * one)]
     q = TruncatedSeries(shifted, precision)
     xs = LaurentSeries(0, TruncatedSeries([x0 * one, one], precision))
@@ -328,23 +309,9 @@ def finite_place(x0, y0, precision: int, label: str | None = None) -> Place:
     return Place(label or f"({x0},{y0})", xs, y)
 
 
-def _one_like(scalar):
-    if isinstance(scalar, Fraction):
-        return Fraction(1)
-    return scalar * 0 + 1
-
-
-def _scalar(n: int, modulus: int | None):
-    return n % modulus if modulus is not None else Fraction(n)
-
-
-def _exact_series(coeffs, precision, modulus):
-    return from_polynomial(coeffs, precision, modulus)
-
-
 def _taylor_shift(coeffs: Sequence, x0) -> list:
     """Coefficients of P(x0 + w) in w, by repeated synthetic division."""
-    one = _one_like(x0)
+    one = x0 * 0 + 1
     cur = [c * one for c in coeffs]
     out = []
     for _ in range(len(coeffs)):

@@ -392,9 +392,19 @@ def union_check(p: int, sample: int | None = None, seed: int = 0) -> UnionReport
 # -- W_p witnesses ---------------------------------------------------------------------
 
 
-def wp_witnesses(p: int, k: int, length: int | None = None) -> list[list[int]]:
-    """k independent members of W_p: the coefficient sequences of x^(jp) s(x)
-    mod p (j = 0..k-1); for p = 2 the family x^(2j) (1 + x)."""
+@dataclass(frozen=True)
+class WpWitnesses:
+    p: int
+    sequences: tuple[list[int], ...]
+    satisfy: bool
+    independent: bool
+
+
+def wp_witnesses(p: int, k: int, length: int | None = None) -> WpWitnesses:
+    """k candidate members of W_p: the coefficient sequences of x^(jp) s(x)
+    mod p (j = 0..k-1); for p = 2 the family x^(2j) (1 + x).  ``satisfy``
+    says whether each one satisfies the recurrence mod p, ``independent``
+    whether their valuations are distinct (so they are independent)."""
     if length is None:
         length = (k + 3) * p + 10
     if p == 2:
@@ -408,11 +418,7 @@ def wp_witnesses(p: int, k: int, length: int | None = None) -> list[list[int]]:
         seqs = []
         for j in range(k):
             seqs.append([0] * (j * p) + cbar[: length - j * p])
-    for w in seqs:
-        if not MAIN_RECURRENCE.satisfies(w, modulus=p):
-            raise AssertionError("witness fails the recurrence")
-    # pairwise independence: distinct valuations
-    vals = [next(i for i, c in enumerate(w) if c) for w in seqs]
-    if len(set(vals)) != len(vals):
-        raise AssertionError("witnesses not independent")
-    return seqs
+    satisfy = all(MAIN_RECURRENCE.satisfies(w, modulus=p) for w in seqs)
+    vals = [next((i for i, c in enumerate(w) if c), None) for w in seqs]
+    independent = None not in vals and len(set(vals)) == len(vals)
+    return WpWitnesses(p, tuple(seqs), satisfy, independent)

@@ -1,31 +1,26 @@
 """Dense univariate polynomials and reduced rational functions.
 
-Same scalar convention as :mod:`curveseq.series`: plain ints with a
-``modulus`` tag for F_p work, exact ``Fraction`` objects otherwise.
-Rational functions are kept reduced (monic denominator, gcd cancelled),
-so equality is structural.
+Scalars enter by the one rule of :mod:`curveseq.series` (``_to_domain``):
+ints in [0, m) with a ``modulus`` tag for Z/m work, exact ``Fraction``
+objects otherwise (an int becomes a Fraction, as in a series).  The public
+constructor coerces once; ring operations wrap results already in the
+domain.  ``_to_ratfunc`` is the one lift of a scalar or a polynomial into
+the rational functions.  Rational functions are kept reduced (monic
+denominator, gcd cancelled), so equality is structural.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .series import LaurentSeries, TruncatedSeries, _convolve, _to_int_mod
+from .series import LaurentSeries, TruncatedSeries, _convolve, _domain_inverse, _to_domain, _to_domain_list
 
 
 class Polynomial:
     __slots__ = ("coeffs", "modulus")
 
     def __init__(self, coeffs, modulus: int | None = None):
-        coeffs = list(coeffs)
-        if modulus is not None:
-            coeffs = [c % modulus if isinstance(c, int) else _to_int_mod(c, modulus) for c in coeffs]
-        else:
-            coeffs = [Fraction(c) if isinstance(c, int) else c for c in coeffs]
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "modulus", modulus)
+        _init(self, _to_domain_list(coeffs, modulus), modulus)
 
     def __setattr__(self, *args):
         raise AttributeError("Polynomial is immutable")
@@ -44,10 +39,7 @@ class Polynomial:
         return bool(self.coeffs)
 
     def _zero(self):
-        return 0 if self.modulus is not None else Fraction(0)
-
-    def _one(self):
-        return 1 if self.modulus is not None else Fraction(1)
+        return _to_domain(0, self.modulus)
 
     def __getitem__(self, n: int):
         if 0 <= n < len(self.coeffs):
@@ -59,8 +51,12 @@ class Polynomial:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def _wrap(self, coeffs):
-        return Polynomial(coeffs, self.modulus)
+    def _wrap(self, coeffs: list) -> "Polynomial":
+        """A polynomial of this domain on a fresh list of coefficients that
+        are already in it: no coercion."""
+        out = object.__new__(Polynomial)
+        _init(out, coeffs, self.modulus)
+        return out
 
     def _check(self, other: "Polynomial"):
         if self.modulus != other.modulus:
@@ -70,7 +66,7 @@ class Polynomial:
         if isinstance(other, Polynomial):
             return self.modulus == other.modulus and self.coeffs == other.coeffs
         if isinstance(other, (int, Fraction)):
-            return self == self._wrap([other])
+            return self == Polynomial([other], self.modulus)
         return NotImplemented
 
     def __hash__(self):
@@ -85,37 +81,39 @@ class Polynomial:
     # -- arithmetic ------------------------------------------------------------
 
     def __neg__(self):
-        return self._wrap([-c for c in self.coeffs])
+        m = self.modulus
+        return self._wrap([-c for c in self.coeffs] if m is None else [-c % m for c in self.coeffs])
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = self._wrap([other])
+            other = Polynomial([other], self.modulus)
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return self._wrap([self[i] + other[i] for i in range(n)])
+        m = self.modulus
+        sums = [self[i] + other[i] for i in range(max(len(self.coeffs), len(other.coeffs)))]
+        return self._wrap(sums if m is None else [c % m for c in sums])
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = self._wrap([other])
+            other = Polynomial([other], self.modulus)
         return self + (-other)
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __mul__(self, other):
+        m = self.modulus
         if isinstance(other, (int, Fraction)):
-            if self.modulus is not None and not isinstance(other, int):
-                other = _to_int_mod(other, self.modulus)
-            return self._wrap([c * other for c in self.coeffs])
+            c = _to_domain(other, m)
+            return self._wrap([c * a for a in self.coeffs] if m is None else [c * a % m for a in self.coeffs])
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check(other)
         n = len(self.coeffs) + len(other.coeffs) - 1
-        return self._wrap(_convolve(self.coeffs, other.coeffs, n, self.modulus))
+        return self._wrap(_convolve(self.coeffs, other.coeffs, n, m))
 
     __rmul__ = __mul__
 
@@ -125,7 +123,7 @@ class Polynomial:
         # square the raw coefficient lists and wrap once; the last squaring
         # would be unused, so it is skipped
         m = self.modulus
-        result, base = [self._one()], self.coeffs
+        result, base = [_to_domain(1, m)], self.coeffs
         while e:
             if e & 1:
                 result = _convolve(result, base, len(result) + len(base) - 1, m)
@@ -133,11 +131,6 @@ class Polynomial:
             if e:
                 base = _convolve(base, base, 2 * len(base) - 1, m)
         return self._wrap(result)
-
-    def _scalar_inv(self, c):
-        if self.modulus is not None:
-            return pow(c, -1, self.modulus)
-        return 1 / c if isinstance(c, Fraction) else Fraction(1, c)
 
     def divmod(self, other: "Polynomial"):
         self._check(other)
@@ -148,17 +141,16 @@ class Polynomial:
         dq = len(rem) - len(other.coeffs)
         if dq < 0:
             return self._wrap([]), self
-        quo = [self._zero()] * (dq + 1)
-        inv_lead = self._scalar_inv(other.leading())
+        quo = [0] * (dq + 1)
+        inv_lead = _domain_inverse(other.leading(), m)
+        # over Z/m each rem[i] takes at most deg(other) + 1 products below
+        # m^2, so it is reduced once, by the constructor of the remainder
         for k in range(dq, -1, -1):
-            c = rem[k + other.degree] * inv_lead
-            if m is not None:
-                c %= m
-            quo[k] = c
+            c = quo[k] = _to_domain(rem[k + other.degree] * inv_lead, m)
             if c:
                 for j, b in enumerate(other.coeffs):
-                    rem[k + j] = (rem[k + j] - c * b) % m if m is not None else rem[k + j] - c * b
-        return self._wrap(quo), self._wrap(rem[: other.degree if other.degree > 0 else 0])
+                    rem[k + j] -= c * b
+        return self._wrap(quo), Polynomial(rem[: other.degree], m)
 
     def __mod__(self, other):
         return self.divmod(other)[1]
@@ -169,7 +161,7 @@ class Polynomial:
     def monic(self) -> "Polynomial":
         if self.is_zero():
             return self
-        return self * self._scalar_inv(self.leading())
+        return self * _domain_inverse(self.leading(), self.modulus)
 
     def gcd(self, other: "Polynomial") -> "Polynomial":
         a, b = self, other
@@ -178,7 +170,9 @@ class Polynomial:
         return a.monic() if not a.is_zero() else a
 
     def derivative(self) -> "Polynomial":
-        return self._wrap([c * i for i, c in enumerate(self.coeffs)][1:])
+        m = self.modulus
+        terms = enumerate(self.coeffs[1:], start=1)
+        return self._wrap([c * i for i, c in terms] if m is None else [c * i % m for i, c in terms])
 
     def __call__(self, x):
         """Evaluate at a scalar by Horner (reduced mod the modulus, if any)."""
@@ -208,7 +202,14 @@ class Polynomial:
     def reduce_mod(self, p: int) -> "Polynomial":
         if self.modulus is not None:
             raise ValueError("already modular")
-        return Polynomial([_to_int_mod(c, p) for c in self.coeffs], p)
+        return Polynomial(self.coeffs, p)
+
+
+def _init(poly: Polynomial, coeffs: list, modulus: int | None):
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    object.__setattr__(poly, "coeffs", coeffs)
+    object.__setattr__(poly, "modulus", modulus)
 
 
 def resultant(f: Polynomial, g: Polynomial):
@@ -216,7 +217,7 @@ def resultant(f: Polynomial, g: Polynomial):
     f._check(g)
     if f.is_zero() or g.is_zero():
         return f._zero()
-    one = f._one()
+    one = _to_domain(1, f.modulus)
     acc = one
     a, b = f, g
     while True:
@@ -244,7 +245,7 @@ class RationalFunction:
         g = num.gcd(den)
         if not g.is_zero() and g.degree > 0:
             num, den = num // g, den // g
-        lead_inv = den._scalar_inv(den.leading())
+        lead_inv = _domain_inverse(den.leading(), den.modulus)
         num, den = num * lead_inv, den * lead_inv
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
@@ -263,9 +264,8 @@ class RationalFunction:
         return not self.is_zero()
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, Polynomial)):
-            other = RationalFunction(other if isinstance(other, Polynomial) else Polynomial([other], self.modulus))
-        if not isinstance(other, RationalFunction):
+        other = _to_ratfunc(other, self.modulus)
+        if other is None:
             return NotImplemented
         return self.num == other.num and self.den == other.den
 
@@ -280,17 +280,8 @@ class RationalFunction:
     def __neg__(self):
         return RationalFunction(-self.num, self.den)
 
-    def _coerce(self, other):
-        if isinstance(other, RationalFunction):
-            return other
-        if isinstance(other, Polynomial):
-            return RationalFunction(other)
-        if isinstance(other, (int, Fraction)):
-            return RationalFunction(Polynomial([other], self.modulus))
-        return None
-
     def __add__(self, other):
-        other = self._coerce(other)
+        other = _to_ratfunc(other, self.modulus)
         if other is None:
             return NotImplemented
         return RationalFunction(self.num * other.den + other.num * self.den, self.den * other.den)
@@ -298,7 +289,7 @@ class RationalFunction:
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
+        other = _to_ratfunc(other, self.modulus)
         if other is None:
             return NotImplemented
         return self + (-other)
@@ -307,7 +298,7 @@ class RationalFunction:
         return -(self - other)
 
     def __mul__(self, other):
-        other = self._coerce(other)
+        other = _to_ratfunc(other, self.modulus)
         if other is None:
             return NotImplemented
         return RationalFunction(self.num * other.num, self.den * other.den)
@@ -315,7 +306,7 @@ class RationalFunction:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
+        other = _to_ratfunc(other, self.modulus)
         if other is None:
             return NotImplemented
         if other.is_zero():
@@ -323,7 +314,7 @@ class RationalFunction:
         return RationalFunction(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other):
-        return self._coerce(other) / self
+        return _to_ratfunc(other, self.modulus) / self
 
     def derivative(self) -> "RationalFunction":
         n, d = self.num, self.den
@@ -339,6 +330,18 @@ class RationalFunction:
 
     def reduce_mod(self, p: int) -> "RationalFunction":
         return RationalFunction(self.num.reduce_mod(p), self.den.reduce_mod(p))
+
+
+def _to_ratfunc(x, modulus: int | None) -> RationalFunction | None:
+    """x as a rational function: a polynomial over its own domain, a scalar
+    (int or Fraction) over that of ``modulus``; None for anything else."""
+    if isinstance(x, RationalFunction):
+        return x
+    if isinstance(x, Polynomial):
+        return RationalFunction(x)
+    if isinstance(x, (int, Fraction)):
+        return RationalFunction(Polynomial([x], modulus))
+    return None
 
 
 def poly_x(modulus: int | None = None) -> Polynomial:

@@ -1,11 +1,16 @@
 """Truncated formal power series and Laurent series over exact scalars.
 
 A :class:`TruncatedSeries` is known modulo x^N where N is its ``precision``.
-Coefficients are either plain ints with a ``modulus`` tag (arithmetic mod m,
-the fast path) or exact scalar objects (``Fraction``, :class:`~curveseq.exactnum.QuadExt`)
-with ``modulus=None``.  Every operation records the tightest precision that
-is actually valid; mixing precisions takes the minimum.  Series are immutable
-values, safe to fan out across workers.
+Coefficients are either plain ints in [0, m) with a ``modulus`` tag
+(arithmetic mod m, the fast path) or exact scalar objects (``Fraction``,
+:class:`~curveseq.exactnum.QuadExt`) with ``modulus=None``.  ``_to_domain``
+is the one rule by which a scalar enters a domain, and ``_domain_inverse``
+the one scalar inverse; :mod:`curveseq.polyring` and the curve code use
+both.  A public constructor coerces its coefficients once; ring operations
+keep their results in the domain and wrap them without coercing again.
+Every operation records the tightest precision that is actually valid;
+mixing precisions takes the minimum.  Series are immutable values, safe to
+fan out across workers.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exactnum import divisors, generalized_binomial, is_p_integral, mobius, reduce_fraction_mod
+from .exactnum import ModInt, divisors, generalized_binomial, is_p_integral, mobius, reduce_fraction_mod
 
 _NUMPY_CUTOFF = 48
 
@@ -29,7 +34,7 @@ def _convolve(a: list, b: list, n_out: int, modulus: int | None) -> list:
         if min(len(a), len(b)) * modulus * modulus < 2**62:
             c = np.convolve(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
             return (c[:n_out] % modulus).tolist()
-    out = [0 if modulus is not None else _zero_like(a)] * n_out
+    out = [_zero_like(a, modulus)] * n_out
     for i, ai in enumerate(a[:n_out]):
         if not ai:
             continue
@@ -50,16 +55,9 @@ class TruncatedSeries:
             precision = len(coeffs)
         if precision < 0:
             raise ValueError("negative precision")
-        zero = 0 if modulus is not None else _zero_like(coeffs)
         if len(coeffs) < precision:
-            coeffs = coeffs + [zero] * (precision - len(coeffs))
-        else:
-            coeffs = coeffs[:precision]
-        if modulus is not None:
-            coeffs = [c % modulus if isinstance(c, int) else _to_int_mod(c, modulus) for c in coeffs]
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "precision", precision)
-        object.__setattr__(self, "modulus", modulus)
+            coeffs = coeffs + [_zero_like(coeffs, modulus)] * (precision - len(coeffs))
+        _init(self, _to_domain_list(coeffs[:precision], modulus), precision, modulus)
 
     def __setattr__(self, *args):
         raise AttributeError("TruncatedSeries is immutable")
@@ -67,10 +65,14 @@ class TruncatedSeries:
     # -- helpers -----------------------------------------------------------
 
     def _zero(self):
-        return 0 if self.modulus is not None else _zero_like(self.coeffs)
+        return _zero_like(self.coeffs, self.modulus)
 
-    def _wrap(self, coeffs, precision):
-        return TruncatedSeries(coeffs, precision, self.modulus)
+    def _wrap(self, coeffs: list, precision: int) -> "TruncatedSeries":
+        """A series of this domain on ``precision`` coefficients that are
+        already in it: no copy, no coercion."""
+        out = object.__new__(TruncatedSeries)
+        _init(out, coeffs, precision, self.modulus)
+        return out
 
     def _check_domain(self, other: "TruncatedSeries"):
         if self.modulus != other.modulus:
@@ -129,14 +131,17 @@ class TruncatedSeries:
     # -- ring operations ---------------------------------------------------
 
     def __neg__(self):
-        return self._wrap([-c for c in self.coeffs], self.precision)
+        m = self.modulus
+        neg = [-c for c in self.coeffs] if m is None else [-c % m for c in self.coeffs]
+        return self._wrap(neg, self.precision)
 
     def __add__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_domain(other)
-        n = min(self.precision, other.precision)
-        return self._wrap([a + b for a, b in zip(self.coeffs[:n], other.coeffs[:n])], n)
+        n, m = min(self.precision, other.precision), self.modulus
+        pairs = zip(self.coeffs[:n], other.coeffs[:n])
+        return self._wrap([a + b for a, b in pairs] if m is None else [(a + b) % m for a, b in pairs], n)
 
     def __sub__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -153,9 +158,10 @@ class TruncatedSeries:
     __rmul__ = __mul__
 
     def scale(self, scalar):
-        if self.modulus is not None and not isinstance(scalar, int):
-            scalar = _to_int_mod(scalar, self.modulus)
-        return self._wrap([c * scalar for c in self.coeffs], self.precision)
+        m = self.modulus
+        scalar = _to_domain(scalar, m)
+        out = [c * scalar for c in self.coeffs] if m is None else [c * scalar % m for c in self.coeffs]
+        return self._wrap(out, self.precision)
 
     def shift(self, k: int) -> "TruncatedSeries":
         """Multiply by x^k (k >= 0); precision increases by k."""
@@ -188,7 +194,7 @@ class TruncatedSeries:
                 t[0] = (t[0] + 2) % m
                 g = _convolve(g, t, k, m)
             return self._wrap(g, n)
-        inv0 = _scalar_inverse(f0)
+        inv0 = _domain_inverse(f0, None)
         out = [inv0]
         for k in range(1, n):
             acc = self._zero()
@@ -202,10 +208,7 @@ class TruncatedSeries:
     def __truediv__(self, other):
         if isinstance(other, TruncatedSeries):
             return self * other.inverse()
-        if self.modulus is not None:
-            inv = pow(_to_int_mod(other, self.modulus) if not isinstance(other, int) else other, -1, self.modulus)
-            return self.scale(inv)
-        return self.scale(_scalar_inverse(other))
+        return self.scale(_domain_inverse(other, self.modulus))
 
     def sqrt(self, root0) -> "TruncatedSeries":
         """Square root with prescribed value at 0; needs root0^2 = f(0), char != 2."""
@@ -214,30 +217,27 @@ class TruncatedSeries:
         m = self.modulus
         if m == 2:
             raise ValueError("no square roots in characteristic 2")
-        if m is not None:
-            root0 = root0 % m if isinstance(root0, int) else _to_int_mod(root0, m)
-        elif isinstance(root0, int):
-            root0 = Fraction(root0)
-        if _ne(root0 * root0, self.coeffs[0], m):
+        root0 = _to_domain(root0, m)
+        if _to_domain(root0 * root0, m) != self.coeffs[0]:
             raise ValueError("root0^2 does not match the constant term")
         if not root0:
             raise ValueError("root0 must be a unit")
-        inv2r = pow(2 * root0, -1, m) if m is not None else _scalar_inverse(root0 + root0)
+        inv2r = _domain_inverse(root0 + root0, m)
         out = [root0]
         for k in range(1, self.precision):
             acc = self._zero()
             for i in range(1, k):
                 acc = acc + out[i] * out[k - i]
-            c = (self.coeffs[k] - acc) * inv2r
             # reduce as we go, or the integers grow with k
-            out.append(c if m is None else c % m)
+            out.append(_to_domain((self.coeffs[k] - acc) * inv2r, m))
         return self._wrap(out, self.precision)
 
     def derivative(self) -> "TruncatedSeries":
-        n = self.precision
+        n, m = self.precision, self.modulus
         if n == 0:
             return self
-        return self._wrap([c * i for i, c in enumerate(self.coeffs)][1:], n - 1)
+        terms = enumerate(self.coeffs[1:], start=1)
+        return self._wrap([c * i for i, c in terms] if m is None else [c * i % m for i, c in terms], n - 1)
 
     def log_derivative(self) -> "TruncatedSeries":
         """f'/f to precision N-1; additive on products."""
@@ -248,39 +248,63 @@ class TruncatedSeries:
         return self.log_derivative().shift(1)
 
 
-def _zero_like(coeffs):
+def _init(series: TruncatedSeries, coeffs: list, precision: int, modulus: int | None):
+    object.__setattr__(series, "coeffs", coeffs)
+    object.__setattr__(series, "precision", precision)
+    object.__setattr__(series, "modulus", modulus)
+
+
+# -- the scalar domains --------------------------------------------------------------
+
+
+def _to_domain(c, modulus: int | None):
+    """The scalar c in the domain of ``modulus``: over Z/m an int in [0, m)
+    (a Fraction must be m-integral, a ModInt carry the modulus m); over Q
+    the exact scalar itself, an int made a Fraction."""
+    if modulus is None:
+        return Fraction(c) if isinstance(c, int) else c
+    if isinstance(c, int):
+        return c % modulus
+    if isinstance(c, Fraction):
+        return reduce_fraction_mod(c, modulus)
+    if isinstance(c, ModInt):
+        if c.modulus != modulus:
+            raise ValueError("mixed moduli")
+        return c.value
+    raise TypeError(f"cannot reduce {c!r} mod {modulus}")
+
+
+def _to_domain_list(coeffs: list, modulus: int | None) -> list:
+    """``_to_domain`` on every coefficient; the int path stays inline."""
+    if modulus is None:
+        return [Fraction(c) if isinstance(c, int) else c for c in coeffs]
+    return [c % modulus if isinstance(c, int) else _to_domain(c, modulus) for c in coeffs]
+
+
+def _domain_inverse(c, modulus: int | None):
+    """1/c in the domain of ``modulus`` (an exact object's own inverse over Q)."""
+    if modulus is not None:
+        return pow(_to_domain(c, modulus), -1, modulus)
+    if isinstance(c, (int, Fraction)):
+        return 1 / Fraction(c)
+    return c.inverse()
+
+
+def _zero_like(coeffs, modulus: int | None):
+    """Zero of the domain; over Q that of the coefficients' exact type."""
+    if modulus is not None:
+        return 0
     for c in coeffs:
         return c * 0
     return Fraction(0)
 
 
-def _scalar_inverse(c):
-    if isinstance(c, int):
-        return Fraction(1, c)
-    if isinstance(c, Fraction):
-        return 1 / c
-    return c.inverse()
-
-
-def _to_int_mod(c, m: int) -> int:
-    if isinstance(c, Fraction):
-        return reduce_fraction_mod(c, m)
-    if hasattr(c, "value"):  # ModInt
-        if c.modulus != m:
-            raise ValueError("mixed moduli")
-        return c.value
-    raise TypeError(f"cannot reduce {c!r} mod {m}")
-
-
 def series_one(precision: int, modulus: int | None = None) -> TruncatedSeries:
-    one = 1 if modulus is not None else Fraction(1)
-    return TruncatedSeries([one], precision, modulus)
+    return TruncatedSeries([1], precision, modulus)
 
 
 def from_polynomial(coeffs, precision: int, modulus: int | None = None) -> TruncatedSeries:
     """A polynomial viewed as a series to the given precision."""
-    if modulus is None:
-        coeffs = [Fraction(c) for c in coeffs]
     return TruncatedSeries(coeffs, precision, modulus)
 
 
@@ -302,22 +326,15 @@ def binomial_power(u: TruncatedSeries, a: int | Fraction) -> TruncatedSeries:
     step = val if val is not None else n
     while val is not None and k * step < n:
         power = power * u
-        coeff = generalized_binomial(a, k)
-        if u.modulus is not None:
-            if coeff.denominator % u.modulus == 0:
-                raise ValueError(f"binomial coefficient not defined mod {u.modulus}")
-            result = result + power.scale(_to_int_mod(coeff, u.modulus))
-        else:
-            result = result + power.scale(coeff)
+        result = result + power.scale(generalized_binomial(a, k))
         k += 1
     return result
 
 
 def phi_part(f: TruncatedSeries, p: int) -> TruncatedSeries:
     """Keep exactly the coefficients a_n with p | n (the averaged series p^{-1} sum f(theta x))."""
-    zero = 0 if f.modulus is not None else _zero_like(f.coeffs)
-    out = [c if n % p == 0 else zero for n, c in enumerate(f.coeffs)]
-    return TruncatedSeries(out, f.precision, f.modulus)
+    zero = f._zero()
+    return f._wrap([c if n % p == 0 else zero for n, c in enumerate(f.coeffs)], f.precision)
 
 
 def divided_derivative(f: TruncatedSeries, k: int) -> TruncatedSeries:
@@ -594,8 +611,8 @@ class LaurentSeries:
             return LaurentSeries(0, self.series.shift(self.offset)) + other
         s = self.series
         coeffs = list(s.coeffs)
-        coeffs[-self.offset] = coeffs[-self.offset] + other
-        return LaurentSeries(self.offset, TruncatedSeries(coeffs, s.precision, s.modulus))
+        coeffs[-self.offset] = _to_domain(coeffs[-self.offset] + other, s.modulus)
+        return LaurentSeries(self.offset, s._wrap(coeffs, s.precision))
 
     __radd__ = __add__
 
@@ -618,12 +635,12 @@ class LaurentSeries:
     def __truediv__(self, other):
         if isinstance(other, LaurentSeries):
             return self * other.inverse()
-        return self * _scalar_inverse(other)
+        return self * _domain_inverse(other, self.modulus)
 
     def derivative(self) -> "LaurentSeries":
-        s = self.series
-        out = [c * (self.offset + i) for i, c in enumerate(s.coeffs)]
-        return LaurentSeries(self.offset - 1, TruncatedSeries(out, s.precision, s.modulus))
+        s, m = self.series, self.modulus
+        out = [c * e for e, c in enumerate(s.coeffs, start=self.offset)]
+        return LaurentSeries(self.offset - 1, s._wrap(out if m is None else [c % m for c in out], s.precision))
 
     def truncate_bound(self, bound: int) -> "LaurentSeries":
         return LaurentSeries(self.offset, self.series.truncate(bound - self.offset))
@@ -642,9 +659,3 @@ class LaurentSeries:
 
     def __repr__(self):
         return f"x^{self.offset} * {self.series!r}"
-
-
-def _ne(a, b, modulus):
-    if modulus is not None:
-        return (a - b) % modulus != 0
-    return a != b

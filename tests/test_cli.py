@@ -80,6 +80,9 @@ def test_usage_error_exit_code():
         ["frobenius", "--curve", "1"],  # one value
         ["asd", "--curve", "1,b"],  # not an integer
         ["frobenius", "--curve"],  # no value
+        ["all", "--seed", "-1"],  # Random(-n) draws what Random(n) draws
+        ["cartier", "--seed", "-2"],
+        ["modp-space", "--p", "7", "--seed", "-3"],
     ],
 )
 def test_domain_error_exit_code(argv, capsys):
@@ -190,6 +193,27 @@ def test_all_quick(capsys):
     assert code == 0
     assert "0 failed" in out
     assert time.time() - t0 < 120  # comfortably inside the stated budgets
+
+
+def test_all_is_its_subcommands(tmp_path, capsys):
+    # all parses each step as a command line: its checks are those of the
+    # standalone runs, in order
+    def checks(argv):
+        path = tmp_path / "report.json"
+        run_cli([*argv, "--json", str(path)], capsys)
+        return json.loads(path.read_text())["checks"]
+
+    steps = [
+        ["identities"],
+        ["closed-forms", "--n", "20"],
+        ["congruence", "--p", "3", "--rmax", "1", "--nmax", "200"],
+        ["denom", "--n", "100"],
+        ["modp-space", "--p", "7", "--seed", "1"],
+        ["cartier", "--p", "7", "--pmax", "50", "--seed", "1"],
+        ["frobenius", "--pmax", "30", "--vp-limit", "13"],
+        ["asd", "--p", "5", "--rmax", "2", "--nmax", "3"],
+    ]
+    assert checks(["all", "--quick", "--seed", "1"]) == [c for argv in steps for c in checks(argv)]
 
 
 def test_report_scalars_serialize_exactly():

@@ -132,7 +132,7 @@ def test_modint_immutable_and_hashable():
 
 
 def test_reduce_fraction_mod():
-    from curveseq.series import _to_int_mod
+    from curveseq.series import _to_domain
 
     assert reduce_fraction_mod(Fraction(-1, 8), 7) == 6
     assert reduce_fraction_mod(Fraction(-1, 2), 7) == 3
@@ -140,9 +140,9 @@ def test_reduce_fraction_mod():
     for q in (Fraction(-1, 8), Fraction(-77, 128), Fraction(146, 27), Fraction(10**30 + 1, 3)):
         for p in (7, 11, 101):
             want = reduce_fraction_mod(q, p)
-            assert _to_int_mod(q, p) == want
+            assert _to_domain(q, p) == want
             assert ModInt(q, p).value == want
-    for reduce in (reduce_fraction_mod, _to_int_mod, ModInt):
+    for reduce in (reduce_fraction_mod, _to_domain, ModInt):
         with pytest.raises(ValueError):
             reduce(Fraction(1, 7), 7)
         with pytest.raises(ValueError):

@@ -254,12 +254,15 @@ def test_union_scalar_multiples_of_special():
 
 
 def test_wp_witnesses():
-    seqs = wp_witnesses(7, 3)
+    wp = wp_witnesses(7, 3)
+    assert wp.satisfy and wp.independent
+    seqs = wp.sequences
     assert len(seqs) == 3
     assert seqs[0][1] == 1  # the reduced main sequence
     assert all(v == 0 for v in seqs[1][:7])
-    seqs2 = wp_witnesses(2, 4)
-    assert all(MAIN_RECURRENCE.satisfies(w, modulus=2) for w in seqs2)
+    wp2 = wp_witnesses(2, 4)
+    assert wp2.satisfy and wp2.independent
+    assert all(MAIN_RECURRENCE.satisfies(w, modulus=2) for w in wp2.sequences)
 
 
 def test_corollary_finitely_many_integral_primes():

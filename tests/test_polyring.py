@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from curveseq.exactnum import is_prime
 from curveseq.polyring import Polynomial, RationalFunction, poly_x, resultant
-from curveseq.series import LaurentSeries, from_polynomial
+from curveseq.series import LaurentSeries, TruncatedSeries, from_polynomial
 
 
 def test_polynomial_basics():
@@ -167,3 +167,36 @@ def test_reduce_mod():
     rm = r.reduce_mod(7)
     assert rm.modulus == 7
     assert rm.num == Polynomial([4, 1], 7)
+
+
+def test_series_and_polynomial_share_the_q_scalar_rule():
+    # one coercion rule: over Q an int enters a series and a polynomial alike
+    s, f = TruncatedSeries([1, 2], 2), Polynomial([1, 2])
+    assert [type(c) for c in s.coeffs] == [type(c) for c in f.coeffs] == [Fraction, Fraction]
+    assert s == TruncatedSeries([Fraction(1), Fraction(2)], 2)
+
+
+@pytest.mark.parametrize("m", [7, 11])
+def test_polynomial_operations_stay_reduced(m):
+    # ring operations wrap their results without coercing them again, so each
+    # must leave every coefficient in [0, m) and agree with the reduction of
+    # the same operation over Q
+    fq = Polynomial([3, -1, 5, Fraction(-2, 3), -8, 1])
+    gq = Polynomial([-6, Fraction(1, 2), 1])
+    f, g = fq.reduce_mod(m), gq.reduce_mod(m)
+    pairs = [
+        (-f, -fq),
+        (f + g, fq + gq),
+        (f - g, fq - gq),
+        (f * g, fq * gq),
+        (f * Fraction(1, 3), fq * Fraction(1, 3)),
+        (f * -5, fq * -5),
+        (f.derivative(), fq.derivative()),
+        (f // g, fq // gq),
+        (f % g, fq % gq),
+        (f**3, fq**3),
+        (f.monic(), fq.monic()),
+    ]
+    for got, want in pairs:
+        assert all(isinstance(c, int) and 0 <= c < m for c in got.coeffs)
+        assert got == want.reduce_mod(m)

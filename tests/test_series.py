@@ -415,3 +415,31 @@ def test_s_series_matches_recurrence():
     n = 120
     s = s_series(n)
     assert s.coeffs == main_sequence(n)
+
+
+@pytest.mark.parametrize("m", [7, 11])
+def test_ring_operations_stay_reduced(m):
+    # ring operations wrap their results without coercing them again, so each
+    # must leave every coefficient in [0, m) and agree with the reduction of
+    # the same operation over Q
+    sq = TruncatedSeries([3, -1, 5, Fraction(-2, 3), -8, 1], 6)
+    tq = TruncatedSeries([-6, Fraction(1, 2), 1, 4, -9], 5)
+    s, t = (TruncatedSeries(x.coeffs, x.precision, m) for x in (sq, tq))
+    lq, l = LaurentSeries(-2, sq), LaurentSeries(-2, s)
+    pairs = [
+        (-s, -sq),
+        (s + t, sq + tq),
+        (s - t, sq - tq),
+        (s * t, sq * tq),
+        (s.scale(Fraction(1, 3)), sq.scale(Fraction(1, 3))),
+        (s.scale(-5), sq.scale(-5)),
+        (s / 4, sq / 4),
+        (s.derivative(), sq.derivative()),
+        (s.inverse(), sq.inverse()),
+        ((l + Fraction(-1, 3)).series, (lq + Fraction(-1, 3)).series),
+        ((l - 9).series, (lq - 9).series),
+        (l.derivative().series, lq.derivative().series),
+    ]
+    for got, want in pairs:
+        assert all(isinstance(c, int) and 0 <= c < m for c in got.coeffs)
+        assert got == TruncatedSeries(want.coeffs, want.precision, m)
