@@ -412,14 +412,26 @@ def cmd_frobenius(args) -> Report:
         rep.skip("supersingular beta nonzero", f"no supersingular prime in [5, {pmax}]")
     else:
         rep.add("supersingular beta nonzero", all(r.beta_nonzero for r in scan.supersingular), f"supers: {supers}")
-    checked = [r for r in scan.supersingular if r.vp_c_p2_is_1 is not None]
-    if not checked:
-        rep.skip("v_p(c_(p^2)) = 1 at supersingular p", "no supersingular prime expanded")
+    # Honda's formula decides v_p(c_(p^2)) at every supersingular prime; the
+    # expansion, where it ran, must give the same residue mod p^2
+    if not supers:
+        rep.skip("v_p(c_(p^2)) = 1 at supersingular p", f"no supersingular prime in [5, {pmax}]")
     else:
-        rep.add("v_p(c_(p^2)) = 1 at supersingular p", all(r.vp_c_p2_is_1 for r in checked), f"{len(checked)} primes checked")
-    skipped = [r.p for r in scan.supersingular if r.vp_c_p2_is_1 is None]
+        crossed = [r for r in scan.supersingular if r.expansion_agrees is not None]
+        not_one = [r.p for r in scan.supersingular if not r.vp_c_p2_is_1]
+        disagree = [
+            {"p": r.p, "formula": r.c_p2, "expansion": r.c_p2_expansion} for r in crossed if not r.expansion_agrees
+        ]
+        ok = not (not_one or disagree)
+        rep.add(
+            "v_p(c_(p^2)) = 1 at supersingular p",
+            ok,
+            f"{len(supers)} by Honda's formula, {len(crossed)} cross-checked by expansion",
+            None if ok else {"vp_not_1": not_one, "routes_disagree": disagree},
+        )
+    skipped = [r.p for r in scan.supersingular if r.expansion_agrees is None]
     if skipped:
-        rep.skip("v_p(c_(p^2)) above --vp-limit", f"not expanded at p in {skipped}")
+        rep.skip("v_p(c_(p^2)) above --vp-limit", f"expansion cross-check not run at p in {skipped}")
     if (a, b) == (0, 1):
         if not good:
             rep.skip("alpha_p = 0 iff p = 2 mod 3 (CM)", f"no prime of good reduction in [5, {pmax}]")
@@ -515,7 +527,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("frobenius", cmd_frobenius, help="point counts, traces, supersingular scan")
     p.add_argument("--curve", type=_parse_curve, default=(0, 1), metavar="A,B")
     p.add_argument("--pmax", type=_int_arg(2), default=50)
-    p.add_argument("--vp-limit", type=_int_arg(5), dest="vp_limit")  # the scan starts at p = 5
+    p.add_argument(
+        "--vp-limit",
+        type=_int_arg(5),  # the scan starts at p = 5
+        dest="vp_limit",
+        help="run the expansion cross-check of v_p(c_(p^2)) = 1 only at p <= this; "
+        "Honda's formula decides it at every supersingular prime",
+    )
 
     p = add("asd", cmd_asd, help="Atkin-Swinnerton-Dyer congruences")
     p.add_argument("--curve", type=_parse_curve, default=(0, 1), metavar="A,B")

@@ -8,6 +8,15 @@ the Atkin-Swinnerton-Dyer congruences
 
 with f_p the trace of Frobenius; when f_p = 0 the sequence first loses
 p-integrality upon integration at the t^(p^2) term.
+
+The curve equation has only even powers of t, so c_n = 0 for even n and the
+expansion is computed in s = t^2 at half the length.  Honda's formula
+
+    c_n = [x^(n-1)] (x^3 + Ax + B)^((n-1)/2)
+
+is a second, independent route (``omega_coefficient``);
+``supersingular_scan`` reads v_p(c_(p^2)) = 1 off it and cross-checks the
+residue against the expansion.
 """
 
 from __future__ import annotations
@@ -81,33 +90,95 @@ class OriginExpansion:
 def origin_expansion(a, b, n_terms: int, modulus: int | None = None) -> OriginExpansion:
     """Solve x = t^-2 u(t) with u(0) = 1 from y^2 = x^3 + ax + b, y = -x/t.
 
-    u satisfies u^3 - u^2 + a u t^4 + b t^6 = 0 and is computed by Newton
-    iteration; all coefficients lie in Z[a, b].
+    u satisfies u^3 - u^2 + a u t^4 + b t^6 = 0, which has only even powers
+    of t, so u(t) = v(t^2) with v^3 - v^2 + a v s^2 + b s^3 = 0.  v is
+    computed by Newton iteration at half the length, and then
+    omega/dt = 1 - t u'/(2u) = 1 - s v'(s)/v(s) at s = t^2: c_n = 0 for
+    even n.  All coefficients lie in Z[a, b].
     """
     if n_terms < 4:
         raise ValueError("need at least 4 terms")
     if modulus is not None and modulus % 2 == 0:
         raise ValueError("modulus must be odd")
-    a_s = from_polynomial([a], n_terms, modulus)
-    b_s = from_polynomial([b], n_terms, modulus)
-    t4 = from_polynomial([0, 0, 0, 0, 1], n_terms, modulus)
-    t6 = from_polynomial([0] * 6 + [1], n_terms, modulus)
-    u = from_polynomial([1], 1, modulus)
-    while u.precision < n_terms:
-        k = min(2 * u.precision, n_terms)
-        u = TruncatedSeries(u.coeffs, k, modulus)
-        f = u * u * u - u * u + (a_s.truncate(k) * u * t4.truncate(k)) + b_s.truncate(k) * t6.truncate(k)
-        fp = 3 * u * u - 2 * u + a_s.truncate(k) * t4.truncate(k)
-        u = u - f * fp.inverse()
+    half = (n_terms + 1) // 2
+    a_s2 = from_polynomial([0, 0, a], half, modulus)
+    b_s3 = from_polynomial([0, 0, 0, b], half, modulus)
+    v = from_polynomial([1], 1, modulus)
+    while v.precision < half:
+        known = v.precision
+        k = min(2 * known, half)
+        v = TruncatedSeries(v.coeffs, k, modulus)
+        vv = v * v
+        a_k = a_s2.truncate(k)
+        # f = O(s^known), so the Newton step needs 1/f' only to s^(k - known)
+        f = vv * v - vv + a_k * v + b_s3.truncate(k)
+        fp = (3 * vv - 2 * v + a_k).truncate(k - known)
+        v = v - (f.divide_by_x(known) * fp.inverse()).shift(known)
+    u = _in_t(v, n_terms)
     x = LaurentSeries(-2, u)
     y = LaurentSeries(-3, -u)
-    # omega/dt = dx/dt / (2y) = 1 - t u'/(2u)
-    ratio = u.derivative().shift(1) * u.inverse().truncate(n_terms - 1)
-    omega = from_polynomial([1], n_terms - 1, modulus) - ratio / 2
-    exp = OriginExpansion(a, b, modulus, x, y, omega)
+    w = from_polynomial([1], n_terms // 2, modulus) - v.truncate(n_terms // 2).x_log_derivative()
+    exp = OriginExpansion(a, b, modulus, x, y, _in_t(w, n_terms - 1))
     if exp.c(1) != 1:
         raise AssertionError("c_1 != 1")
     return exp
+
+
+def _in_t(f: TruncatedSeries, precision: int) -> TruncatedSeries:
+    """f(t^2) to the given precision, from f known to (precision + 1) // 2."""
+    coeffs = [0] * precision
+    coeffs[::2] = f.coeffs[: (precision + 1) // 2]
+    return TruncatedSeries(coeffs, precision, f.modulus)
+
+
+def omega_coefficient(a: int, b: int, n: int, p: int, r: int) -> int:
+    """c_n mod p^r by Honda's formula c_n = [x^(n-1)] (x^3 + ax + b)^((n-1)/2),
+    a route independent of the origin expansion (0 for even n).
+
+    With k = (n-1)/2, l = 2k - 3j and m = 2j - k, c_n is the sum over j of
+    k!/(j! l! m!) a^l b^m.  The multinomial is streamed in j, multiplied by
+    l(l-1)(l-2)/((j+1)(m+1)(m+2)) at each step and carried as p^v times a
+    unit mod p^r; terms with v >= r vanish mod p^r.
+    """
+    if n < 1:
+        raise ValueError("coefficients start at c_1")
+    require_prime(p)
+    if r < 1:
+        raise ValueError("r >= 1 required")
+    mod = p**r
+    k = (n - 1) // 2
+    j = (k + 1) // 2  # the least j with m >= 0
+    l, m = 2 * k - 3 * j, 2 * j - k
+    if n % 2 == 0 or l < 0:
+        return 0
+    # k!/(j! l! m!) with m in {0, 1}
+    v, unit = _padic_ratio(range(j + 1, k + 1), range(2, l + 1), p, mod)
+    total = 0
+    while True:
+        if v < r:
+            total += unit * p**v * pow(a, l, mod) * pow(b, m, mod)
+        if l < 3:
+            return total % mod
+        dv, du = _padic_ratio((l, l - 1, l - 2), (j + 1, m + 1, m + 2), p, mod)
+        v, unit = v + dv, unit * du % mod
+        j, l, m = j + 1, l - 3, m + 2
+
+
+def _padic_ratio(nums, dens, p: int, mod: int) -> tuple[int, int]:
+    """prod(nums)/prod(dens) of positive integers as (v, u): p^v times the
+    unit u mod ``mod``, a power of p."""
+    v, top, bottom = 0, 1, 1
+    for q in nums:
+        while q % p == 0:
+            q //= p
+            v += 1
+        top = top * q % mod
+    for q in dens:
+        while q % p == 0:
+            q //= p
+            v -= 1
+        bottom = bottom * q % mod
+    return v, top * pow(bottom, -1, mod) % mod
 
 
 @dataclass
@@ -142,7 +213,21 @@ def asd_check(a: int, b: int, p: int, r_max: int, n_max: int) -> AsdReport:
 class SupersingularRow:
     p: int
     beta_nonzero: bool
-    vp_c_p2_is_1: bool | None
+    #: c_(p^2) mod p^2 by Honda's formula (``omega_coefficient``)
+    c_p2: int
+    #: the same residue read off the origin expansion; None where
+    #: ``vp_limit`` left the cross-check out
+    c_p2_expansion: int | None
+
+    @property
+    def vp_c_p2_is_1(self) -> bool:
+        """The formula's verdict on v_p(c_(p^2)) = 1."""
+        return self.c_p2 % self.p == 0 and self.c_p2 % (self.p * self.p) != 0
+
+    @property
+    def expansion_agrees(self) -> bool | None:
+        """Whether the expansion gave the formula's residue; None if not run."""
+        return None if self.c_p2_expansion is None else self.c_p2_expansion == self.c_p2
 
 
 @dataclass
@@ -161,8 +246,9 @@ def supersingular_scan(a: int, b: int, p_max: int, vp_limit: int | None = None) 
     v_p(c_{p^2}) = 1 exactly (checked mod p^2), so the integrated series first
     loses p-integrality at t^(p^2).
 
-    ``vp_limit`` bounds the primes for which the (expensive) expansion check
-    runs; None means all of them.
+    c_(p^2) mod p^2 comes from Honda's formula at every supersingular prime,
+    and from the origin expansion, as an independent cross-check, at those
+    p <= ``vp_limit``; None means all of them.
     """
     rows = []
     invariants = {}
@@ -177,10 +263,8 @@ def supersingular_scan(a: int, b: int, p_max: int, vp_limit: int | None = None) 
                 pattern_ok = False
         if inv.alpha.value != 0:
             continue
-        vp_ok = None
+        expanded = None
         if vp_limit is None or p <= vp_limit:
-            exp = origin_expansion(a, b, p * p + 2, modulus=p * p)
-            v = exp.c(p * p)
-            vp_ok = v % p == 0 and (v // p) % p != 0
-        rows.append(SupersingularRow(p, bool(inv.beta), vp_ok))
+            expanded = origin_expansion(a, b, p * p + 2, modulus=p * p).c(p * p)
+        rows.append(SupersingularRow(p, bool(inv.beta), omega_coefficient(a, b, p * p, p, 2), expanded))
     return SupersingularReport(a, b, p_max, rows, pattern_ok, invariants)

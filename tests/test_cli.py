@@ -1,8 +1,11 @@
 import json
 import re
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
+from curveseq import frobenius
 from curveseq.cli import main, report_from_json
 
 
@@ -175,6 +178,34 @@ def test_frobenius_command(capsys):
     assert code == 0
 
 
+def test_frobenius_routes_must_agree(monkeypatch, tmp_path, capsys):
+    # a formula that disagrees with the expansion is a failure with a witness
+    honda = frobenius.omega_coefficient
+
+    def off_by_p(a, b, n, p, r):
+        return (honda(a, b, n, p, r) + p) % p**r
+
+    monkeypatch.setattr(frobenius, "omega_coefficient", off_by_p)
+    path = tmp_path / "frob.json"
+    code, out = run_cli(["frobenius", "--pmax", "20", "--json", str(path)], capsys)
+    assert code == 1
+    (check,) = [c for c in json.loads(path.read_text())["checks"] if c["name"].startswith("v_p(c_(p^2)) = 1")]
+    assert check["status"] == "fail"
+    assert [w["p"] for w in check["witness"]["routes_disagree"]] == [5, 11, 17]
+
+
+def test_frobenius_vp_limit_bounds_the_cross_check_only(tmp_path, capsys):
+    path = tmp_path / "frob.json"
+    code, out = run_cli(["frobenius", "--pmax", "20", "--vp-limit", "11", "--json", str(path)], capsys)
+    assert code == 0
+    checks = {c["name"]: c for c in json.loads(path.read_text())["checks"]}
+    assert checks["v_p(c_(p^2)) = 1 at supersingular p"]["details"] == (
+        "3 by Honda's formula, 2 cross-checked by expansion"
+    )
+    skipped = checks["v_p(c_(p^2)) above --vp-limit"]
+    assert skipped["status"] == "skip" and skipped["details"] == "expansion cross-check not run at p in [17]"
+
+
 def test_frobenius_no_good_prime_skips(tmp_path, capsys):
     # every prime is bad for y^2 = x^3: nothing is compared, so nothing passes
     path = tmp_path / "frob.json"
@@ -225,3 +256,14 @@ def test_report_scalars_serialize_exactly():
     assert json_scalar(Fraction(-77, 128)) == "-77/128"
     assert json_scalar(fp(3, 7)) == {"value": 3, "p": 7}
     assert json_scalar([Fraction(1, 2), 5]) == ["1/2", 5]
+
+
+def test_all_checks_match_the_benchmark_pin(tmp_path, capsys):
+    # the benchmark gates `suite` on these (name, status) pairs; a renamed
+    # check fails here first
+    pinned = json.loads((Path(__file__).parents[1] / "perfbench" / "suite_checks.json").read_text())
+    path = tmp_path / "all.json"
+    code, out = run_cli(["all", "--seed", "7", "--json", str(path)], capsys)
+    assert code == 0
+    checks = json.loads(path.read_text())["checks"]
+    assert Counter((c["name"], c["status"]) for c in checks) == Counter(map(tuple, pinned))

@@ -6,10 +6,13 @@ from curveseq.cartier import alphabeta_weierstrass
 from curveseq.exactnum import is_prime
 from curveseq.frobenius import (
     asd_check,
+    omega_coefficient,
     origin_expansion,
     point_count,
     supersingular_scan,
 )
+
+ROUTE_CURVES = [(0, 1), (2, 3), (-1, 5)]
 
 
 def test_point_count_cm_fixtures():
@@ -73,6 +76,20 @@ def test_origin_expansion_random_curve_equation():
         assert lhs == rhs
 
 
+@pytest.mark.parametrize("n_terms", [13, 15])
+@pytest.mark.parametrize("a, b", ROUTE_CURVES)
+def test_origin_expansion_odd_length(a, b, n_terms):
+    # the half-length expansion in s = t^2 spreads back to an odd length
+    e = origin_expansion(a, b, n_terms)
+    assert e.x.series.precision == n_terms
+    assert e.precision == e.omega.precision == n_terms - 1
+    assert e.y * e.y == e.x * e.x * e.x + a * e.x + b
+    assert all(e.c(n) == 0 for n in range(2, n_terms, 2))
+    m = origin_expansion(a, b, n_terms, modulus=7**3)
+    assert m.precision == n_terms - 1
+    assert [c % 7**3 for c in e.omega] == list(m.omega)
+
+
 def test_origin_expansion_mod_path_matches_exact():
     exact = origin_expansion(0, 1, 30)
     m = origin_expansion(0, 1, 30, modulus=49)
@@ -116,6 +133,8 @@ def test_supersingular_scan_cm_curve():
     assert [r.p for r in rep.supersingular] == [5, 11, 17, 23, 29, 41, 47]
     assert all(r.beta_nonzero for r in rep.supersingular)
     assert all(r.vp_c_p2_is_1 for r in rep.supersingular)
+    # without a limit both routes run at every supersingular prime
+    assert all(r.expansion_agrees is True for r in rep.supersingular)
     assert rep.cm_pattern_ok
 
 
@@ -129,9 +148,58 @@ def test_supersingular_scan_keeps_invariants_of_every_good_prime(a, b):
 
 
 def test_supersingular_vp_limit():
+    # the limit bounds the expansion cross-check only; the formula runs everywhere
     rep = supersingular_scan(0, 1, 50, vp_limit=11)
-    checked = [r for r in rep.supersingular if r.vp_c_p2_is_1 is not None]
-    assert [r.p for r in checked] == [5, 11]
+    crossed = [r for r in rep.supersingular if r.expansion_agrees is not None]
+    assert [r.p for r in crossed] == [5, 11]
+    assert all(r.expansion_agrees for r in crossed)
+    assert [r.p for r in rep.supersingular] == [5, 11, 17, 23, 29, 41, 47]
+    assert all(r.vp_c_p2_is_1 for r in rep.supersingular)
+
+
+# Honda's formula c_n = [x^(n-1)] (x^3 + ax + b)^((n-1)/2) against the expansion
+
+BIG_P, BIG_R = 1000003, 5  # p^r > 2 |c_n| for n <= 61 on ROUTE_CURVES
+
+
+@pytest.mark.parametrize("a, b", ROUTE_CURVES)
+def test_omega_coefficient_equals_expansion_over_q(a, b):
+    e = origin_expansion(a, b, 63)
+    mod = BIG_P**BIG_R
+    for n in range(1, 62):
+        c = e.c(n)
+        assert c.denominator == 1 and 2 * abs(c) < mod
+        if n % 2 == 0:
+            assert c == 0 and omega_coefficient(a, b, n, BIG_P, BIG_R) == 0
+        else:
+            assert omega_coefficient(a, b, n, BIG_P, BIG_R) == c % mod, n
+
+
+@pytest.mark.parametrize("a, b", ROUTE_CURVES)
+def test_omega_coefficient_equals_c_p2_mod_p2(a, b):
+    good = [p for p in range(5, 48) if is_prime(p) and (4 * a**3 + 27 * b**2) % p]
+    assert len(good) >= 10
+    for p in good:
+        expanded = origin_expansion(a, b, p * p + 2, modulus=p * p).c(p * p)
+        assert omega_coefficient(a, b, p * p, p, 2) == expanded, p
+
+
+@pytest.mark.parametrize("a, b", ROUTE_CURVES)
+def test_omega_coefficient_tracks_b(a, b):
+    # c_7 = 3b: the formula on another b disagrees with this curve's expansion
+    e = origin_expansion(a, b, 63)
+    mod = BIG_P**BIG_R
+    wrong = [n for n in range(1, 62, 2) if omega_coefficient(a, b + 1, n, BIG_P, BIG_R) != e.c(n) % mod]
+    assert 7 in wrong
+    p = 7  # a good prime of all three curves and of their b + 1 neighbours
+    expanded = origin_expansion(a, b, p * p + 2, modulus=p * p).c(p * p)
+    assert omega_coefficient(a, b + 1, p * p, p, 2) != expanded
+
+
+@pytest.mark.parametrize("args", [(0, 1, 0, 5, 2), (0, 1, 7, 4, 2), (0, 1, 7, 5, 0)])
+def test_omega_coefficient_domain(args):
+    with pytest.raises(ValueError):
+        omega_coefficient(*args)
 
 
 def test_alpha_equals_trace_mod_p():
