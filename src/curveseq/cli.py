@@ -418,11 +418,11 @@ def cmd_frobenius(args) -> Report:
         rep.skip("v_p(c_(p^2)) = 1 at supersingular p", f"no supersingular prime in [5, {pmax}]")
     else:
         crossed = [r for r in scan.supersingular if r.expansion_agrees is not None]
-        not_one = [r.p for r in scan.supersingular if not r.vp_c_p2_is_1]
+        not_one = [r.p for r in scan.supersingular if not r.formula_vp_is_1]
         disagree = [
             {"p": r.p, "formula": r.c_p2, "expansion": r.c_p2_expansion} for r in crossed if not r.expansion_agrees
         ]
-        ok = not (not_one or disagree)
+        ok = all(r.vp_c_p2_is_1 for r in scan.supersingular)
         rep.add(
             "v_p(c_(p^2)) = 1 at supersingular p",
             ok,

@@ -109,10 +109,9 @@ def origin_expansion(a, b, n_terms: int, modulus: int | None = None) -> OriginEx
         k = min(2 * known, half)
         v = TruncatedSeries(v.coeffs, k, modulus)
         vv = v * v
-        a_k = a_s2.truncate(k)
         # f = O(s^known), so the Newton step needs 1/f' only to s^(k - known)
-        f = vv * v - vv + a_k * v + b_s3.truncate(k)
-        fp = (3 * vv - 2 * v + a_k).truncate(k - known)
+        f = vv * v - vv + v.scale(a).shift(2).truncate(k) + b_s3.truncate(k)
+        fp = (3 * vv - 2 * v + a_s2.truncate(k)).truncate(k - known)
         v = v - (f.divide_by_x(known) * fp.inverse()).shift(known)
     u = _in_t(v, n_terms)
     x = LaurentSeries(-2, u)
@@ -167,18 +166,20 @@ def omega_coefficient(a: int, b: int, n: int, p: int, r: int) -> int:
 def _padic_ratio(nums, dens, p: int, mod: int) -> tuple[int, int]:
     """prod(nums)/prod(dens) of positive integers as (v, u): p^v times the
     unit u mod ``mod``, a power of p."""
-    v, top, bottom = 0, 1, 1
-    for q in nums:
+    v_top, top = _padic_product(nums, p, mod)
+    v_bottom, bottom = _padic_product(dens, p, mod)
+    return v_top - v_bottom, top * pow(bottom, -1, mod) % mod
+
+
+def _padic_product(factors, p: int, mod: int) -> tuple[int, int]:
+    """prod(factors) of positive integers as (v, u): p^v times the unit u mod ``mod``."""
+    v, unit = 0, 1
+    for q in factors:
         while q % p == 0:
             q //= p
             v += 1
-        top = top * q % mod
-    for q in dens:
-        while q % p == 0:
-            q //= p
-            v -= 1
-        bottom = bottom * q % mod
-    return v, top * pow(bottom, -1, mod) % mod
+        unit = unit * q % mod
+    return v, unit
 
 
 @dataclass
@@ -221,7 +222,13 @@ class SupersingularRow:
 
     @property
     def vp_c_p2_is_1(self) -> bool:
-        """The formula's verdict on v_p(c_(p^2)) = 1."""
+        """v_p(c_(p^2)) = 1 by the formula, and the expansion, where it ran,
+        gave the same residue."""
+        return self.formula_vp_is_1 and self.expansion_agrees is not False
+
+    @property
+    def formula_vp_is_1(self) -> bool:
+        """The formula's verdict on v_p(c_(p^2)) = 1, alone."""
         return self.c_p2 % self.p == 0 and self.c_p2 % (self.p * self.p) != 0
 
     @property

@@ -1,10 +1,14 @@
+import importlib
 import random
+from pathlib import Path
 
 import pytest
 
+from curveseq import frobenius
 from curveseq.cartier import alphabeta_weierstrass
 from curveseq.exactnum import is_prime
 from curveseq.frobenius import (
+    SupersingularRow,
     asd_check,
     omega_coefficient,
     origin_expansion,
@@ -155,6 +159,33 @@ def test_supersingular_vp_limit():
     assert all(r.expansion_agrees for r in crossed)
     assert [r.p for r in rep.supersingular] == [5, 11, 17, 23, 29, 41, 47]
     assert all(r.vp_c_p2_is_1 for r in rep.supersingular)
+
+
+def test_supersingular_verdict_needs_the_routes_to_agree():
+    # c_25 = 5 (mod 25) has v_5 = 1, but an expansion that says 10 refutes it
+    assert SupersingularRow(5, True, 5, None).vp_c_p2_is_1
+    assert SupersingularRow(5, True, 5, 5).vp_c_p2_is_1
+    row = SupersingularRow(5, True, 5, 10)
+    assert row.formula_vp_is_1 and row.expansion_agrees is False
+    assert not row.vp_c_p2_is_1
+    assert not SupersingularRow(5, True, 0, 0).vp_c_p2_is_1
+
+
+def test_benchmark_gate_fails_when_the_routes_disagree(monkeypatch, tmp_path):
+    # the `modp` benchmark gate reads the row verdict, so a wrong route trips it
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    modp = importlib.import_module("workloads").Modp(seed=11, out_dir=tmp_path, supersingular_pmax=20)
+    assert modp.gate_supersingular()
+    honda = frobenius.omega_coefficient
+
+    def doubled(a, b, n, p, r):
+        # keeps v_p(c_(p^2)) = 1, so only the cross-check can notice
+        return 2 * honda(a, b, n, p, r) % p**r
+
+    monkeypatch.setattr(frobenius, "omega_coefficient", doubled)
+    rep = supersingular_scan(0, 1, 20)
+    assert [(r.formula_vp_is_1, r.expansion_agrees) for r in rep.supersingular] == [(True, False)] * 3
+    assert not modp.gate_supersingular()
 
 
 # Honda's formula c_n = [x^(n-1)] (x^3 + ax + b)^((n-1)/2) against the expansion
