@@ -28,9 +28,10 @@ from .recurrence import (
     MAIN_RECURRENCE,
     SPECIAL_DIRECTION,
     T2_BLOCK,
-    _step_modp,
+    _lane_residue,
+    _lane_types,
     extend_integral,
-    extend_modp,
+    extend_lanes_modp,
     form_value,
     poly_eval,
 )
@@ -69,17 +70,17 @@ def tail_vector_mod(p: int) -> tuple[int, int, int, int]:
 # -- vectorized exhaustive extension ------------------------------------------------
 
 
-def _enumerate_initials(p: int, lanes: int = 0) -> list[np.ndarray]:
-    """The window (C_0, ..., C_4) = (0, V) for every V in F_p^4 (C-order),
-    followed by ``lanes`` all-zero lanes."""
-    total = p**4
-    idx = np.arange(total + lanes, dtype=np.int64)
-    window = [np.zeros(total + lanes, dtype=np.int64)]
-    for k in range(4):
-        col = idx // p ** (3 - k) % p
-        col[total:] = 0
-        window.append(col)
-    return window
+def _lane_chunks(p: int):
+    """F_p^4 as lanes (C_1, C_2, C_3, C_4) in p chunks of p^3 lanes, one per
+    value of C_1, the slowest coordinate of the C-order index.  Yields (slice
+    of the flat index, lanes); the lanes of the inner three coordinates are
+    built once, in the value type of _lane_types."""
+    val_t, _ = _lane_types(p, 1)
+    digits = np.arange(p, dtype=val_t)
+    inner = [np.repeat(digits, p * p), np.tile(np.repeat(digits, p), p), np.tile(digits, p * p)]
+    n = p**3
+    for c1 in range(p):
+        yield slice(c1 * n, (c1 + 1) * n), [np.full(n, c1, val_t), *inner]
 
 
 def extension_constraints(p: int, blocks: int) -> tuple[list[np.ndarray], np.ndarray]:
@@ -87,28 +88,29 @@ def extension_constraints(p: int, blocks: int) -> tuple[list[np.ndarray], np.nda
     and on the unit free-choice sequences.
 
     Returns (constraint value arrays L_k over F_p^4, sensitivity matrix S with
-    S[k][j] = effect of free choice j on constraint k).  The unit sequences
-    ride along as ``blocks`` extra lanes (lane j is 1 at the j-th free index,
-    0 elsewhere), and only the last five values are kept: memory is O(p^4).
+    S[k][j] = effect of free choice j on constraint k).  S does not depend on
+    V, so the ``blocks`` unit lanes (lane j is 1 at the j-th free index, 0
+    elsewhere, on zero initial data) run once.  F_p^4 runs through
+    extend_lanes_modp one chunk of _lane_chunks at a time, and each chunk's
+    residuals fill its slice of the L_k: working memory is O(p^3) besides the
+    k arrays of p^4 values (uint8 for p <= 256) returned.
     """
     # for odd p the free indices m = 1 mod p below blocks*p+2 are at most
     # ``blocks``; at p = 2 every index is free
     if p < 3:
         raise ValueError("extension_constraints requires p >= 3")
-    total = p**4
-    window = _enumerate_initials(p, lanes=blocks)
-    constraints: list[np.ndarray] = []
-    lane_rows: list[np.ndarray] = []
-    for m in range(5, blocks * p + 2):
-        value, residual = _step_modp(MAIN_RECURRENCE, window, m - 5, p)
-        if value is None:
-            value = np.zeros(total + blocks, dtype=np.int64)
-            value[total + len(constraints)] = 1
-            constraints.append(residual[:total])
-            lane_rows.append(residual[total:])
-        window = window[1:] + [value]
-    k = len(constraints)
+    n_terms = blocks * p + 2
+    val_t, _ = _lane_types(p, 5)
+    units = list(np.eye(blocks, dtype=val_t))
+    _, lane_rows = extend_lanes_modp(MAIN_RECURRENCE, [np.zeros(blocks, val_t)] * 5, p, n_terms, units)
+    k = len(lane_rows)
     s_matrix = np.array([row[:k] for row in lane_rows], dtype=np.int64)
+    constraints = [np.empty(p**4, val_t) for _ in range(k)]
+    zero = np.zeros(p**3, val_t)
+    for chunk, lanes in _lane_chunks(p):
+        _, residuals = extend_lanes_modp(MAIN_RECURRENCE, [zero, *lanes], p, n_terms, [zero] * k)
+        for constraint, residual in zip(constraints, residuals):
+            constraint[chunk] = residual
     return constraints, s_matrix
 
 
@@ -118,21 +120,18 @@ def vp_bruteforce_mask(p: int, blocks: int = 2) -> np.ndarray:
 
     A vector survives iff the constraint vector L(V) lies in the column space
     of the (constant) sensitivity matrix; equivalently every left-null form of
-    that matrix kills L(V).
+    that matrix kills L(V).  The forms are applied one chunk of p^3 at a time.
     """
     require_good_prime(p)
     constraints, s_matrix = extension_constraints(p, blocks)
+    mask = np.ones(p**4, dtype=bool)
     if not constraints:
-        return np.ones(p**4, dtype=bool)
+        return mask
     # with a constraint there is at least one lane, so s_matrix is not empty
     left_null = kernel_mod([list(col) for col in s_matrix.T], p)
-    mask = np.ones(p**4, dtype=bool)
-    for nu in left_null:
-        acc = np.zeros(p**4, dtype=np.int64)
-        for k, coef in enumerate(nu):
-            if coef:
-                acc = (acc + coef * constraints[k]) % p
-        mask &= acc == 0
+    for chunk, _ in _lane_chunks(p):
+        for nu in left_null:
+            mask[chunk] &= _lane_residue([c % p for c in nu], [L[chunk] for L in constraints], p) == 0
     return mask
 
 
@@ -241,14 +240,13 @@ def compute_vp(p: int, brute_validate: bool | None = None) -> VpSpace:
 
 
 def _membership_mask(p: int, forms: list[list[int]]) -> np.ndarray:
-    window = _enumerate_initials(p)[1:]
-    mask = np.ones(p**4, dtype=bool)
-    for form in forms:
-        acc = np.zeros(p**4, dtype=np.int64)
-        for coef, arr in zip(form, window):
-            if coef % p:
-                acc = (acc + coef * arr) % p
-        mask &= acc == 0
+    """Boolean mask over F_p^4 (C-order) of the vectors every form kills."""
+    mask = np.empty(p**4, dtype=bool)
+    for chunk, lanes in _lane_chunks(p):
+        kept = np.ones(p**3, dtype=bool)
+        for form in forms:
+            kept &= _lane_residue([c % p for c in form], lanes, p) == 0
+        mask[chunk] = kept
     return mask
 
 
@@ -349,18 +347,13 @@ def union_functional_degenerate(p: int) -> bool:
     return c2p == cp1
 
 
-def _is_proportional_mod(v: Sequence[int], p: int) -> bool:
-    s = special_vector_mod(p)
-    # v = lam * s with s_1 = 1, so lam = v_1
-    lam = v[0] % p
-    return all((lam * si - vi) % p == 0 for si, vi in zip(s, v))
-
-
 def union_check(p: int, sample: int | None = None, seed: int = 0) -> UnionReport:
     """C_p = C_1 exactly on the scalar multiples of the special vector,
     over all of V_p (exhaustive for p <= 31 unless a sample size is given).
 
-    At a degenerate prime (c_{2p} = c_{p+1} mod p; see
+    The members run as lanes of the recurrence to index p; the first member
+    (in elements() or sample order) on which the two sides differ is the
+    counterexample.  At a degenerate prime (c_{2p} = c_{p+1} mod p; see
     union_functional_degenerate) the equivalence genuinely fails and the
     report carries a counterexample with the diagnostic set."""
     require_vp_prime(p)
@@ -376,17 +369,19 @@ def union_check(p: int, sample: int | None = None, seed: int = 0) -> UnionReport
         for _ in range(sample):
             a, b = rng.randrange(p), rng.randrange(p)
             candidates.append(tuple((a * x + b * y) % p for x, y in zip(b1, b2)))
-    checked = 0
-    for v in candidates:
-        sol = extend_modp(MAIN_RECURRENCE, (0, *v), p, p + 1)
-        if not sol.ok:
-            raise AssertionError(f"member of V_p fails to reach index p at p = {p}: {v}")
-        agrees = sol.values[p] == v[0] % p
-        proportional = _is_proportional_mod(v, p)
-        if agrees != proportional:
-            return UnionReport(p, checked + 1, False, v, union_functional_degenerate(p))
-        checked += 1
-    return UnionReport(p, checked, True)
+    val_t, _ = _lane_types(p, 5)
+    lanes = list(np.array(candidates, dtype=val_t).reshape(-1, 4).T)
+    # the first free index is p + 1, so no free lanes are needed up to index p
+    window, _ = extend_lanes_modp(MAIN_RECURRENCE, [np.zeros(len(candidates), val_t), *lanes], p, p + 1, ())
+    # proportional to the special vector s (s_1 = 1): C_i = C_1 s_i
+    proportional = np.logical_and.reduce(
+        [_lane_residue([s], [lanes[0]], p) == lane for s, lane in zip(special_vector_mod(p), lanes)]
+    )
+    failing = np.flatnonzero((window[-1] == lanes[0]) != proportional)
+    if failing.size:
+        first = int(failing[0])
+        return UnionReport(p, first + 1, False, candidates[first], union_functional_degenerate(p))
+    return UnionReport(p, len(candidates), True)
 
 
 # -- W_p witnesses ---------------------------------------------------------------------

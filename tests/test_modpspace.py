@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -74,6 +75,42 @@ def test_bruteforce_oracle_memory_is_o_p4():
     finally:
         tracemalloc.stop()
     assert peak <= 16 * p**4 * 8
+
+
+def test_bruteforce_oracle_memory_is_o_p3_plus_mask():
+    # p chunks of p^3 narrow lanes: beside the k = 2 uint8 constraint arrays
+    # and the boolean mask (p^4 bytes each) the oracle holds O(p^3) bytes; a
+    # single p^4 int16 temporary would add 2 p^4 = 46 p^3 at p = 23
+    import tracemalloc
+
+    p = 23
+    tracemalloc.start()
+    try:
+        vp_bruteforce_mask(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * p**4 + 32 * p**3
+
+
+def test_bruteforce_mask_agrees_with_literal_at_each_depth():
+    for blocks in (1, 2, 3):
+        assert vp_bruteforce(7, blocks) == vp_bruteforce_literal(7, blocks)
+
+
+def test_bruteforce_mask_is_the_closed_form_at_every_good_prime_to_31():
+    from curveseq.modpspace import _membership_mask
+
+    for p in (7, 11, 17, 19, 23, 29, 31):
+        mask = vp_bruteforce_mask(p)
+        assert np.array_equal(mask, _membership_mask(p, [list(HYPERPLANE_FORM), cartier_form(p)]))
+        assert int(mask.sum()) == p * p
+    # the membership grid in C order, against a plain enumeration
+    p = 7
+    forms = [list(HYPERPLANE_FORM), cartier_form(p)]
+    member = _membership_mask(p, forms)
+    plain = [all(form_value(row, v) % p == 0 for row in forms) for v in product(range(p), repeat=4)]
+    assert member.tolist() == plain
 
 
 def test_excluded_primes_raise():
@@ -175,6 +212,34 @@ def test_union_check():
 def test_union_check_sampled_large_prime():
     rep = union_check(41, sample=40, seed=5)
     assert rep.equivalence_holds and rep.checked == 40
+
+
+def test_union_check_lanes_match_scalar_extension():
+    # the first member (in order) where C_p = C_1 and proportionality differ,
+    # found by extend_modp one member at a time
+    for p, sample in ((11, None), (37, 60), (41, 40)):
+        rep = union_check(p, sample=sample, seed=5)
+        space = compute_vp(p, brute_validate=False)
+        if sample is None:
+            members = list(space.elements())
+        else:
+            rng = random.Random(5)
+            b1, b2 = space.basis
+            members = []
+            for _ in range(sample):
+                a, b = rng.randrange(p), rng.randrange(p)
+                members.append(tuple((a * x + b * y) % p for x, y in zip(b1, b2)))
+        s = special_vector_mod(p)
+        failing = [
+            i for i, v in enumerate(members)
+            if (extend_modp(MAIN_RECURRENCE, (0, *v), p, p + 1).values[p] == v[0])
+            != all((v[0] * si - vi) % p == 0 for si, vi in zip(s, v))
+        ]
+        if failing:
+            assert (rep.equivalence_holds, rep.checked, rep.counterexample) == (
+                False, failing[0] + 1, members[failing[0]])
+        else:
+            assert (rep.equivalence_holds, rep.checked, rep.counterexample) == (True, len(members), None)
 
 
 def test_union_degenerates_at_37():
