@@ -30,10 +30,10 @@ from .recurrence import (
     T2_BLOCK,
     _lane_residue,
     _lane_types,
-    extend_integral,
     extend_lanes_modp,
     form_value,
     poly_eval,
+    window_mod,
 )
 
 EXCLUDED_PRIMES = (2, 3, 5, 13)
@@ -62,9 +62,9 @@ def special_vector_mod(p: int) -> tuple[int, int, int, int]:
 
 
 def tail_vector_mod(p: int) -> tuple[int, int, int, int]:
-    """(c_{p+1}, ..., c_{p+4}) reduced mod p."""
-    nums, dens = extend_integral(MAIN_RECURRENCE, MAIN_INITIAL_DATA, p + 5)
-    return tuple(reduce_fraction_mod((nums[p + i], dens[p + i]), p) for i in (1, 2, 3, 4))
+    """(c_{p+1}, ..., c_{p+4}) reduced mod p, read off the window at p by
+    recurrence.window_mod (step-matrix products over Z/p^2)."""
+    return window_mod(MAIN_RECURRENCE, MAIN_INITIAL_DATA, p, p)[1:]
 
 
 # -- vectorized exhaustive extension ------------------------------------------------
@@ -152,33 +152,34 @@ def vp_bruteforce(p: int, blocks: int = 2) -> set[tuple[int, int, int, int]]:
 
 def vp_bruteforce_literal(p: int, blocks: int = 2) -> set[tuple[int, int, int, int]]:
     """Plain enumeration over (V, first free choice) without the linear-algebra
-    shortcut; feasible for p <= 11.  Used to cross-check the vectorized oracle."""
+    shortcut; feasible for p <= 11.  Used to cross-check the vectorized oracle.
+
+    The coefficients P_j(n) mod p of every step are tabulated once per call,
+    the lead as -1/P_5(n) (0 at a free index)."""
     require_good_prime(p)
     n_terms = blocks * p + 2
+    steps = []
+    for n in range(n_terms - 5):
+        lower = [(off, poly_eval(poly, n) % p) for off, poly in MAIN_RECURRENCE.shifts[:-1]]
+        lead = poly_eval(MAIN_RECURRENCE.leading_poly, n) % p
+        steps.append((n, lower, -pow(lead, -1, p) % p if lead else 0))
     out = set()
     for v in product(range(p), repeat=4):
-        good = False
         for f1 in range(p):
             vals = [0, *v]
             ok = True
-            for m in range(5, n_terms):
-                n = m - 5
-                lead = poly_eval(MAIN_RECURRENCE.leading_poly, n) % p
-                acc = 0
-                for j, (off, poly) in enumerate(MAIN_RECURRENCE.shifts[:-1]):
-                    acc = (acc + poly_eval(poly, n) * vals[n + off]) % p
-                if lead == 0:
-                    if acc:
-                        ok = False
-                        break
-                    vals.append(f1 if m == p + 1 else 0)
+            for n, lower, neg_inv in steps:
+                acc = sum(c * vals[n + off] for off, c in lower) % p
+                if neg_inv:
+                    vals.append(acc * neg_inv % p)
+                elif acc:
+                    ok = False
+                    break
                 else:
-                    vals.append(-acc * pow(lead, -1, p) % p)
+                    vals.append(f1 if n + 5 == p + 1 else 0)
             if ok:
-                good = True
+                out.add(v)
                 break
-        if good:
-            out.add(v)
     return out
 
 
@@ -340,10 +341,12 @@ def union_functional_degenerate(p: int) -> bool:
     mod p.  The map v -> C_p(v) - C_1(v) is linear on the 2-dimensional V_p
     and kills the special line; it kills the tail basis vector exactly when
     this congruence holds, and then EVERY member of V_p passes the C_p = C_1
-    test.  Sporadic: the only instance below 1050 is p = 37."""
+    test.  Sporadic: the only instance below 1050 is p = 37.
+
+    c_{p+1} and c_{2p} are the last entries of the windows at p - 3 and
+    2p - 4, read in one pass of recurrence.window_mod over Z/p^2."""
     require_vp_prime(p)
-    nums, dens = extend_integral(MAIN_RECURRENCE, MAIN_INITIAL_DATA, 2 * p + 1)
-    c2p, cp1 = (reduce_fraction_mod((nums[i], dens[i]), p) for i in (2 * p, p + 1))
+    cp1, c2p = (w[-1] for w in window_mod(MAIN_RECURRENCE, MAIN_INITIAL_DATA, p, [p - 3, 2 * p - 4]))
     return c2p == cp1
 
 

@@ -1,4 +1,5 @@
-"""Linear recurrences with polynomial coefficients, over Q and over F_p.
+"""Linear recurrences with polynomial coefficients, over Q and over F_p, and
+single windows of a rational solution mod p read over Z/p^k.
 
 The central object is the order-5 recurrence
 
@@ -212,6 +213,114 @@ def extend_rational(spec: Recurrence, init: InitialData | Sequence, n_terms: int
 def main_sequence(n_terms: int) -> list[Fraction]:
     """c_0, c_1, ..., c_{n_terms-1} of the main sequence."""
     return extend_rational(MAIN_RECURRENCE, MAIN_INITIAL_DATA, n_terms)
+
+
+# -- windows mod p off products of step matrices ------------------------------------
+
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _window_dtype(spec: Recurrence, q: int) -> np.dtype:
+    """int64 while every value window_mod forms mod q fits it, else object.
+
+    Entries are residues in [0, q): a row times a column sums d products, at
+    most d(q-1)^2, and a Horner step of the coefficient table forms
+    acc * m + c with acc, m in [0, q), at most (q-1)^2 + max|c|.
+    """
+    cmax = max(abs(c) for _, poly in spec.shifts for c in poly)
+    top = max(spec.order * (q - 1) ** 2, (q - 1) ** 2 + cmax)
+    return np.dtype(np.int64) if top <= _INT64_MAX else _OBJECT
+
+
+def _coefficient_table(spec: Recurrence, start: int, stop: int, q: int, dtype: np.dtype) -> np.ndarray:
+    """P_j(m) mod q for start <= m < stop: row j for j = 0..d, by Horner's rule
+    reduced mod q at every step."""
+    ms = np.arange(start, stop, dtype=dtype) % q
+    table = np.zeros((spec.order + 1, stop - start), dtype)
+    for j, poly in spec.shifts:
+        for c in reversed(poly):
+            table[j] = (table[j] * ms + c) % q
+    return table
+
+
+def _forced_steps(spec: Recurrence, window: list[int], start: int, stop: int, q: int, dtype: np.dtype) -> list[int]:
+    """The window at ``start`` carried to ``stop`` mod q, where p | P_d(m) at
+    no step m in [start, stop).
+
+    Step m multiplies the window by the division-free companion matrix (shift
+    rows scaled by P_d(m), last row -P_0(m)..-P_{d-1}(m)) and divides it by
+    P_d(m).  The matrices (and the leads) are multiplied pairwise in a product
+    tree, and the product of the leads, a unit mod q, is divided out once.
+    """
+    if start == stop:
+        return window
+    d = spec.order
+    table = _coefficient_table(spec, start, stop, q, dtype)
+    mats = np.zeros((stop - start, d, d), dtype)
+    shift = np.arange(d - 1)
+    mats[:, shift, shift + 1] = table[d][:, None]
+    mats[:, d - 1, :] = (-table[:d].T) % q
+    leads = table[d]
+    while len(mats) > 1:
+        top = len(mats) - len(mats) % 2  # an odd last factor waits a level
+        pairs = np.matmul(mats[1:top:2], mats[:top:2]) % q
+        lead_pairs = leads[1:top:2] * leads[:top:2] % q
+        mats = np.concatenate([pairs, mats[top:]])
+        leads = np.concatenate([lead_pairs, leads[top:]])
+    inv = pow(int(leads[0]), -1, q)
+    return [int(v) * inv % q for v in mats[0].dot(np.array(window, dtype)) % q]
+
+
+def window_mod(
+    spec: Recurrence, init: InitialData | Sequence, p: int, n: int | Sequence[int]
+) -> tuple[int, ...] | list[tuple[int, ...]]:
+    """The window (c_n, ..., c_{n+d-1}) mod p of the rational solution with
+    the given initial data, as a tuple; for increasing indices n, one window
+    per index, read in one pass.
+
+    Works over Z/p^(1+e), where e is the sum of v_p(P_d(m)) over the steps
+    m < n crossed.  Between steps with p | P_d(m) the window moves by step
+    matrix products mod p^k (_forced_steps).  Such a step runs in scalar
+    form: its accumulator must be divisible by p^v exactly, v = v_p(P_d(m));
+    it is divided by p^v, and the modulus drops by p^v, so one digit is left
+    at the end.  Raises ValueError when some c_k, k < n + d, is not p-integral
+    (as exactnum.reduce_fraction_mod does), and ZeroDivisionError when P_d
+    vanishes at a step (as extend_integral does).  Every call computes from
+    scratch.
+    """
+    reads = [n] if isinstance(n, int) else list(n)
+    if not reads or reads[0] < 0 or any(a >= b for a, b in zip(reads, reads[1:])):
+        raise ValueError("window indices must be increasing and nonnegative")
+    values = init.values if isinstance(init, InitialData) else init
+    d = spec.order
+    if len(values) != d:
+        raise ValueError(f"need exactly {d} initial values")
+    lead = spec.leading_poly
+    lead_modp = _coefficient_table(spec, 0, reads[-1], p, _window_dtype(spec, p))[d]
+    free = {}  # step m -> v_p(P_d(m)) > 0
+    for m in np.flatnonzero(lead_modp == 0).tolist():
+        exact = poly_eval(lead, m)
+        if exact == 0:
+            raise ZeroDivisionError(f"leading coefficient vanishes at n = {m}")
+        free[m] = padic_valuation(exact, p)
+    q = p ** (1 + sum(free.values()))
+    dtype = _window_dtype(spec, q)
+    window = [reduce_fraction_mod(Fraction(v), q) for v in values]
+    out, pos = [], 0
+    for t in sorted(free.keys() | set(reads)):
+        window, pos = _forced_steps(spec, window, pos, t, q, dtype), t
+        if t == reads[len(out)]:
+            out.append(tuple(w % p for w in window))
+        if t in free:
+            acc = sum(poly_eval(poly, t) * window[j] for j, poly in spec.shifts if j < d)
+            pv = p ** free[t]
+            if acc % pv:
+                raise ValueError(f"c_{t + d} of the solution is not {p}-integral")
+            q //= pv
+            new = -(acc // pv) * pow(poly_eval(lead, t) // pv, -1, q) % q
+            window, pos = [w % q for w in window[1:]] + [new], t + 1
+    return out[0] if isinstance(n, int) else out
 
 
 # -- mod-p extension -----------------------------------------------------------

@@ -240,8 +240,10 @@ class TruncatedSeries:
         return self._wrap([c * i for i, c in terms] if m is None else [c * i % m for i, c in terms], n - 1)
 
     def log_derivative(self) -> "TruncatedSeries":
-        """f'/f to precision N-1; additive on products."""
-        return self.derivative() * self.inverse().truncate(max(self.precision - 1, 0))
+        """f'/f to precision N-1; additive on products.  1/f is formed at
+        precision N-1 (at N = 1 still at 1, so a zero constant term raises)."""
+        n = self.precision
+        return self.derivative() * self.truncate(n - 1 if n > 1 else n).inverse()
 
     def x_log_derivative(self) -> "TruncatedSeries":
         """x f'/f to precision N (coefficient n depends on f only up to x^n)."""

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from curveseq.exactnum import padic_valuation, reduce_fraction_mod
+from curveseq import recurrence
+from curveseq.curve import q_polynomial
+from curveseq.exactnum import is_prime, padic_valuation, reduce_fraction_mod
 from curveseq.recurrence import (
     FOOTNOTE_RECURRENCE,
     MAIN_RECURRENCE,
@@ -16,6 +18,7 @@ from curveseq.recurrence import (
     Recurrence,
     _lane_types,
     _step_modp,
+    _window_dtype,
     common_denominator,
     denominator_profile,
     extend_integral,
@@ -30,6 +33,7 @@ from curveseq.recurrence import (
     sequence_from_json,
     sequence_to_json,
     special_detector,
+    window_mod,
 )
 from curveseq.linalg import rank_fraction
 
@@ -374,3 +378,158 @@ def test_extend_integral_shared_denominator_is_least():
     assert c == main_sequence(1001)
     for k in range(4, 1001):
         assert dens[k] == math.lcm(*(v.denominator for v in c[k - 4 : k + 1]))
+
+
+# -- window_mod: windows mod p off step-matrix products --------------------------------
+
+
+def q_windows(spec, init, p, ns):
+    """The windows at ns mod p by the Q route: extend_integral, then
+    reduce_fraction_mod on the pairs (ValueError where one is not p-integral)."""
+    d = spec.order
+    nums, dens = extend_integral(spec, init, max(ns) + d)
+    return [tuple(reduce_fraction_mod((nums[k], dens[k]), p) for k in range(n, n + d)) for n in ns]
+
+
+ODD_PRIMES_BELOW_200 = [p for p in range(3, 200) if is_prime(p)]
+
+
+def test_window_mod_matches_q_route_across_free_indices():
+    # MAIN's free steps are m = kp - 4 (P_5(m) = 4(m + 4)); for p >= 5 a
+    # window at n crosses k of them for kp - 4 < n <= (k+1)p - 4, here
+    # k = 0..4, read one by one and in one pass
+    rng = random.Random(11)
+    nums, dens = extend_integral(MAIN_RECURRENCE, MAIN_INITIAL_DATA, 5 * max(ODD_PRIMES_BELOW_200) + 1)
+    for p in ODD_PRIMES_BELOW_200:
+        ns = [max(0, k * p - 3 + rng.randrange(p)) for k in range(5)]
+        want = [tuple(reduce_fraction_mod((nums[k], dens[k]), p) for k in range(n, n + 5)) for n in ns]
+        assert [window_mod(MAIN_RECURRENCE, MAIN_INITIAL_DATA, p, n) for n in ns] == want, p
+        assert window_mod(MAIN_RECURRENCE, MAIN_INITIAL_DATA, p, ns) == want, p
+
+
+def test_window_mod_reads_cp1_and_c2p_at_every_good_prime_below_1050():
+    # the two entries the C_p = C_1 degeneracy reads, and the V_p tail vector
+    nums, dens = extend_integral(MAIN_RECURRENCE, MAIN_INITIAL_DATA, 2 * 1049 + 1)
+    good = [p for p in range(7, 1050) if is_prime(p) and p != 13]
+    assert len(good) == 172
+    for p in good:
+        w1, tail, w2 = window_mod(MAIN_RECURRENCE, MAIN_INITIAL_DATA, p, [p - 3, p, 2 * p - 4])
+        red = [reduce_fraction_mod((nums[k], dens[k]), p) for k in (p + 1, p + 2, p + 3, p + 4, 2 * p)]
+        assert (tail[1:], w1[-1], w2[-1]) == (tuple(red[:4]), red[0], red[4]), p
+
+
+def test_window_mod_not_p_integral_raises():
+    for p in (7, 11, 37):
+        # C_4 = 1/p: the initial window itself is not p-integral
+        init = InitialData.of(0, 1, 2, Fraction(-1, 8), Fraction(1, p))
+        for n in (0, p + 1):
+            with pytest.raises(ValueError):
+                window_mod(MAIN_RECURRENCE, init, p, n)
+            with pytest.raises(ValueError):
+                q_windows(MAIN_RECURRENCE, init, p, [n])
+        # exp(x/(1-x)) has c_p = sum_k binom(p-1, k-1)/k! with one 1/p! term:
+        # the window up to c_{p-1} reads, the one through c_p does not
+        assert window_mod(FOOTNOTE_RECURRENCE, [1, 1], p, p - 2) == q_windows(FOOTNOTE_RECURRENCE, [1, 1], p, [p - 2])[0]
+        with pytest.raises(ValueError):
+            window_mod(FOOTNOTE_RECURRENCE, [1, 1], p, p - 1)
+        with pytest.raises(ValueError):
+            q_windows(FOOTNOTE_RECURRENCE, [1, 1], p, [p - 1])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([(MAIN_RECURRENCE, 5), (FOOTNOTE_RECURRENCE, 2)]),
+    st.sampled_from([3, 5, 7, 11, 13]),
+    st.data(),
+)
+def test_window_mod_agrees_or_raises_with_q_route(spec_d, p, data):
+    # window_mod raises ValueError exactly when some c_k, k < n + d, is not
+    # p-integral; otherwise it is the Q route's window
+    spec, d = spec_d
+    dens = st.sampled_from([1, 2, 8, 3 * p + 1, p, 2 * p, p * p])
+    init = data.draw(st.lists(st.builds(Fraction, st.integers(-50, 50), dens), min_size=d, max_size=d))
+    n = data.draw(st.integers(0, 4 * p))
+    nums, dens = extend_integral(spec, init, n + d)
+    try:
+        [reduce_fraction_mod((a, b), p) for a, b in zip(nums, dens)]
+        want = q_windows(spec, init, p, [n])[0]
+    except ValueError:
+        want = ValueError
+    try:
+        got = window_mod(spec, init, p, n)
+    except ValueError:
+        got = ValueError
+    assert got == want
+
+
+def test_window_mod_vanishing_leading_coefficient():
+    # (n - 3) g_{n+1} + g_n = 0, as in the Q kernel's test: the step at n = 3
+    # divides by zero (at p = 3 already c_1 = 1/3 is not 3-integral)
+    spec = Recurrence(((0, (1,)), (1, (-3, 1))))
+    with pytest.raises(ValueError):
+        window_mod(spec, [1], 3, 1)
+    for p in (5, 7):
+        assert window_mod(spec, [1], p, 3) == q_windows(spec, [1], p, [3])[0]
+        with pytest.raises(ZeroDivisionError):
+            window_mod(spec, [1], p, 4)
+
+
+def test_window_mod_bad_indices_raise():
+    for n in (-1, [], [3, 3], [5, 2]):
+        with pytest.raises(ValueError):
+            window_mod(MAIN_RECURRENCE, MAIN_INITIAL_DATA, 7, n)
+    with pytest.raises(ValueError):
+        window_mod(MAIN_RECURRENCE, [0, 1], 7, 3)
+
+
+def test_window_mod_object_fallback(monkeypatch):
+    # p = 7: the steps m < n cross e = v_7 sum over m + 4 = 7, 14, ..., with
+    # 49 counting twice; e = 9 for 53 <= n <= 59 (7^10 still int64), e = 10
+    # from n = 60 (7^11 past the guard), e = 13 at n = 80
+    seen = []
+    forced = recurrence._forced_steps
+
+    def spy(spec, window, start, stop, q, dtype):
+        seen.append(dtype)
+        return forced(spec, window, start, stop, q, dtype)
+
+    monkeypatch.setattr(recurrence, "_forced_steps", spy)
+    p = 7
+    for n, dtype in ((59, np.dtype(np.int64)), (60, np.dtype(object)), (80, np.dtype(object))):
+        seen.clear()
+        assert window_mod(MAIN_RECURRENCE, MAIN_INITIAL_DATA, p, n) == q_windows(
+            MAIN_RECURRENCE, MAIN_INITIAL_DATA, p, [n]
+        )[0]
+        assert set(seen) == {dtype}, n
+
+
+def test_window_dtype_guard():
+    # only dtypes are inspected, nothing is allocated: int64 exactly while a
+    # row times a column, d(q-1)^2, and a Horner step, (q-1)^2 + max|c|, fit
+    top = int(np.iinfo(np.int64).max)
+    wide = Recurrence(((0, (2**40,)), (1, (1,))))  # d = 1: the Horner bound binds
+    for spec, cmax in ((MAIN_RECURRENCE, 16), (FOOTNOTE_RECURRENCE, 3), (wide, 2**40)):
+        bound = lambda q: max(spec.order * (q - 1) ** 2, (q - 1) ** 2 + cmax)
+        edge = math.isqrt(top // spec.order)  # near the last q that fits
+        while bound(edge + 1) <= top:
+            edge += 1
+        while bound(edge) > top:
+            edge -= 1
+        for q in (3, 7**10, 7**11, edge - 1, edge, edge + 1, 2**64, 2**127):
+            assert _window_dtype(spec, q) == (np.dtype(np.int64) if bound(q) <= top else object), (spec, q)
+        assert _window_dtype(spec, edge) == np.int64 and _window_dtype(spec, edge + 1) == object
+    assert _window_dtype(MAIN_RECURRENCE, 7**10) == np.int64
+    assert _window_dtype(MAIN_RECURRENCE, 7**11) == object
+
+
+def test_main_sequence_mod_p_from_the_hasse_power():
+    # a third route: s = 2x(2x+1)/y and 1/y = Q^((p-1)/2) Q(x^p)^(-1/2) mod p,
+    # with Q(x^p)^(-1/2) = 1/2 + O(x^(2p)), so c_n = a_(n-1) + 2 a_(n-2) mod p
+    # for 1 <= n <= 2p, a_k the coefficients of Q^((p-1)/2); deg = 2p - 2
+    # gives c_(2p) = 2
+    for p in (p for p in range(7, 400) if is_prime(p) and p != 13):
+        a = q_polynomial(p) ** ((p - 1) // 2)
+        windows = window_mod(MAIN_RECURRENCE, MAIN_INITIAL_DATA, p, range(0, 2 * p + 1, 5))
+        c = [v for w in windows for v in w]
+        assert all(c[n] == (a[n - 1] + 2 * a[n - 2]) % p for n in range(1, 2 * p + 1)), p
+        assert c[2 * p] == 2
