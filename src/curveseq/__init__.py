@@ -10,7 +10,6 @@ from .exactnum import (
     generalized_binomial,
     is_prime,
     legendre_symbol,
-    mobius_and_lcm,
     padic_valuation,
 )
 from .recurrence import (
@@ -32,7 +31,6 @@ __all__ = [
     "generalized_binomial",
     "is_prime",
     "legendre_symbol",
-    "mobius_and_lcm",
     "padic_valuation",
     "MAIN_RECURRENCE",
     "MAIN_INITIAL_DATA",

@@ -122,21 +122,6 @@ def exactness_test(form: CurveForm, p: int) -> ExactnessResult:
     return ExactnessResult(True, None, blocks)
 
 
-def exact_in_series_field(w: TruncatedSeries, p: int) -> bool:
-    """w dx exact in F_p((x)): every known coefficient of x^(mp-1) vanishes.
-
-    This is the plain series-field criterion (no curve, any prime); it checks
-    the available coefficients and leaves degree-bound reasoning to callers.
-    """
-    return cartier_series(w, p).is_zero()
-
-
-def log_exact_in_series_field(w: TruncatedSeries, p: int) -> bool:
-    """w dx fixed by Cartier in F_p((x)), on the available coefficients."""
-    img = cartier_series(w, p)
-    return img.coeffs == w.coeffs[: img.precision]
-
-
 def log_exactness_test(form: CurveForm, p: int) -> bool:
     """C(form) = form iff the form is d(phi)/phi for some function phi (C2)."""
     # (C(form) - form)/omega has at most 2B + 4 poles; vanishing from the

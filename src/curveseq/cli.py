@@ -15,6 +15,7 @@ import random
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from pathlib import Path
 
 from . import __version__
 from .cartier import (
@@ -40,6 +41,7 @@ from .exactnum import is_prime, require_prime
 from .frobenius import asd_check, point_count, singular_mod, supersingular_scan
 from .modpspace import (
     EXCLUDED_PRIMES,
+    EXHAUSTIVE_PMAX,
     compute_vp,
     extendability_test,
     require_vp_prime,
@@ -56,7 +58,6 @@ from .recurrence import (
     denominator_profile,
     extend_rational,
     form_value,
-    special_detector,
 )
 from .series import congruence_scan
 
@@ -187,10 +188,13 @@ def cmd_seq(args) -> Report:
     seq = extend_rational(MAIN_RECURRENCE, init, args.n)
     for n, c in enumerate(seq):
         print(f"c_{n} = {c}")
-    special, hyper = special_detector(init)
-    rep.add("extend", True, f"{args.n} terms", {"last": seq[-1], "special": special, "hyperplane": hyper})
-    if init.values == MAIN_INITIAL_DATA.values and args.n >= 6:
-        rep.add("golden-c5", seq[5] == Fraction(-77, 128), f"c_5 = {seq[5]}")
+    witness = {"last": seq[-1], "special": init.is_special, "hyperplane": init.hyperplane_value}
+    rep.add("extend", True, f"{args.n} terms", witness)
+    if init.values == MAIN_INITIAL_DATA.values:
+        if args.n >= 6:
+            rep.add("golden-c5", seq[5] == Fraction(-77, 128), f"c_5 = {seq[5]}")
+        else:
+            rep.skip("golden-c5", f"--n {args.n} stops before c_5")
     return rep
 
 
@@ -264,6 +268,8 @@ def cmd_closed_forms(args) -> Report:
     rep.add("l-table = (0, 1, 8, -2, -32)", lvals == [0, 1, 8, -2, -32], f"got {lvals}")
     if args.n >= 5:
         rep.add("l_5 = -154", rows[5].l == -154)
+    else:
+        rep.skip("l_5 = -154", f"--n {args.n} stops before l_5")
     two = two_adic_facts(min(args.n // 2, 60))
     rep.add("l_(2m) = 0 mod 4", two.even_multiple_of_4)
     rep.add("l_(2m+1) = (-1)^m C(2m,m) mod 8", two.mod8_matches)
@@ -309,14 +315,17 @@ def cmd_modp_space(args) -> Report:
         "special vector extendable (both routes)",
         ext.extendable and ext.agree,
     )
-    if p <= 31 or args.seed is not None:
-        rng_sample = None if p <= 31 else 200
-        union = union_check(p, sample=rng_sample, seed=args.seed or 0)
+    union_name = "C_p = C_1 iff proportional to special"
+    sample = None if p <= EXHAUSTIVE_PMAX else 200
+    if sample and args.seed is None:
+        rep.skip(union_name, f"exhaustive only for p <= {EXHAUSTIVE_PMAX}; --seed tests {sample} sampled members")
+    else:
+        union = union_check(p, sample=sample, seed=args.seed or 0)
         detail = f"{union.checked} vectors"
         if union.degenerate:
             detail += " (degenerate prime: c_{2p} = c_{p+1} mod p, test has no force)"
         rep.add(
-            "C_p = C_1 iff proportional to special",
+            union_name,
             union.equivalence_holds,
             detail,
             None if union.equivalence_holds else {"counterexample": list(union.counterexample)},
@@ -455,18 +464,17 @@ def cmd_asd(args) -> Report:
 
 
 def cmd_all(args) -> Report:
-    rep = Report("all", {"quick": args.quick, "seed": args.seed})
-    q = args.quick
+    rep = Report("all", {"seed": args.seed})
     seed = [] if args.seed is None else ["--seed", str(args.seed)]
     steps = [
         ["identities"],
-        ["closed-forms", "--n", "20" if q else "60"],
-        ["congruence", "--p", "3", "--rmax", "1" if q else "2", "--nmax", "200" if q else "500"],
-        ["denom", "--n", "100" if q else "300"],
+        ["closed-forms", "--n", "60"],
+        ["congruence", "--p", "3", "--rmax", "2", "--nmax", "500"],
+        ["denom", "--n", "300"],
         ["modp-space", "--p", "7", *seed],
-        ["cartier", "--p", "7", "--pmax", "50" if q else "100", *seed],
-        ["frobenius", "--pmax", "30", "--vp-limit", "13"] if q else ["frobenius", "--pmax", "50"],
-        ["asd", "--p", "5", "--rmax", "2", "--nmax", "3" if q else "5"],
+        ["cartier", "--p", "7", "--pmax", "100", *seed],
+        ["frobenius", "--pmax", "50"],
+        ["asd", "--p", "5", "--rmax", "2", "--nmax", "5"],
     ]
     parser = build_parser()
     for argv in steps:
@@ -542,7 +550,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nmax", type=_int_arg(1), default=5)
 
     p = add("all", cmd_all, help="run the whole battery")
-    p.add_argument("--quick", action="store_true")
     p.add_argument("--seed", type=_int_arg(0))
     return parser
 
@@ -564,6 +571,9 @@ def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespa
     """The arguments of one command line, with the domain errors that
     involve more than one argument."""
     args = parser.parse_args(_join_values(argv))
+    # a report that cannot be written is refused before any check runs
+    if args.json is not None and (Path(args.json).is_dir() or not Path(args.json).parent.is_dir()):
+        parser.error(f"--json {args.json}: not a file in an existing directory")
     if args.command == "modp-space" and args.pmax is not None and args.seed is not None:
         parser.error("--seed has no effect with --pmax: the tabulation draws no random vectors")
     if args.command == "congruence" and args.nmax < args.p:

@@ -172,10 +172,6 @@ class CurveFunction:
 # -- named functions of the field ------------------------------------------------
 
 
-def fn_x(modulus: int | None = None) -> CurveFunction:
-    return CurveFunction.rational(Polynomial([0, 1], modulus), modulus)
-
-
 def fn_y(modulus: int | None = None) -> CurveFunction:
     return CurveFunction.y_multiple(Polynomial([1], modulus), modulus)
 
@@ -362,16 +358,6 @@ def expand_at_origin(f: CurveFunction, n: int) -> TruncatedSeries:
     return TruncatedSeries(
         [ls.coefficient(k) for k in range(n)], n, f.modulus
     )
-
-
-def form_valuation(form: CurveForm, place: Place) -> int | None:
-    """Order of the form at the place (None = zero to working precision)."""
-    w = expand_form(form, place)
-    return w.valuation()
-
-
-def residue_at(form: CurveForm, place: Place):
-    return expand_form(form, place).residue()
 
 
 # -- the ODE ---------------------------------------------------------------------

@@ -134,13 +134,6 @@ def lcm_upto(n: int) -> int:
     return out
 
 
-def mobius_and_lcm(n: int) -> tuple[int, int]:
-    """(mu(n), lcm(1..n)) in one call."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    return mobius(n), lcm_upto(n)
-
-
 def divisors(n: int) -> list[int]:
     small, large = [], []
     d = 1

@@ -37,6 +37,9 @@ from .recurrence import (
 )
 
 EXCLUDED_PRIMES = (2, 3, 5, 13)
+#: the largest p at which V_p is checked against all of F_p^4 (the brute-force
+#: oracle) and the union theorem over all of V_p, unless a sample is asked for
+EXHAUSTIVE_PMAX = 31
 
 
 def require_vp_prime(p: int) -> int:
@@ -135,24 +138,10 @@ def vp_bruteforce_mask(p: int, blocks: int = 2) -> np.ndarray:
     return mask
 
 
-def vp_bruteforce(p: int, blocks: int = 2) -> set[tuple[int, int, int, int]]:
-    mask = vp_bruteforce_mask(p, blocks)
-    out = set()
-    for flat in np.nonzero(mask)[0]:
-        flat = int(flat)
-        v = (
-            flat // p**3 % p,
-            flat // p**2 % p,
-            flat // p % p,
-            flat % p,
-        )
-        out.add(v)
-    return out
-
-
-def vp_bruteforce_literal(p: int, blocks: int = 2) -> set[tuple[int, int, int, int]]:
-    """Plain enumeration over (V, first free choice) without the linear-algebra
-    shortcut; feasible for p <= 11.  Used to cross-check the vectorized oracle.
+def vp_bruteforce_literal(p: int, blocks: int = 2) -> np.ndarray:
+    """The mask of vp_bruteforce_mask (same C order) by plain enumeration over
+    (V, first free choice) without the linear-algebra shortcut; feasible for
+    p <= 11.  Used to cross-check the vectorized oracle.
 
     The coefficients P_j(n) mod p of every step are tabulated once per call,
     the lead as -1/P_5(n) (0 at a free index)."""
@@ -163,8 +152,8 @@ def vp_bruteforce_literal(p: int, blocks: int = 2) -> set[tuple[int, int, int, i
         lower = [(off, poly_eval(poly, n) % p) for off, poly in MAIN_RECURRENCE.shifts[:-1]]
         lead = poly_eval(MAIN_RECURRENCE.leading_poly, n) % p
         steps.append((n, lower, -pow(lead, -1, p) % p if lead else 0))
-    out = set()
-    for v in product(range(p), repeat=4):
+    mask = np.zeros(p**4, dtype=bool)
+    for flat, v in enumerate(product(range(p), repeat=4)):
         for f1 in range(p):
             vals = [0, *v]
             ok = True
@@ -178,9 +167,9 @@ def vp_bruteforce_literal(p: int, blocks: int = 2) -> set[tuple[int, int, int, i
                 else:
                     vals.append(f1 if n + 5 == p + 1 else 0)
             if ok:
-                out.add(v)
+                mask[flat] = True
                 break
-    return out
+    return mask
 
 
 # -- V_p ---------------------------------------------------------------------------
@@ -210,8 +199,8 @@ def compute_vp(p: int, brute_validate: bool | None = None) -> VpSpace:
     """V_p as the kernel of the hyperplane and Cartier forms; dimension 2,
     containing the reductions of (1, 2, -1/8, -1/2) and (c_{p+1..p+4}).
 
-    For p <= 31 (default) the kernel is cross-validated against the
-    exhaustive extension search over all of F_p^4.
+    For p <= EXHAUSTIVE_PMAX (default) the kernel is cross-validated against
+    the exhaustive extension search over all of F_p^4.
     """
     require_vp_prime(p)
     hyper = [v % p for v in HYPERPLANE_FORM]
@@ -229,7 +218,7 @@ def compute_vp(p: int, brute_validate: bool | None = None) -> VpSpace:
     if rank_mod([list(special), list(tail)], p) != 2:
         raise AssertionError(f"the two basis vectors are dependent at p = {p}")
     if brute_validate is None:
-        brute_validate = p <= 31
+        brute_validate = p <= EXHAUSTIVE_PMAX
     if brute_validate:
         mask = vp_bruteforce_mask(p)
         member = _membership_mask(p, [hyper, cart])
@@ -352,7 +341,7 @@ def union_functional_degenerate(p: int) -> bool:
 
 def union_check(p: int, sample: int | None = None, seed: int = 0) -> UnionReport:
     """C_p = C_1 exactly on the scalar multiples of the special vector,
-    over all of V_p (exhaustive for p <= 31 unless a sample size is given).
+    over all of V_p, or over ``sample`` members drawn with ``seed``.
 
     The members run as lanes of the recurrence to index p; the first member
     (in elements() or sample order) on which the two sides differ is the
@@ -361,8 +350,6 @@ def union_check(p: int, sample: int | None = None, seed: int = 0) -> UnionReport
     report carries a counterexample with the diagnostic set."""
     require_vp_prime(p)
     space = compute_vp(p, brute_validate=False)
-    if sample is None and p > 31:
-        sample = 500
     if sample is None:
         candidates = list(space.elements())
     else:

@@ -343,6 +343,3 @@ def _to_ratfunc(x, modulus: int | None) -> RationalFunction | None:
         return RationalFunction(Polynomial([x], modulus))
     return None
 
-
-def poly_x(modulus: int | None = None) -> Polynomial:
-    return Polynomial([0, 1], modulus)

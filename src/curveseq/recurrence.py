@@ -14,7 +14,6 @@ but imposes a linear consistency constraint on the five values before it.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -152,12 +151,6 @@ class InitialData:
 
 
 MAIN_INITIAL_DATA = InitialData.of(0, 1, 2, Fraction(-1, 8), Fraction(-1, 2))
-
-
-def special_detector(init: InitialData) -> tuple[bool, Fraction]:
-    """(is_special, 6C_4 + C_2 + C_1); the hyperplane value vanishes on
-    special data but not conversely."""
-    return init.is_special, init.hyperplane_value
 
 
 def extend_integral(
@@ -331,15 +324,6 @@ ChoicePolicy = Callable[[int, list[int]], int]
 
 def zero_policy(index: int, prefix: list[int]) -> int:
     return 0
-
-
-def reduction_policy(rational_values: Sequence[Fraction], p: int) -> ChoicePolicy:
-    """Free choices taken from the reduction of a known rational solution."""
-
-    def policy(index: int, prefix: list[int]) -> int:
-        return reduce_fraction_mod(rational_values[index], p)
-
-    return policy
 
 
 def extend_modp_exhaustive(
@@ -546,19 +530,6 @@ def rhs_forms(init: InitialData) -> RhsForms:
     return RhsForms((-4 * c0, -16 * c0, r0, r1 - c0, r2 - c0), (r0, r1, r2))
 
 
-def rhs_form_matrix() -> list[list[Fraction]]:
-    """The five R-coefficient forms as rows in the variables C_0..C_4."""
-    rows = []
-    for k in range(5):
-        row = []
-        for i in range(5):
-            e = [Fraction(0)] * 5
-            e[i] = Fraction(1)
-            row.append(rhs_forms(InitialData(tuple(e))).r_coeffs[k])
-        rows.append(row)
-    return rows
-
-
 # -- denominator profile ---------------------------------------------------------
 
 
@@ -597,14 +568,6 @@ def denominator_profile(seq: Sequence[Fraction], d: int) -> DenominatorProfile:
     return DenominatorProfile(d, witness is None, witness, denominators, sorted(support))
 
 
-def integrality_witness(seq: Sequence[Fraction], p: int, n_limit: int) -> int | None:
-    """Smallest n <= n_limit with v_p(seq[n]) < 0, or None."""
-    for n in range(min(len(seq), n_limit + 1)):
-        if padic_valuation(seq[n], p) < 0:
-            return n
-    return None
-
-
 def common_denominator(init: InitialData) -> int:
     """A natural d for the denominator bound: lcm of the R-coefficient denominators."""
     d = 1
@@ -612,19 +575,3 @@ def common_denominator(init: InitialData) -> int:
         d = math.lcm(d, c.denominator)
     return d
 
-
-# -- JSON fixture format ----------------------------------------------------------
-
-
-def sequence_to_json(seq: Sequence[Fraction]) -> str:
-    """Exact serialization as a JSON array of "num/den" strings."""
-    return json.dumps([f"{c.numerator}/{c.denominator}" for c in seq])
-
-
-def sequence_from_json(text: str) -> list[Fraction]:
-    data = json.loads(text)
-    out = []
-    for item in data:
-        num, _, den = item.partition("/")
-        out.append(Fraction(int(num), int(den) if den else 1))
-    return out

@@ -349,12 +349,6 @@ def divided_derivative(f: TruncatedSeries, k: int) -> TruncatedSeries:
     return TruncatedSeries([f.coeffs[i] * math.comb(i, k) for i in range(k, n)], n - k, f.modulus)
 
 
-def phi_and_divided_derivative(f: TruncatedSeries, p: int, k: int):
-    """(phi-part keeping p | n, k-th divided derivative); over F_p with k = p-1
-    the second picks the coefficients a_n with n = -1 mod p."""
-    return phi_part(f, p), divided_derivative(f, k)
-
-
 # -- Dieudonne exponents ----------------------------------------------------
 
 

@@ -86,6 +86,7 @@ def test_usage_error_exit_code():
         ["all", "--seed", "-1"],  # Random(-n) draws what Random(n) draws
         ["cartier", "--seed", "-2"],
         ["modp-space", "--p", "7", "--seed", "-3"],
+        ["all", "--quick"],  # retired: all runs one battery
     ],
 )
 def test_domain_error_exit_code(argv, capsys):
@@ -139,6 +140,49 @@ def test_modp_space_pmax_tabulation(capsys):
     code, out = run_cli(["modp-space", "--pmax", "23"], capsys)
     assert code == 0
     assert "cartier form" in out and "23" in out
+
+
+def test_json_to_a_missing_directory_is_a_usage_error(tmp_path, capsys):
+    # refused before any check runs: no table, one error line, exit 2
+    for target in (tmp_path / "missing" / "r.json", tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["seq", "--n", "3", "--json", str(target)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert captured.err.strip().splitlines()[-1].startswith("curveseq: error: --json ")
+    assert not (tmp_path / "missing").exists()
+
+
+def check_statuses(argv, tmp_path, capsys):
+    path = tmp_path / "report.json"
+    code, _ = run_cli([*argv, "--json", str(path)], capsys)
+    assert code == 0
+    return {c["name"]: (c["status"], c["details"]) for c in json.loads(path.read_text())["checks"]}
+
+
+def test_modp_space_large_prime_without_seed_skips_the_union_check(tmp_path, capsys):
+    # above the exhaustive limit the union theorem runs only on a seeded sample
+    name = "C_p = C_1 iff proportional to special"
+    status, details = check_statuses(["modp-space", "--p", "41"], tmp_path, capsys)[name]
+    assert status == "skip" and "--seed" in details
+    assert check_statuses(["modp-space", "--p", "41", "--seed", "3"], tmp_path, capsys)[name][0] == "pass"
+    assert check_statuses(["modp-space", "--p", "31"], tmp_path, capsys)[name][0] == "pass"
+
+
+def test_closed_forms_below_l5_skips(tmp_path, capsys):
+    assert check_statuses(["closed-forms", "--n", "4"], tmp_path, capsys)["l_5 = -154"] == (
+        "skip", "--n 4 stops before l_5"
+    )
+    assert check_statuses(["closed-forms", "--n", "5"], tmp_path, capsys)["l_5 = -154"][0] == "pass"
+
+
+def test_seq_main_data_below_c5_skips(tmp_path, capsys):
+    assert check_statuses(["seq", "--n", "5"], tmp_path, capsys)["golden-c5"] == ("skip", "--n 5 stops before c_5")
+    assert check_statuses(["seq", "--n", "6"], tmp_path, capsys)["golden-c5"][0] == "pass"
+    # other data has no golden value: nothing to skip
+    assert "golden-c5" not in check_statuses(["seq", "--init", "0,0,0,0,1", "--n", "5"], tmp_path, capsys)
 
 
 def test_modp_space_pmax_without_good_prime_skips(tmp_path, capsys):
@@ -217,10 +261,11 @@ def test_frobenius_no_good_prime_skips(tmp_path, capsys):
 
 
 def test_all_quick(capsys):
+    # the one battery (the --quick subset is retired) stays quick
     import time
 
     t0 = time.time()
-    code, out = run_cli(["all", "--quick", "--seed", "1"], capsys)
+    code, out = run_cli(["all", "--seed", "1"], capsys)
     assert code == 0
     assert "0 failed" in out
     assert time.time() - t0 < 120  # comfortably inside the stated budgets
@@ -236,15 +281,15 @@ def test_all_is_its_subcommands(tmp_path, capsys):
 
     steps = [
         ["identities"],
-        ["closed-forms", "--n", "20"],
-        ["congruence", "--p", "3", "--rmax", "1", "--nmax", "200"],
-        ["denom", "--n", "100"],
+        ["closed-forms", "--n", "60"],
+        ["congruence", "--p", "3", "--rmax", "2", "--nmax", "500"],
+        ["denom", "--n", "300"],
         ["modp-space", "--p", "7", "--seed", "1"],
-        ["cartier", "--p", "7", "--pmax", "50", "--seed", "1"],
-        ["frobenius", "--pmax", "30", "--vp-limit", "13"],
-        ["asd", "--p", "5", "--rmax", "2", "--nmax", "3"],
+        ["cartier", "--p", "7", "--pmax", "100", "--seed", "1"],
+        ["frobenius", "--pmax", "50"],
+        ["asd", "--p", "5", "--rmax", "2", "--nmax", "5"],
     ]
-    assert checks(["all", "--quick", "--seed", "1"]) == [c for argv in steps for c in checks(argv)]
+    assert checks(["all", "--seed", "1"]) == [c for argv in steps for c in checks(argv)]
 
 
 def test_report_scalars_serialize_exactly():

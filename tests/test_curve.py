@@ -17,16 +17,13 @@ from curveseq.curve import (
     finite_place,
     fn_s,
     fn_t,
-    fn_x,
     fn_y,
     fn_z,
-    form_valuation,
     infinity_place,
     k_constants,
     omega,
     origin_place,
     q_polynomial,
-    residue_at,
     s_series,
     two_adic_facts,
     verify_algebraic_identities,
@@ -138,7 +135,7 @@ def test_omega_regular_everywhere():
         infinity_place(+1, 20),
         infinity_place(-1, 20),
     ):
-        v = form_valuation(w, place)
+        v = expand_form(w, place).valuation()
         assert v is not None and v >= 0, place.name
     # at the roots of Q: omega = 2 dy / Q'(x), regular since gcd(Q, Q') = 1
     q = q_polynomial()
@@ -159,8 +156,8 @@ def test_eta_shape_at_infinity():
 
 
 def test_xi_residues_at_infinity():
-    assert residue_at(xi_s(), infinity_place(+1, 20)) == -4
-    assert residue_at(xi_s(), infinity_place(-1, 20)) == 4
+    assert expand_form(xi_s(), infinity_place(+1, 20)).residue() == -4
+    assert expand_form(xi_s(), infinity_place(-1, 20)).residue() == 4
 
 
 def test_omega_eta_independent_mod_exact_char_zero():
@@ -168,8 +165,8 @@ def test_omega_eta_independent_mod_exact_char_zero():
     # simple poles only at infinity except cx + d, and d(cx+d) = c dx = c y omega
     # has a y-component; checked here by matching expansions cannot-- instead
     # verify the divisor shape: eta has double poles, omega none.
-    assert form_valuation(eta(), infinity_place(+1, 16)) == -2
-    assert form_valuation(omega(), infinity_place(+1, 16)) == 0
+    assert expand_form(eta(), infinity_place(+1, 16)).valuation() == -2
+    assert expand_form(omega(), infinity_place(+1, 16)).valuation() == 0
 
 
 def test_closed_forms_table():

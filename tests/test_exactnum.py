@@ -14,7 +14,6 @@ from curveseq.exactnum import (
     legendre_symbol,
     lcm_upto,
     mobius,
-    mobius_and_lcm,
     padic_valuation,
     reduce_fraction_mod,
     sqrt_mod,
@@ -79,13 +78,13 @@ def test_legendre_euler_criterion_exhaustive():
 
 
 def test_mobius_and_lcm():
-    assert mobius_and_lcm(12) == (0, 27720)
-    assert mobius_and_lcm(6) == (1, 60)
+    assert (mobius(12), lcm_upto(12)) == (0, 27720)
+    assert (mobius(6), lcm_upto(6)) == (1, 60)
     # 10 = 2 * 5 has an even number of prime factors, so mu(10) = +1
-    assert mobius_and_lcm(10) == (1, 2520)
-    assert mobius_and_lcm(30) == (-1, 2329089562800)
+    assert (mobius(10), lcm_upto(10)) == (1, 2520)
+    assert (mobius(30), lcm_upto(30)) == (-1, 2329089562800)
     with pytest.raises(ValueError):
-        mobius_and_lcm(0)
+        mobius(0)
 
 
 def test_mobius_divisor_sum():

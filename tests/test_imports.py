@@ -1,5 +1,7 @@
 """Lint guards: every name a module of the package imports is used there,
-and every import sits at module level.
+every import sits at module level, and every public function or class is
+called by the package or the benchmark, or is listed in TEST_ONLY with the
+route or claim it serves.
 
 No linter is a dependency of the project, so the check walks the syntax
 tree with the standard library.
@@ -12,6 +14,35 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "curveseq"
 MODULES = sorted(PACKAGE.glob("*.py"))
+BENCHMARK = sorted((PACKAGE.parents[1] / "perfbench").rglob("*.py"))
+
+#: The public names that no module of the package and no benchmark file
+#: calls, each with the route or claim it serves; the tests call them.
+TEST_ONLY = {
+    # independent oracles and routes
+    "vp_bruteforce_literal": "V_p oracle: plain enumeration against vp_bruteforce_mask",
+    "extend_modp_exhaustive": "V_p oracle: every combination of free choices",
+    "dieudonne_exponents_peeling": "Dieudonne exponents: factor peeling against the Moebius formula",
+    "xi_obstruction_matrix": "V_p: the series route through the xi forms",
+    # routes of the acceptance criteria
+    "dieudonne_exponents": "criterion 14: Dieudonne exponents round trip",
+    "xi_quadrature": "criterion 06: the ODE solved by quadrature",
+    "polynomial_solution_search": "criterion 13: the degree-2p polynomial solution",
+    "solution_space_dimension": "criterion 13: a one-dimensional solution space",
+    # claims and references only the tests check
+    "pole_bound_check": "pole bounds of the Cartier image",
+    "residue_check": "residues of the xi forms",
+    "reduce_form": "reference for the F_p reading of xi_form",
+    "x_shift_form": "C(2x^(-i) t omega) reads c_(pn+i)",
+    "expand_at_origin": "Taylor expansion of s at (0, 2) against the recurrence",
+    "p_decompose": "p-basis decomposition over F_p(x)",
+    "clear_denominator": "descent with a declared denominator",
+    "lcm_upto": "lcm(1..n) of the denominator bound",
+    # no claim route yet
+    "binomial_power": "(1 + u)^a of a series",
+    "phi_part": "the coefficients a_n with p | n",
+    "divided_derivative": "the k-th divided derivative",
+}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -96,3 +127,47 @@ def test_guard_flags_a_function_local_import():
         "            import random\n"
     )
     assert function_local_imports(source) == ["f (line 3)", "g (line 8)"]
+
+
+def uncalled_public_names(defining: list[str], calling: list[str]) -> set[str]:
+    """Public module-level functions and classes of the ``defining`` sources
+    that no ``calling`` source names, as a Name or an attribute."""
+    defined = set()
+    for source in defining:
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not node.name.startswith("_"):
+                    defined.add(node.name)
+    named = set()
+    for source in calling:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    return defined - named
+
+
+def test_every_public_name_has_a_caller():
+    package = [path.read_text() for path in MODULES]
+    benchmark = [path.read_text() for path in BENCHMARK]
+    assert benchmark
+    # exact: a name that gained a caller or was deleted leaves the table too
+    assert uncalled_public_names(package, package + benchmark) == set(TEST_ONLY)
+
+
+def test_guard_flags_an_uncalled_public_name():
+    package = (
+        "def used():\n"
+        "    return _private()\n"
+        "def planted():\n"
+        "    return 1\n"
+        "def _private():\n"
+        "    return 2\n"
+        "class Shape:\n"
+        "    def method(self):\n"
+        "        return used()\n"
+    )
+    benchmark = "import m\nm.Shape()\n"
+    assert uncalled_public_names([package], [package, benchmark]) == {"planted"}
+    assert uncalled_public_names([package], [package]) == {"planted", "Shape"}

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from curveseq.exactnum import is_prime
-from curveseq.polyring import Polynomial, RationalFunction, poly_x, resultant
+from curveseq.polyring import Polynomial, RationalFunction, resultant
 from curveseq.series import LaurentSeries, TruncatedSeries, from_polynomial
 
 
@@ -140,7 +140,7 @@ def test_rational_function_reduction():
 
 
 def test_rational_function_field_ops():
-    x = RationalFunction(poly_x())
+    x = RationalFunction(Polynomial([0, 1]))
     one_over_x = 1 / x
     assert x * one_over_x == 1
     assert (x + one_over_x) - one_over_x == x

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from curveseq import recurrence
+from curveseq.cli import json_scalar
 from curveseq.curve import q_polynomial
 from curveseq.exactnum import is_prime, padic_valuation, reduce_fraction_mod
 from curveseq.recurrence import (
@@ -25,14 +26,8 @@ from curveseq.recurrence import (
     extend_lanes_modp,
     extend_modp,
     extend_rational,
-    integrality_witness,
     main_sequence,
-    reduction_policy,
-    rhs_form_matrix,
     rhs_forms,
-    sequence_from_json,
-    sequence_to_json,
-    special_detector,
     window_mod,
 )
 from curveseq.linalg import rank_fraction
@@ -102,8 +97,8 @@ def test_extend_modp_reduction_stays_consistent():
     for p in (3, 7, 11):
         n = 5 * p
         c = main_sequence(n)
-        policy = reduction_policy(c, p)
-        sol = extend_modp(MAIN_RECURRENCE, MAIN_INITIAL_DATA.reduce_mod(p), p, n, policy)
+        sol = extend_modp(MAIN_RECURRENCE, MAIN_INITIAL_DATA.reduce_mod(p), p, n,
+                          lambda index, prefix: reduce_fraction_mod(c[index], p))
         assert sol.ok
         assert sol.values == [reduce_fraction_mod(v, p) for v in c]
 
@@ -141,8 +136,9 @@ def test_extend_modp_zero_solution():
 
 
 def test_extend_modp_free_choice_log():
+    c = main_sequence(30)
     sol = extend_modp(MAIN_RECURRENCE, MAIN_INITIAL_DATA.reduce_mod(7), 7, 30,
-                      reduction_policy(main_sequence(30), 7))
+                      lambda index, prefix: reduce_fraction_mod(c[index], 7))
     assert [m for m, _ in sol.free_choices] == [8, 15, 22, 29]
 
 
@@ -241,15 +237,21 @@ def test_rhs_forms_multiple_of_b_iff_special():
 
 
 def test_rhs_form_rank_is_4():
-    assert rank_fraction(rhs_form_matrix()) == 4
+    # the R-coefficients of the five unit vectors: the transpose of the
+    # forms' matrix, so the same rank
+    units = [InitialData.of(*(int(i == k) for i in range(5))) for k in range(5)]
+    assert rank_fraction([list(rhs_forms(e).r_coeffs) for e in units]) == 4
 
 
 def test_special_detector():
-    assert special_detector(MAIN_INITIAL_DATA) == (True, Fraction(0))
-    assert special_detector(InitialData.of(0, 2, 4, Fraction(-1, 4), -1)) == (True, Fraction(0))
-    assert special_detector(InitialData.of(0, 0, 0, 0, 1)) == (False, Fraction(6))
+    for init, expected in [
+        (MAIN_INITIAL_DATA, (True, Fraction(0))),
+        (InitialData.of(0, 2, 4, Fraction(-1, 4), -1), (True, Fraction(0))),
+        (InitialData.of(0, 0, 0, 0, 1), (False, Fraction(6))),
+    ]:
+        assert (init.is_special, init.hyperplane_value) == expected
     # zero vector counts as proportional
-    assert special_detector(InitialData.of(0, 0, 0, 0, 0))[0] is True
+    assert InitialData.of(0, 0, 0, 0, 0).is_special is True
 
 
 def test_denominator_profile_main_sequence():
@@ -302,16 +304,15 @@ def test_shifted_block_membership():
 
 def test_integrality_witness():
     seq = extend_rational(MAIN_RECURRENCE, InitialData.of(0, 0, 0, 0, 1), 100)
-    w = integrality_witness(seq, 7, 60)
+    w = next((n for n in range(61) if padic_valuation(seq[n], 7) < 0), None)
     assert w is not None and padic_valuation(seq[w], 7) < 0
 
 
 def test_json_round_trip():
     c = main_sequence(12)
-    text = sequence_to_json(c)
-    data = json.loads(text)
+    data = json.loads(json.dumps(json_scalar(c)))
     assert data[5] == "-77/128"
-    assert sequence_from_json(text) == c
+    assert [Fraction(v) for v in data] == c
 
 
 # -- the integer kernel against a per-op Fraction loop ---------------------------

@@ -20,7 +20,6 @@ from curveseq.series import (
     dieudonne_exponents_peeling,
     divided_derivative,
     from_polynomial,
-    phi_and_divided_derivative,
     phi_part,
 )
 
@@ -355,7 +354,7 @@ def test_divided_derivative_lucas_oracle():
     p, k = 3, 2
     n = 30
     f = TruncatedSeries([1] * n, n, p)
-    _, dd = phi_and_divided_derivative(f, p, k)
+    dd = divided_derivative(f, k)
     # over F_3 the k = p-1 divided derivative keeps n = -1 mod p
     for idx, coeff in enumerate(dd.coeffs):
         expect = lucas_binom(idx + k, k, p)
@@ -370,7 +369,7 @@ def test_phi_and_divided_derivative_mod_p_support():
     p = 3
     n = 31
     f = TruncatedSeries([1] * n, n, p)
-    ph, dd = phi_and_divided_derivative(f, p, p - 1)
+    ph, dd = phi_part(f, p), divided_derivative(f, p - 1)
     assert all(c == 0 for i, c in enumerate(ph.coeffs) if i % p)
     support = {i for i, c in enumerate(dd.coeffs) if c}
     assert support == {i for i in range(n - p + 1) if (i + p - 1) % p == p - 1}
