@@ -4,9 +4,7 @@ of a polynomial-coefficient linear recurrence attached to a genus-1 curve."""
 __version__ = "0.1.0"
 
 from .exactnum import (
-    ModInt,
     QuadExt,
-    fp,
     generalized_binomial,
     is_prime,
     legendre_symbol,
@@ -25,9 +23,7 @@ from .recurrence import (
 from .series import LaurentSeries, TruncatedSeries, congruence_scan, dieudonne_exponents
 
 __all__ = [
-    "ModInt",
     "QuadExt",
-    "fp",
     "generalized_binomial",
     "is_prime",
     "legendre_symbol",

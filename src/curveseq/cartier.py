@@ -27,7 +27,7 @@ from .curve import (
     origin_place,
     q_polynomial,
 )
-from .exactnum import ModInt, QuadExt, require_prime, sqrt_mod
+from .exactnum import QuadExt, require_prime, sqrt_mod
 from .polyring import Polynomial, RationalFunction
 from .series import LaurentSeries, TruncatedSeries, _domain_inverse
 
@@ -139,12 +139,12 @@ def log_exactness_test(form: CurveForm, p: int) -> bool:
 
 @dataclass(frozen=True)
 class CartierInvariants:
-    """C(omega) = alpha * omega and C(eta) = beta * omega on the reduced curve."""
+    """C(omega) = alpha * omega and C(eta) = beta * omega on the reduced curve;
+    alpha and beta are residues in [0, p)."""
 
     p: int
-    alpha: ModInt
-    beta: ModInt
-    model: str
+    alpha: int
+    beta: int
 
     @property
     def both_zero(self) -> bool:
@@ -165,7 +165,7 @@ def alphabeta_weierstrass(f_coeffs, p: int) -> CartierInvariants:
     if fpoly.gcd(fpoly.derivative()).degree != 0:
         raise ValueError("singular reduction: f has a repeated root mod p")
     power = fpoly ** ((p - 1) // 2)
-    return CartierInvariants(p, ModInt(power[p - 1], p), ModInt(power[p - 2], p), "weierstrass")
+    return CartierInvariants(p, power[p - 1], power[p - 2])
 
 
 def alphabeta_quartic(p: int, cross_check: bool = False) -> CartierInvariants:
@@ -183,7 +183,7 @@ def alphabeta_quartic(p: int, cross_check: bool = False) -> CartierInvariants:
     sanity = (power[2 * p - 3] + power[2 * p - 2]) % p
     if sanity != 0:
         raise AssertionError(f"[x^(2p-1)] (x^2+x) Q^((p-1)/2) = {sanity} != 0 at p = {p}")
-    inv = CartierInvariants(p, ModInt(alpha, p), ModInt(beta, p), "quartic-E")
+    inv = CartierInvariants(p, alpha, beta)
     if cross_check:
         _cross_check_quartic(inv)
     return inv
@@ -197,7 +197,7 @@ def _cross_check_quartic(inv: CartierInvariants, n_coeffs: int = 60):
     w_omega = expand_form(omega(p), place)
     w_eta = expand_form(eta(p), place)
     base = TruncatedSeries([w_omega.coefficient(k) for k in range(n)], n, p)
-    for form_w, scalar in ((w_omega, inv.alpha.value), (w_eta, inv.beta.value)):
+    for form_w, scalar in ((w_omega, inv.alpha), (w_eta, inv.beta)):
         series = TruncatedSeries([form_w.coefficient(k) for k in range(n)], n, p)
         img = cartier_series(series, p)
         want = base.truncate(img.precision).scale(scalar)
@@ -210,12 +210,13 @@ def _cross_check_quartic(inv: CartierInvariants, n_coeffs: int = 60):
 
 @dataclass(frozen=True)
 class LegendreHasseData:
+    """H_m and H_(m-1) at lambda_0 (residues in [0, p)) and the two identities."""
+
     p: int
-    lam0: ModInt
+    lam0: int
     m: int
-    h_m: ModInt
-    h_m1: ModInt
-    k_m: ModInt
+    h_m: int
+    h_m1: int
     derivative_identity: bool
     ode_identity: bool
 
@@ -239,7 +240,7 @@ def _h_polynomials(p: int) -> list[Polynomial]:
 
 
 def legendre_hasse(lam0: int, p: int, rng: random.Random | None = None) -> LegendreHasseData:
-    """H_m, H_{m-1}, K_m at lambda_0 plus the two exact polynomial identities:
+    """H_m, H_{m-1} at lambda_0 plus the two exact polynomial identities:
     K_i' = -(m+1) H_i and the hypergeometric equation for
     F(z) = sum_k C(m,k) C(m+1,k) z^k."""
     require_prime(p)
@@ -276,12 +277,10 @@ def legendre_hasse(lam0: int, p: int, rng: random.Random | None = None) -> Legen
     )
     ode_ok = ode.is_zero()
 
-    h_m = ModInt(h[m](lam0), p)
-    h_m1 = ModInt(h[m - 1](lam0), p)
-    k_m = ModInt((h[m - 1] - lam * h[m])(lam0), p)
+    h_m, h_m1 = h[m](lam0), h[m - 1](lam0)
     if not h_m and not h_m1:
         raise AssertionError(f"H_m and H_(m-1) both vanish at lambda_0 = {lam0}, p = {p}")
-    return LegendreHasseData(p, ModInt(lam0, p), m, h_m, h_m1, k_m, deriv_ok, ode_ok)
+    return LegendreHasseData(p, lam0, m, h_m, h_m1, deriv_ok, ode_ok)
 
 
 # -- residues and pole bounds ------------------------------------------------------
@@ -291,13 +290,13 @@ def half_pole_place(p: int, sign: int, precision: int = 32) -> Place:
     """A place above x = -1/2 on the reduced curve (where t = 1 + 2x vanishes);
     defined over F_p(sqrt(65)), which may be F_p or the quadratic extension."""
     require_good_prime(p)
-    x0_int, inv4 = -_domain_inverse(2, p), _domain_inverse(4, p)
+    # y0 = sign sqrt(65)/4; it has b = 0 when 65 is a square mod p
+    x0 = QuadExt(-_domain_inverse(2, p), 0, p, 65)
+    inv4 = _domain_inverse(4, p)
     root65 = sqrt_mod(65 % p, p)
     if root65 is not None:
-        x0 = ModInt(x0_int, p)
-        y0 = ModInt(sign * root65 * inv4, p)
+        y0 = QuadExt(sign * root65 * inv4, 0, p, 65)
     else:
-        x0 = QuadExt(x0_int, 0, p, 65)
         y0 = QuadExt(0, sign * inv4, p, 65)
     return finite_place(x0, y0, precision, label=f"t=0({'+' if sign > 0 else '-'})")
 

@@ -3,8 +3,8 @@
 Every subcommand runs a battery of checks, prints a human table, and with
 --json PATH writes the report as JSON.  Exit status: 0 all checks pass,
 1 a claim refuted, 2 usage or domain error (a one-line message, no
-traceback).  Exact values are serialized as "num/den" strings, prime-field
-values as {"value": v, "p": p}.
+traceback).  Rationals are serialized as "num/den" strings; values mod p
+are plain ints in [0, p).
 """
 
 from __future__ import annotations
@@ -65,8 +65,6 @@ from .series import congruence_scan
 def json_scalar(x):
     if isinstance(x, Fraction):
         return f"{x.numerator}/{x.denominator}"
-    if hasattr(x, "value") and hasattr(x, "modulus"):
-        return {"value": x.value, "p": x.modulus}
     if isinstance(x, (list, tuple)):
         return [json_scalar(v) for v in x]
     if isinstance(x, dict):
@@ -347,7 +345,7 @@ def cmd_cartier(args) -> Report:
     rep.add(
         f"(alpha', beta') != (0,0) at p={p}",
         not inv.both_zero,
-        f"alpha'={inv.alpha.value}, beta'={inv.beta.value}",
+        f"alpha'={inv.alpha}, beta'={inv.beta}",
     )
     pmax = args.pmax
     bad = []
@@ -362,7 +360,7 @@ def cmd_cartier(args) -> Report:
             alpha_zero.append(q)
         if not iv.beta:
             beta_zero.append(q)
-        if (iv.alpha.value + 4 * iv.beta.value) % q == 0:
+        if (iv.alpha + 4 * iv.beta) % q == 0:
             combo_zero.append(q)
     rep.add(f"(alpha', beta') != (0,0) for good p <= {pmax}", not bad, witness=None if not bad else {"bad": bad})
     rep.add(
@@ -403,8 +401,8 @@ def cmd_frobenius(args) -> Report:
     good = len(scan.invariants)
     for p, inv in scan.invariants.items():
         td = point_count(a, b, p)
-        print(f"p={p:>4}  #E={td.count:>5}  trace={td.trace:>4}  alpha={inv.alpha.value}")
-        if td.trace % p != inv.alpha.value:
+        print(f"p={p:>4}  #E={td.count:>5}  trace={td.trace:>4}  alpha={inv.alpha}")
+        if td.trace % p != inv.alpha:
             mismatches.append(p)
     # a check that examined no prime reports skip, never a vacuous pass
     if not good:
@@ -471,7 +469,7 @@ def cmd_all(args) -> Report:
         ["closed-forms", "--n", "60"],
         ["congruence", "--p", "3", "--rmax", "2", "--nmax", "500"],
         ["denom", "--n", "300"],
-        ["modp-space", "--p", "7", *seed],
+        ["modp-space", "--p", "7"],
         ["cartier", "--p", "7", "--pmax", "100", *seed],
         ["frobenius", "--pmax", "50"],
         ["asd", "--p", "5", "--rmax", "2", "--nmax", "5"],
@@ -574,8 +572,11 @@ def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespa
     # a report that cannot be written is refused before any check runs
     if args.json is not None and (Path(args.json).is_dir() or not Path(args.json).parent.is_dir()):
         parser.error(f"--json {args.json}: not a file in an existing directory")
-    if args.command == "modp-space" and args.pmax is not None and args.seed is not None:
-        parser.error("--seed has no effect with --pmax: the tabulation draws no random vectors")
+    if args.command == "modp-space" and args.seed is not None:
+        if args.pmax is not None:
+            parser.error("--seed has no effect with --pmax: the tabulation draws no random vectors")
+        if args.p <= EXHAUSTIVE_PMAX:
+            parser.error(f"--seed has no effect with --p {args.p} <= {EXHAUSTIVE_PMAX}: the union check is exhaustive")
     if args.command == "congruence" and args.nmax < args.p:
         parser.error(f"--nmax {args.nmax} is below --p {args.p}: no congruence would be checked")
     if args.command == "asd" and singular_mod(*args.curve, args.p):

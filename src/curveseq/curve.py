@@ -30,7 +30,7 @@ from .recurrence import (
     form_value,
     main_sequence,
 )
-from .series import LaurentSeries, TruncatedSeries, _domain_inverse, from_polynomial
+from .series import LaurentSeries, TruncatedSeries, _domain_inverse
 
 Q_COEFFS = (4, 0, 1, 2, 1)
 T_COEFFS = (1, 2)
@@ -279,14 +279,14 @@ class Place:
 def origin_place(sign: int, precision: int, modulus: int | None = None) -> Place:
     """The rational point (0, +-2); local parameter x itself."""
     x = LaurentSeries(1, TruncatedSeries([1], precision, modulus))
-    q = from_polynomial(Q_COEFFS, precision, modulus)
+    q = TruncatedSeries(Q_COEFFS, precision, modulus)
     return Place(f"(0,{2*sign})", x, LaurentSeries(0, q.sqrt(2 * sign)))
 
 
 def infinity_place(sign: int, precision: int, modulus: int | None = None) -> Place:
     """inf_+ or inf_-; local parameter u = 1/x, y = sign * u^-2 sqrt(1+2u+u^2+4u^4)."""
     x = LaurentSeries(-1, TruncatedSeries([1], precision, modulus))
-    inner = from_polynomial([1, 2, 1, 0, 4], precision, modulus)
+    inner = TruncatedSeries([1, 2, 1, 0, 4], precision, modulus)
     y = LaurentSeries(-2, inner.sqrt(sign))
     return Place(f"inf{'+' if sign > 0 else '-'}", x, y)
 
@@ -294,8 +294,9 @@ def infinity_place(sign: int, precision: int, modulus: int | None = None) -> Pla
 def finite_place(x0, y0, precision: int, label: str | None = None) -> Place:
     """A finite place (x0, y0) with Q(x0) != 0; local parameter w = x - x0.
 
-    Scalars are exact objects (Fraction, ModInt, QuadExt); the places above
-    x = -1/2 need y0 in F_p(sqrt(65)) when 65 is a non-residue.
+    Scalars are exact objects (Fraction, QuadExt); the places above
+    x = -1/2 take x0 and y0 in F_p(sqrt(65)), whether or not 65 is a
+    square mod p.
     """
     one = y0 * 0 + 1
     shifted = [c * one for c in _taylor_shift(Q_COEFFS, x0 * one)]
@@ -367,8 +368,8 @@ def verify_ode(f: TruncatedSeries) -> TruncatedSeries:
     """Residual A(x) f'(x) - B(x) f(x); identically zero exactly for multiples
     of the main generating function."""
     n = f.precision
-    a = from_polynomial(A_COEFFS, n, f.modulus)
-    b = from_polynomial(B_COEFFS, n, f.modulus)
+    a = TruncatedSeries(A_COEFFS, n, f.modulus)
+    b = TruncatedSeries(B_COEFFS, n, f.modulus)
     return a.truncate(n - 1) * f.derivative() - (b * f).truncate(n - 1)
 
 

@@ -98,8 +98,8 @@ class FirstOrderOperator:
 
     def apply_series(self, f: TruncatedSeries) -> TruncatedSeries:
         n = f.precision
-        a1 = self.a1.as_series(n - 1)
-        a0 = self.a0.as_series(n - 1)
+        a1 = TruncatedSeries(self.a1.coeffs, n - 1, self.a1.modulus)
+        a0 = TruncatedSeries(self.a0.coeffs, n - 1, self.a0.modulus)
         return a1 * f.derivative() + a0 * f.truncate(n - 1)
 
 

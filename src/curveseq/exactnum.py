@@ -1,8 +1,10 @@
-"""Exact scalar arithmetic: rationals, prime fields, valuations, binomials.
+"""Exact scalar arithmetic: rationals, valuations, binomials, F_p(sqrt d).
 
 Rationals are ``fractions.Fraction`` (always reduced, positive denominator),
-so equality is structural and values hash/compare as expected.  All values in
-this module are immutable and safe to share between workers.
+so equality is structural and values hash/compare as expected.  An element
+of F_p is a plain int in [0, p); ``reduce_fraction_mod`` takes a rational
+there.  All values in this module are immutable and safe to share between
+workers.
 """
 
 from __future__ import annotations
@@ -161,110 +163,6 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
-class ModInt:
-    """An integer modulo a fixed modulus, usually a prime p (the field F_p).
-
-    Operations are only defined between equal moduli; division requires the
-    operand to be a unit (always true for nonzero values mod a prime).
-    Instances are immutable.
-    """
-
-    __slots__ = ("value", "modulus")
-
-    def __init__(self, value: int | Fraction, modulus: int):
-        if modulus < 2:
-            raise ValueError("modulus must be >= 2")
-        if isinstance(value, Fraction):
-            value = reduce_fraction_mod(value, modulus)
-        object.__setattr__(self, "value", value % modulus)
-        object.__setattr__(self, "modulus", modulus)
-
-    def __setattr__(self, *args):
-        raise AttributeError("ModInt is immutable")
-
-    def _coerce(self, other) -> "ModInt":
-        if isinstance(other, ModInt):
-            if other.modulus != self.modulus:
-                raise ValueError("mixed moduli")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return ModInt(other, self.modulus)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return ModInt(self.value + other.value, self.modulus)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return ModInt(-self.value, self.modulus)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return ModInt(self.value - other.value, self.modulus)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return ModInt(self.value * other.value, self.modulus)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "ModInt":
-        return ModInt(pow(self.value, -1, self.modulus), self.modulus)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
-    def __pow__(self, k: int):
-        return ModInt(pow(self.value, k, self.modulus), self.modulus)
-
-    def __eq__(self, other):
-        if isinstance(other, ModInt):
-            return self.modulus == other.modulus and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.modulus
-        if isinstance(other, Fraction):
-            try:
-                return self == ModInt(other, self.modulus)
-            except ValueError:
-                return False
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value, self.modulus))
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __int__(self):
-        return self.value
-
-    def __repr__(self):
-        return f"{self.value} (mod {self.modulus})"
-
-
-def fp(value: int | Fraction, p: int) -> ModInt:
-    """A prime-field element; rejects composite moduli."""
-    require_prime(p)
-    return ModInt(value, p)
-
-
 def reduce_fraction_mod(q: Fraction | tuple[int, int], m: int) -> int:
     """q mod m as an integer in [0, m).
 
@@ -285,10 +183,13 @@ def reduce_fraction_mod(q: Fraction | tuple[int, int], m: int) -> int:
 
 
 class QuadExt:
-    """Element a + b*sqrt(d) of F_p(sqrt(d)) for d a non-residue mod p.
+    """Element a + b*sqrt(d) of F_p(sqrt(d)).
 
-    Used for places of the curve defined over the quadratic extension
-    (the zeros of 1 + 2x live over F_p(sqrt(65))).
+    Used for the places of the curve above the zeros of 1 + 2x, which live
+    over F_p(sqrt(65)).  When d is a non-residue mod p this is the quadratic
+    extension field.  When d is a square mod p, every element has b = 0 and
+    each operation keeps b = 0 (the norm is a^2), so the arithmetic is that
+    of F_p.
     """
 
     __slots__ = ("a", "b", "p", "d")
@@ -311,10 +212,6 @@ class QuadExt:
             return QuadExt(other, 0, self.p, self.d)
         if isinstance(other, Fraction):
             return QuadExt(reduce_fraction_mod(other, self.p), 0, self.p, self.d)
-        if isinstance(other, ModInt):
-            if other.modulus != self.p:
-                raise ValueError("mixed moduli")
-            return QuadExt(other.value, 0, self.p, self.d)
         return NotImplemented
 
     def __add__(self, other):

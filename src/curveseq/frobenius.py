@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .cartier import CartierInvariants, alphabeta_weierstrass
 from .exactnum import is_prime, require_prime
-from .series import LaurentSeries, TruncatedSeries, from_polynomial
+from .series import LaurentSeries, TruncatedSeries
 
 
 def singular_mod(a: int, b: int, p: int) -> bool:
@@ -101,9 +101,9 @@ def origin_expansion(a, b, n_terms: int, modulus: int | None = None) -> OriginEx
     if modulus is not None and modulus % 2 == 0:
         raise ValueError("modulus must be odd")
     half = (n_terms + 1) // 2
-    a_s2 = from_polynomial([0, 0, a], half, modulus)
-    b_s3 = from_polynomial([0, 0, 0, b], half, modulus)
-    v = from_polynomial([1], 1, modulus)
+    a_s2 = TruncatedSeries([0, 0, a], half, modulus)
+    b_s3 = TruncatedSeries([0, 0, 0, b], half, modulus)
+    v = TruncatedSeries([1], 1, modulus)
     while v.precision < half:
         known = v.precision
         k = min(2 * known, half)
@@ -116,7 +116,7 @@ def origin_expansion(a, b, n_terms: int, modulus: int | None = None) -> OriginEx
     u = _in_t(v, n_terms)
     x = LaurentSeries(-2, u)
     y = LaurentSeries(-3, -u)
-    w = from_polynomial([1], n_terms // 2, modulus) - v.truncate(n_terms // 2).x_log_derivative()
+    w = TruncatedSeries([1], n_terms // 2, modulus) - v.truncate(n_terms // 2).x_log_derivative()
     exp = OriginExpansion(a, b, modulus, x, y, _in_t(w, n_terms - 1))
     if exp.c(1) != 1:
         raise AssertionError("c_1 != 1")
@@ -266,9 +266,9 @@ def supersingular_scan(a: int, b: int, p_max: int, vp_limit: int | None = None) 
         inv = invariants[p] = alphabeta_weierstrass([b % p, a % p, 0, 1], p)
         if (a, b) == (0, 1):
             want = p % 3 == 2
-            if (inv.alpha.value == 0) != want:
+            if (inv.alpha == 0) != want:
                 pattern_ok = False
-        if inv.alpha.value != 0:
+        if inv.alpha != 0:
             continue
         expanded = None
         if vp_limit is None or p <= vp_limit:

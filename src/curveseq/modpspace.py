@@ -53,7 +53,7 @@ def cartier_form(p: int) -> list[int]:
     """65 alpha' CONSTANT_BLOCK + (alpha' + 4 beta') T2_BLOCK mod p."""
     require_vp_prime(p)
     inv = alphabeta_quartic(p)
-    a, b = inv.alpha.value, inv.beta.value
+    a, b = inv.alpha, inv.beta
     return [
         (65 * a * x + (a + 4 * b) * y) % p
         for x, y in zip(CONSTANT_BLOCK, T2_BLOCK)

@@ -196,9 +196,6 @@ class Polynomial:
             acc = acc + c
         return acc
 
-    def as_series(self, precision: int) -> TruncatedSeries:
-        return TruncatedSeries(list(self.coeffs), precision, self.modulus)
-
     def reduce_mod(self, p: int) -> "Polynomial":
         if self.modulus is not None:
             raise ValueError("already modular")

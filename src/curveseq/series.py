@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exactnum import ModInt, divisors, generalized_binomial, is_p_integral, mobius, reduce_fraction_mod
+from .exactnum import divisors, generalized_binomial, is_p_integral, mobius, reduce_fraction_mod
 
 _NUMPY_CUTOFF = 48
 
@@ -261,7 +261,7 @@ def _init(series: TruncatedSeries, coeffs: list, precision: int, modulus: int | 
 
 def _to_domain(c, modulus: int | None):
     """The scalar c in the domain of ``modulus``: over Z/m an int in [0, m)
-    (a Fraction must be m-integral, a ModInt carry the modulus m); over Q
+    (a Fraction must be m-integral); over Q
     the exact scalar itself, an int made a Fraction."""
     if modulus is None:
         return Fraction(c) if isinstance(c, int) else c
@@ -269,10 +269,6 @@ def _to_domain(c, modulus: int | None):
         return c % modulus
     if isinstance(c, Fraction):
         return reduce_fraction_mod(c, modulus)
-    if isinstance(c, ModInt):
-        if c.modulus != modulus:
-            raise ValueError("mixed moduli")
-        return c.value
     raise TypeError(f"cannot reduce {c!r} mod {modulus}")
 
 
@@ -301,15 +297,6 @@ def _zero_like(coeffs, modulus: int | None):
     return Fraction(0)
 
 
-def series_one(precision: int, modulus: int | None = None) -> TruncatedSeries:
-    return TruncatedSeries([1], precision, modulus)
-
-
-def from_polynomial(coeffs, precision: int, modulus: int | None = None) -> TruncatedSeries:
-    """A polynomial viewed as a series to the given precision."""
-    return TruncatedSeries(coeffs, precision, modulus)
-
-
 def binomial_power(u: TruncatedSeries, a: int | Fraction) -> TruncatedSeries:
     """(1 + u)^a = sum_k binom(a, k) u^k for a series u with u(0) = 0.
 
@@ -322,8 +309,8 @@ def binomial_power(u: TruncatedSeries, a: int | Fraction) -> TruncatedSeries:
         raise ValueError("binomial_power needs u(0) = 0")
     n = u.precision
     val = u.valuation()
-    result = series_one(n, u.modulus)
-    power = series_one(n, u.modulus)
+    result = TruncatedSeries([1], n, u.modulus)
+    power = result
     k = 1
     step = val if val is not None else n
     while val is not None and k * step < n:

@@ -47,7 +47,7 @@ from curveseq.recurrence import (
     extend_rational,
     main_sequence,
 )
-from curveseq.series import congruence_scan, dieudonne_exponents, from_polynomial
+from curveseq.series import TruncatedSeries, congruence_scan, dieudonne_exponents
 
 GOOD_PRIMES_TO_101 = [
     p for p in range(7, 102) if is_prime(p) and p not in (13,)
@@ -231,7 +231,7 @@ def test_criterion_10_cartier_invariants():
             if (4 * a**3 + 27 * b**2) % p == 0:
                 continue
             inv = alphabeta_weierstrass([b, a, 0, 1], p)
-            assert point_count(a, b, p).trace % p == inv.alpha.value
+            assert point_count(a, b, p).trace % p == inv.alpha
             tried += 1
     lh_rng = random.Random(0)
     for p in (7, 11, 13):
@@ -246,8 +246,8 @@ def test_criterion_11_cm_pattern():
         if not is_prime(p) or p == 3:
             continue
         inv = alphabeta_weierstrass([1, 0, 0, 1], p)
-        assert (inv.alpha.value == 0) == (p % 3 == 2), p
-        assert inv.alpha.value * inv.beta.value % p == 0, p
+        assert (inv.alpha == 0) == (p % 3 == 2), p
+        assert inv.alpha * inv.beta % p == 0, p
         assert not inv.both_zero, p
     report("criterion 11: CM pattern for y^2 = x^3 + 1, p <= 500", time.time() - t0, 60)
 
@@ -296,8 +296,8 @@ def test_criterion_13_honda_katz():
 def test_criterion_14_dieudonne_round_trip():
     t0 = time.time()
     n = 206
-    q = from_polynomial([4, 0, 1, 2, 1], n)
-    z_half = (from_polynomial([0, 1, 1], n) + q.sqrt(Fraction(2))) / 2
+    q = TruncatedSeries([4, 0, 1, 2, 1], n)
+    z_half = (TruncatedSeries([0, 1, 1], n) + q.sqrt(Fraction(2))) / 2
     exps = dieudonne_exponents(z_half, 200)
     for p in range(3, 32, 2):
         if not is_prime(p):

@@ -85,8 +85,9 @@ def test_usage_error_exit_code():
         ["frobenius", "--curve"],  # no value
         ["all", "--seed", "-1"],  # Random(-n) draws what Random(n) draws
         ["cartier", "--seed", "-2"],
-        ["modp-space", "--p", "7", "--seed", "-3"],
+        ["modp-space", "--p", "41", "--seed", "-3"],
         ["all", "--quick"],  # retired: all runs one battery
+        ["modp-space", "--p", "7", "--seed", "5"],  # the union check is exhaustive: nothing drawn
     ],
 )
 def test_domain_error_exit_code(argv, capsys):
@@ -284,7 +285,7 @@ def test_all_is_its_subcommands(tmp_path, capsys):
         ["closed-forms", "--n", "60"],
         ["congruence", "--p", "3", "--rmax", "2", "--nmax", "500"],
         ["denom", "--n", "300"],
-        ["modp-space", "--p", "7", "--seed", "1"],
+        ["modp-space", "--p", "7"],
         ["cartier", "--p", "7", "--pmax", "100", "--seed", "1"],
         ["frobenius", "--pmax", "50"],
         ["asd", "--p", "5", "--rmax", "2", "--nmax", "5"],
@@ -296,10 +297,8 @@ def test_report_scalars_serialize_exactly():
     from fractions import Fraction
 
     from curveseq.cli import json_scalar
-    from curveseq.exactnum import fp
 
     assert json_scalar(Fraction(-77, 128)) == "-77/128"
-    assert json_scalar(fp(3, 7)) == {"value": 3, "p": 7}
     assert json_scalar([Fraction(1, 2), 5]) == ["1/2", 5]
 
 

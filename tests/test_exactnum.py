@@ -6,9 +6,7 @@ from hypothesis import given, strategies as st
 
 from curveseq.exactnum import (
     INF,
-    ModInt,
     QuadExt,
-    fp,
     generalized_binomial,
     is_prime,
     legendre_symbol,
@@ -108,40 +106,17 @@ def test_is_prime_64bit_cases():
     assert is_prime(2**31 - 1)
 
 
-def test_modint_arithmetic():
-    a = fp(3, 7)
-    b = fp(5, 7)
-    assert (a + b).value == 1
-    assert (a * b).value == 1
-    assert (a / b).value == (3 * pow(5, -1, 7)) % 7
-    assert (-a).value == 4
-    assert a**3 == fp(27, 7)
-    assert fp(Fraction(-1, 8), 7) == fp(6, 7)
-    with pytest.raises(ValueError):
-        fp(1, 6)
-    with pytest.raises(ValueError):
-        a + ModInt(1, 11)
-
-
-def test_modint_immutable_and_hashable():
-    a = fp(2, 5)
-    with pytest.raises(AttributeError):
-        a.value = 3
-    assert len({fp(2, 5), ModInt(7, 5), fp(3, 5)}) == 2
-
-
 def test_reduce_fraction_mod():
     from curveseq.series import _to_domain
 
     assert reduce_fraction_mod(Fraction(-1, 8), 7) == 6
     assert reduce_fraction_mod(Fraction(-1, 2), 7) == 3
-    # the series and ModInt entry points share the one reduction
+    # the series entry point shares the one reduction
     for q in (Fraction(-1, 8), Fraction(-77, 128), Fraction(146, 27), Fraction(10**30 + 1, 3)):
         for p in (7, 11, 101):
             want = reduce_fraction_mod(q, p)
             assert _to_domain(q, p) == want
-            assert ModInt(q, p).value == want
-    for reduce in (reduce_fraction_mod, _to_domain, ModInt):
+    for reduce in (reduce_fraction_mod, _to_domain):
         with pytest.raises(ValueError):
             reduce(Fraction(1, 7), 7)
         with pytest.raises(ValueError):

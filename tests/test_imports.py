@@ -129,9 +129,19 @@ def test_guard_flags_a_function_local_import():
     assert function_local_imports(source) == ["f (line 3)", "g (line 8)"]
 
 
+def local_names(func: ast.AST) -> set[str]:
+    """The names a function or lambda binds: its arguments and every
+    assignment target inside it."""
+    args = func.args
+    every = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+    stored = {n.id for n in ast.walk(func) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+    return {a.arg for a in every if a is not None} | stored
+
+
 def uncalled_public_names(defining: list[str], calling: list[str]) -> set[str]:
     """Public module-level functions and classes of the ``defining`` sources
-    that no ``calling`` source names, as a Name or an attribute."""
+    that no ``calling`` source names, as a Name or an attribute.  A Name
+    that an enclosing function binds is a local variable, not a caller."""
     defined = set()
     for source in defining:
         for node in ast.parse(source).body:
@@ -140,11 +150,16 @@ def uncalled_public_names(defining: list[str], calling: list[str]) -> set[str]:
                     defined.add(node.name)
     named = set()
     for source in calling:
-        for node in ast.walk(ast.parse(source)):
-            if isinstance(node, ast.Name):
+        stack = [(ast.parse(source), frozenset())]
+        while stack:
+            node, bound = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                bound = bound | local_names(node)
+            if isinstance(node, ast.Name) and node.id not in bound:
                 named.add(node.id)
             elif isinstance(node, ast.Attribute):
                 named.add(node.attr)
+            stack.extend((child, bound) for child in ast.iter_child_nodes(node))
     return defined - named
 
 
@@ -171,3 +186,21 @@ def test_guard_flags_an_uncalled_public_name():
     benchmark = "import m\nm.Shape()\n"
     assert uncalled_public_names([package], [package, benchmark]) == {"planted"}
     assert uncalled_public_names([package], [package]) == {"planted", "Shape"}
+
+
+def test_guard_flags_a_public_name_shadowed_by_a_local():
+    # an argument or an assignment target of the same name is no caller
+    package = (
+        "def planted():\n"
+        "    return 1\n"
+        "def takes(planted):\n"
+        "    return planted + 1\n"
+        "def assigns():\n"
+        "    planted = 2\n"
+        "    return [planted for _ in range(planted)]\n"
+        "def called():\n"
+        "    return 3\n"
+        "def caller(planted):\n"
+        "    return lambda: called() + planted\n"
+    )
+    assert uncalled_public_names([package], [package]) == {"planted", "caller", "takes", "assigns"}

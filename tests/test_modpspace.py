@@ -149,7 +149,7 @@ def test_q_and_fp_readings_of_the_initial_data_forms_agree(p, c4):
     assert reduce_fraction_mod(init.hyperplane_value, p) == form_value(space.hyperplane, cbar) % p
     k1, k2 = (reduce_fraction_mod(4 * k, p) for k in k_constants(init))
     inv = alphabeta_quartic(p)
-    a, b = inv.alpha.value, inv.beta.value
+    a, b = inv.alpha, inv.beta
     assert (65 * a * k2 + (a + 4 * b) * k1) % p == form_value(space.cartier, cbar) % p
     assert list(space.cartier) == cartier_form(p)
 

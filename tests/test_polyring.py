@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from curveseq.exactnum import is_prime
 from curveseq.polyring import Polynomial, RationalFunction, resultant
-from curveseq.series import LaurentSeries, TruncatedSeries, from_polynomial
+from curveseq.series import LaurentSeries, TruncatedSeries
 
 
 def test_polynomial_basics():
@@ -153,11 +153,11 @@ def test_rational_function_field_ops():
 
 def test_eval_laurent():
     f = Polynomial([1, 0, 1])  # 1 + x^2
-    xl = LaurentSeries(-1, from_polynomial([1], 8))  # x = 1/u
+    xl = LaurentSeries(-1, TruncatedSeries([1], 8))  # x = 1/u
     val = f.eval_laurent(xl, 6)
     assert val.coefficient(-2) == 1 and val.coefficient(0) == 1
     r = RationalFunction(Polynomial([1]), Polynomial([1, -1]))  # 1/(1-x)
-    series_x = LaurentSeries(1, from_polynomial([1], 8))
+    series_x = LaurentSeries(1, TruncatedSeries([1], 8))
     expansion = r.eval_laurent(series_x, 8)
     assert [expansion.coefficient(k) for k in range(5)] == [Fraction(1)] * 5
 

@@ -19,7 +19,6 @@ from curveseq.series import (
     dieudonne_exponents,
     dieudonne_exponents_peeling,
     divided_derivative,
-    from_polynomial,
     phi_part,
 )
 
@@ -37,7 +36,7 @@ def long_division_inverse(f: TruncatedSeries) -> list[Fraction]:
 
 
 def test_inverse_geometric():
-    f = from_polynomial([1, -1], 10)
+    f = TruncatedSeries([1, -1], 10)
     assert f.inverse().coeffs == [Fraction(1)] * 10
 
 
@@ -53,7 +52,7 @@ def test_inverse_against_long_division():
 
 def test_inverse_of_y_half():
     # 2/y = 1 - x^2/8 - x^3/4 - ...
-    y = from_polynomial([4, 0, 1, 2, 1], 8).sqrt(Fraction(2))
+    y = TruncatedSeries([4, 0, 1, 2, 1], 8).sqrt(Fraction(2))
     inv = (y / 2).inverse()
     assert inv.coeffs[:4] == [Fraction(1), Fraction(0), Fraction(-1, 8), Fraction(-1, 4)]
     assert inv.coeffs == long_division_inverse(y / 2)
@@ -66,62 +65,62 @@ def test_inverse_constant_mod5():
 
 def test_inverse_rejects_zero_constant():
     with pytest.raises(ZeroDivisionError):
-        from_polynomial([0, 1], 5).inverse()
+        TruncatedSeries([0, 1], 5).inverse()
 
 
 def test_sqrt_square_roundtrip():
-    q = from_polynomial([4, 0, 1, 2, 1], 30)
+    q = TruncatedSeries([4, 0, 1, 2, 1], 30)
     y = q.sqrt(Fraction(2))
     assert (y * y) == q
     assert y.coeffs[:4] == [Fraction(2), Fraction(0), Fraction(1, 4), Fraction(1, 2)]
 
 
 def test_sqrt_perfect_square_and_sign():
-    f = from_polynomial([1, 2, 1], 6)
+    f = TruncatedSeries([1, 2, 1], 6)
     assert f.sqrt(Fraction(1)).coeffs[:3] == [Fraction(1), Fraction(1), Fraction(0)]
-    g = from_polynomial([1, -2, 1], 6)
+    g = TruncatedSeries([1, -2, 1], 6)
     assert g.sqrt(Fraction(-1)).coeffs[:2] == [Fraction(-1), Fraction(1)]
 
 
 def test_sqrt_rejects():
     with pytest.raises(ValueError):
-        from_polynomial([2, 1], 4).sqrt(Fraction(1))
+        TruncatedSeries([2, 1], 4).sqrt(Fraction(1))
     with pytest.raises(ValueError):
         TruncatedSeries([1, 1], 2, 2).sqrt(1)
 
 
 def test_binomial_power_exponent_additivity():
-    x = from_polynomial([0, 1], 9)
+    x = TruncatedSeries([0, 1], 9)
     a, b = Fraction(2, 3), Fraction(-1, 2)
     lhs = binomial_power(x, a) * binomial_power(x, b)
     assert lhs == binomial_power(x, a + b)
 
 
 def test_binomial_power_sqrt():
-    x = from_polynomial([0, 1], 8)
+    x = TruncatedSeries([0, 1], 8)
     h = binomial_power(x, Fraction(1, 2))
-    assert (h * h) == from_polynomial([1, 1], 8)
+    assert (h * h) == TruncatedSeries([1, 1], 8)
 
 
 def test_binomial_power_matches_curve_inverse_sqrt():
     # (1 + (x+x^2)^2/4)^(-1/2) / 2 equals 1/y for y = sqrt(Q), y(0) = 2
     n = 20
-    u = from_polynomial([0, 0, Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)], n)
+    u = TruncatedSeries([0, 0, Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)], n)
     direct = binomial_power(u, Fraction(-1, 2)) / 2
-    via_sqrt = from_polynomial([4, 0, 1, 2, 1], n).sqrt(Fraction(2)).inverse()
+    via_sqrt = TruncatedSeries([4, 0, 1, 2, 1], n).sqrt(Fraction(2)).inverse()
     assert direct == via_sqrt
 
 
 def test_log_derivative_fermat_series():
     # f = 1 - ax: x f'/f = -sum a^n x^n
     a = Fraction(3)
-    f = from_polynomial([1, -a], 9)
+    f = TruncatedSeries([1, -a], 9)
     got = f.x_log_derivative()
     assert got.coeffs == [-(a**n) if n else Fraction(0) for n in range(9)]
 
 
 def test_log_derivative_constant():
-    assert from_polynomial([5], 6).log_derivative().is_zero()
+    assert TruncatedSeries([5], 6).log_derivative().is_zero()
 
 
 def test_log_derivative_additive():
@@ -160,22 +159,22 @@ def test_dieudonne_reconstruction_property(tail):
 
 def test_x_log_derivative_of_z_half_is_s_half():
     n = 40
-    q = from_polynomial([4, 0, 1, 2, 1], n)
-    z = from_polynomial([0, 1, 1], n) + q.sqrt(Fraction(2))
+    q = TruncatedSeries([4, 0, 1, 2, 1], n)
+    z = TruncatedSeries([0, 1, 1], n) + q.sqrt(Fraction(2))
     c = main_sequence(n)
     assert (z / 2).x_log_derivative().coeffs == [v / 2 for v in c]
 
 
 def test_dieudonne_single_factor():
-    f = from_polynomial([1, -1], 10)
+    f = TruncatedSeries([1, -1], 10)
     d = dieudonne_exponents(f, 8)
     assert d[1] == 1 and all(d[m] == 0 for m in range(2, 9))
 
 
 def test_dieudonne_constructed_product():
     n = 12
-    one_minus_x = from_polynomial([1, -1], n)
-    one_minus_x2 = from_polynomial([1, 0, -1], n)
+    one_minus_x = TruncatedSeries([1, -1], n)
+    one_minus_x2 = TruncatedSeries([1, 0, -1], n)
     f = one_minus_x * one_minus_x2 * one_minus_x2 * one_minus_x2
     d = dieudonne_exponents(f, 10)
     assert d[1] == 1 and d[2] == 3 and all(d[m] == 0 for m in range(3, 11))
@@ -337,7 +336,7 @@ def test_phi_part():
 
 
 def test_divided_derivative_basics():
-    f = from_polynomial([0, 0, 1], 5)  # x^2
+    f = TruncatedSeries([0, 0, 1], 5)  # x^2
     assert divided_derivative(f, 2).coeffs[0] == 1
 
 
@@ -376,8 +375,8 @@ def test_phi_and_divided_derivative_mod_p_support():
 
 
 def test_precision_propagation():
-    f = from_polynomial([1, 1], 10)
-    g = from_polynomial([1, 2], 6)
+    f = TruncatedSeries([1, 1], 10)
+    g = TruncatedSeries([1, 2], 6)
     assert (f * g).precision == 6
     assert (f + g).precision == 6
     assert f.derivative().precision == 9
@@ -389,7 +388,7 @@ def test_precision_propagation():
 
 
 def test_laurent_arithmetic_and_residue():
-    inner = from_polynomial([1, 1], 8)
+    inner = TruncatedSeries([1, 1], 8)
     w = LaurentSeries(-2, inner)
     assert w.coefficient(-2) == Fraction(1)
     assert w.coefficient(-1) == Fraction(1)
@@ -404,7 +403,7 @@ def test_laurent_arithmetic_and_residue():
 
 
 def test_laurent_known_zero_below_offset():
-    w = LaurentSeries(2, from_polynomial([1], 4))
+    w = LaurentSeries(2, TruncatedSeries([1], 4))
     assert w.residue() == 0
     with pytest.raises(IndexError):
         w.coefficient(10)
