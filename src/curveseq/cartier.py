@@ -13,9 +13,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .curve import (
     BAD_PRIMES,
+    Q_COEFFS,
     CurveForm,
     CurveFunction,
     Place,
@@ -25,10 +27,10 @@ from .curve import (
     infinity_place,
     omega,
     origin_place,
-    q_polynomial,
 )
 from .exactnum import QuadExt, require_prime, sqrt_mod
 from .polyring import Polynomial, RationalFunction
+from .recurrence import Recurrence, window_mod
 from .series import LaurentSeries, TruncatedSeries, _domain_inverse
 
 
@@ -168,19 +170,36 @@ def alphabeta_weierstrass(f_coeffs, p: int) -> CartierInvariants:
     return CartierInvariants(p, power[p - 1], power[p - 2])
 
 
+# The Hasse coefficients a_k of Q^((p-1)/2) are read off h = 2 Q^(-1/2): for
+# k < 2p, a_k = h_k mod p, since Q^(p/2) = Q(x^p)^(1/2) = 2 + O(x^(2p)) mod p.
+# h' = -Q' h / (2Q) gives 2Q h' + Q' h = 0, whose coefficient of x^(n+3) is
+# sum_j q_j (2n + 8 - j) h_(n+4-j) = 0 (q_j of Q_COEFFS): shift 4 - j carries
+# (q_j (8 - j), 2 q_j).  The lead 8(n + 4) is a unit mod p for n < p - 4.
+HASSE_RECURRENCE = Recurrence(
+    tuple((4 - j, (q * (8 - j), 2 * q)) for j, q in enumerate(Q_COEFFS) if q)
+)
+#: h_0..h_3 of 2 Q^(-1/2)
+HASSE_INIT = (1, 0, Fraction(-1, 8), Fraction(-1, 4))
+
+
 def alphabeta_quartic(p: int, cross_check: bool = False) -> CartierInvariants:
     """Invariants of the fixed quartic curve y^2 = Q(x):
     alpha' = [x^(p-1)] Q^((p-1)/2), beta' = [x^(p-1)] (x^2+x) Q^((p-1)/2).
 
-    The coefficient of x^(2p-1) in (x^2+x) Q^((p-1)/2) must vanish (it is the
-    regularity of C(eta) at infinity) and is asserted.  With a_k the
-    coefficients of Q^((p-1)/2), [x^k] (x^2+x) Q^((p-1)/2) = a_(k-2) + a_(k-1).
+    With a_k the coefficients of Q^((p-1)/2), [x^k] (x^2+x) Q^((p-1)/2) =
+    a_(k-2) + a_(k-1).  a_(p-3), a_(p-2), a_(p-1) are one window of
+    HASSE_RECURRENCE mod p.  The coefficient of x^(2p-1) in (x^2+x) Q^((p-1)/2)
+    must vanish (it is the regularity of C(eta) at infinity) and is asserted;
+    it is a_(2p-3) + a_(2p-2) = m q_3 q_4^(m-1) + q_4^m, m = (p-1)/2, read
+    from Q_COEFFS in closed form, so the check trips if Q's shape changes.
     """
     require_good_prime(p)
-    power = q_polynomial(p) ** ((p - 1) // 2)
-    alpha = power[p - 1]
-    beta = (power[p - 3] + power[p - 2]) % p
-    sanity = (power[2 * p - 3] + power[2 * p - 2]) % p
+    n = max(p - 4, 0)
+    h = window_mod(HASSE_RECURRENCE, HASSE_INIT, p, n)
+    alpha = h[p - 1 - n]
+    beta = (h[p - 3 - n] + h[p - 2 - n]) % p
+    m, q3, q4 = (p - 1) // 2, Q_COEFFS[3], Q_COEFFS[4]
+    sanity = (m * q3 * pow(q4, m - 1, p) + pow(q4, m, p)) % p
     if sanity != 0:
         raise AssertionError(f"[x^(2p-1)] (x^2+x) Q^((p-1)/2) = {sanity} != 0 at p = {p}")
     inv = CartierInvariants(p, alpha, beta)

@@ -348,11 +348,12 @@ def cmd_cartier(args) -> Report:
         f"alpha'={inv.alpha}, beta'={inv.beta}",
     )
     pmax = args.pmax
-    bad = []
+    bad, scanned = [], 0
     alpha_zero, beta_zero, combo_zero = [], [], []
     for q in range(3, pmax + 1):
         if not is_prime(q) or q in BAD_PRIMES:
             continue
+        scanned += 1
         iv = alphabeta_quartic(q)
         if iv.both_zero:
             bad.append(q)
@@ -362,7 +363,12 @@ def cmd_cartier(args) -> Report:
             beta_zero.append(q)
         if (iv.alpha + 4 * iv.beta) % q == 0:
             combo_zero.append(q)
-    rep.add(f"(alpha', beta') != (0,0) for good p <= {pmax}", not bad, witness=None if not bad else {"bad": bad})
+    rep.add(
+        f"(alpha', beta') != (0,0) for good p <= {pmax}",
+        not bad,
+        f"{scanned} good primes",
+        witness=None if not bad else {"bad": bad},
+    )
     rep.add(
         "invariant pair tabulation",
         True,

@@ -1,8 +1,12 @@
 import random
+from fractions import Fraction
 
 import pytest
 
+from curveseq import cartier
 from curveseq.cartier import (
+    HASSE_INIT,
+    HASSE_RECURRENCE,
     CartierInvariants,
     alphabeta_quartic,
     alphabeta_weierstrass,
@@ -19,6 +23,7 @@ from curveseq.cartier import (
     x_shift_form,
 )
 from curveseq.curve import (
+    Q_COEFFS,
     CurveForm,
     CurveFunction,
     expand_form,
@@ -31,9 +36,9 @@ from curveseq.curve import (
     xi_form,
     xi_s,
 )
-from curveseq.exactnum import QuadExt, reduce_fraction_mod
+from curveseq.exactnum import QuadExt, is_prime, reduce_fraction_mod
 from curveseq.polyring import Polynomial, RationalFunction
-from curveseq.recurrence import main_sequence
+from curveseq.recurrence import Recurrence, extend_rational, main_sequence
 from curveseq.series import LaurentSeries, TruncatedSeries
 
 
@@ -184,6 +189,60 @@ def test_quartic_sanity_coefficient_all_p():
     for p in range(3, 101):
         if is_prime(p) and p not in (5, 13):
             alphabeta_quartic(p)
+
+
+def hasse_power_route(p):
+    """(alpha', beta') off all 2p - 1 coefficients of Q^((p-1)/2) mod p."""
+    a = q_polynomial(p) ** ((p - 1) // 2)
+    return a[p - 1], (a[p - 3] + a[p - 2]) % p
+
+
+def test_alphabeta_quartic_matches_the_hasse_power():
+    primes = [p for p in range(3, 1050) if is_prime(p) and p not in (5, 13)] + [10007]
+    for p in primes:
+        inv = alphabeta_quartic(p)
+        assert (inv.alpha, inv.beta) == hasse_power_route(p), p
+    inv = alphabeta_quartic(3)  # the window is read at 0, not at p - 4
+    assert (inv.alpha, inv.beta) == (1, 1)
+
+
+def test_hasse_recurrence_solves_two_over_root_q():
+    n = 200
+    q = TruncatedSeries([Fraction(c) for c in Q_COEFFS], n)
+    h = q.sqrt(2).inverse().scale(2)
+    assert extend_rational(HASSE_RECURRENCE, HASSE_INIT, n) == h.coeffs
+
+
+def _hasse_mutants():
+    """HASSE_RECURRENCE with one coefficient moved (the absent shift 3
+    included), and HASSE_INIT with one value moved."""
+    shifts = dict(HASSE_RECURRENCE.shifts)
+    shifts.setdefault(3, (0, 0))
+    for j, poly in shifts.items():
+        for k in range(len(poly)):
+            moved = {**shifts, j: poly[:k] + (poly[k] + 1,) + poly[k + 1:]}
+            yield f"P_{j}[{k}]", Recurrence(tuple(moved.items())), HASSE_INIT
+    for i in range(len(HASSE_INIT)):
+        init = HASSE_INIT[:i] + (HASSE_INIT[i] + 1,) + HASSE_INIT[i + 1:]
+        yield f"h_{i}", HASSE_RECURRENCE, init
+
+
+def _reads_off_the_power(p):
+    """alphabeta_quartic(p) disagrees with the power route; a moved lead can
+    vanish mod p before p - 4, and a window it cannot read is no mismatch."""
+    try:
+        inv = alphabeta_quartic(p)
+    except (ValueError, ZeroDivisionError):
+        return False
+    return (inv.alpha, inv.beta) != hasse_power_route(p)
+
+
+def test_hasse_recurrence_mutants_are_caught(monkeypatch):
+    primes = [p for p in range(3, 100) if is_prime(p) and p not in (5, 13)]
+    for label, spec, init in _hasse_mutants():
+        monkeypatch.setattr(cartier, "HASSE_RECURRENCE", spec)
+        monkeypatch.setattr(cartier, "HASSE_INIT", init)
+        assert any(_reads_off_the_power(p) for p in primes), label
 
 
 def test_legendre_hasse_identities():

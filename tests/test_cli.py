@@ -218,6 +218,16 @@ def test_cartier_command(capsys):
     assert code == 0
 
 
+def test_cartier_scan_reports_the_primes_it_scanned(tmp_path, capsys):
+    # --pmax 3 scans p = 3 alone
+    path = tmp_path / "cartier.json"
+    code, _ = run_cli(["cartier", "--p", "7", "--pmax", "3", "--json", str(path)], capsys)
+    assert code == 0
+    (check,) = [c for c in json.loads(path.read_text())["checks"] if c["name"].endswith("for good p <= 3")]
+    assert check["status"] == "pass"
+    assert check["details"] == "1 good primes"
+
+
 def test_frobenius_command(capsys):
     code, out = run_cli(["frobenius", "--pmax", "20", "--vp-limit", "11"], capsys)
     assert code == 0
