@@ -4,8 +4,10 @@ W_p (all F_p-solutions) is infinite dimensional; its projection to
 (C_1, ..., C_4) is, for good p distinct from 3, the 2-dimensional kernel of
 two explicit linear forms: the residue hyperplane and a Cartier form built
 from the invariants (alpha', beta') of the reduced curve (their integer rows
-live in ``recurrence``).  A fully enumerative extension search over F_p^4
-(vectorized) serves as the independent oracle for the closed form.
+live in ``recurrence``).  The independent oracle for the closed form decides
+for every vector of F_p^4 whether some choice of free values extends it,
+from the linear map that takes data and free values to the recurrence's
+consistency residuals.
 """
 
 from __future__ import annotations
@@ -28,9 +30,8 @@ from .recurrence import (
     MAIN_RECURRENCE,
     SPECIAL_DIRECTION,
     T2_BLOCK,
-    _lane_residue,
-    _lane_types,
-    extend_lanes_modp,
+    extend_modp,
+    extend_residuals_modp,
     form_value,
     poly_eval,
     window_mod,
@@ -70,82 +71,66 @@ def tail_vector_mod(p: int) -> tuple[int, int, int, int]:
     return window_mod(MAIN_RECURRENCE, MAIN_INITIAL_DATA, p, p)[1:]
 
 
-# -- vectorized exhaustive extension ------------------------------------------------
+# -- exhaustive extension ----------------------------------------------------------
 
 
-def _lane_chunks(p: int):
-    """F_p^4 as lanes (C_1, C_2, C_3, C_4) in p chunks of p^3 lanes, one per
-    value of C_1, the slowest coordinate of the C-order index.  Yields (slice
-    of the flat index, lanes); the lanes of the inner three coordinates are
-    built once, in the value type of _lane_types."""
-    val_t, _ = _lane_types(p, 1)
-    digits = np.arange(p, dtype=val_t)
-    inner = [np.repeat(digits, p * p), np.tile(np.repeat(digits, p), p), np.tile(digits, p * p)]
-    n = p**3
-    for c1 in range(p):
-        yield slice(c1 * n, (c1 + 1) * n), [np.full(n, c1, val_t), *inner]
+def _unit(i: int, n: int) -> list[int]:
+    return [int(j == i) for j in range(n)]
 
 
-def extension_constraints(p: int, blocks: int) -> tuple[list[np.ndarray], np.ndarray]:
-    """Run the recurrence on every vector of F_p^4 at once (free choices 0)
-    and on the unit free-choice sequences.
+def extension_constraints(p: int, blocks: int) -> tuple[list[list[int]], list[list[int]]]:
+    """The consistency residuals at the free indices below blocks*p+2 as a
+    linear map of the data (C_1..C_4) and the free choices.
 
-    Returns (constraint value arrays L_k over F_p^4, sensitivity matrix S with
-    S[k][j] = effect of free choice j on constraint k).  S does not depend on
-    V, so the ``blocks`` unit lanes (lane j is 1 at the j-th free index, 0
-    elsewhere, on zero initial data) run once.  F_p^4 runs through
-    extend_lanes_modp one chunk of _lane_chunks at a time, and each chunk's
-    residuals fill its slice of the L_k: working memory is O(p^3) besides the
-    k arrays of p^4 values (uint8 for p <= 256) returned.
+    Every step of the recurrence over F_p is linear, so the residual vector
+    of data V with free choices f is A V + S f.  Returns (A, S): column i of
+    A is the residual run on (0, e_i) with every free choice 0, column j of
+    S the run on zero data with free choice j equal to 1 and the others 0
+    (recurrence.extend_residuals_modp).  A has k rows, one per free index,
+    and 4 columns; S has k rows and ``blocks`` columns.
     """
     # for odd p the free indices m = 1 mod p below blocks*p+2 are at most
     # ``blocks``; at p = 2 every index is free
     if p < 3:
         raise ValueError("extension_constraints requires p >= 3")
+    if blocks < 1:
+        raise ValueError(f"blocks = {blocks}: the search needs at least one block")
     n_terms = blocks * p + 2
-    val_t, _ = _lane_types(p, 5)
-    units = list(np.eye(blocks, dtype=val_t))
-    _, lane_rows = extend_lanes_modp(MAIN_RECURRENCE, [np.zeros(blocks, val_t)] * 5, p, n_terms, units)
-    k = len(lane_rows)
-    s_matrix = np.array([row[:k] for row in lane_rows], dtype=np.int64)
-    constraints = [np.empty(p**4, val_t) for _ in range(k)]
-    zero = np.zeros(p**3, val_t)
-    for chunk, lanes in _lane_chunks(p):
-        _, residuals = extend_lanes_modp(MAIN_RECURRENCE, [zero, *lanes], p, n_terms, [zero] * k)
-        for constraint, residual in zip(constraints, residuals):
-            constraint[chunk] = residual
-    return constraints, s_matrix
+
+    def residuals(init: list[int], free: list[int]) -> list[int]:
+        return extend_residuals_modp(MAIN_RECURRENCE, init, p, n_terms, free)[1]
+
+    a_cols = [residuals([0, *_unit(i, 4)], [0] * blocks) for i in range(4)]
+    s_cols = [residuals([0] * 5, _unit(j, blocks)) for j in range(blocks)]
+    return [list(row) for row in zip(*a_cols)], [list(row) for row in zip(*s_cols)]
 
 
 def vp_bruteforce_mask(p: int, blocks: int = 2) -> np.ndarray:
     """Boolean mask over F_p^4 (C-order index (C1,C2,C3,C4)) of data that
     extend to index blocks*p+1 for some exhaustive combination of free choices.
 
-    A vector survives iff the constraint vector L(V) lies in the column space
-    of the (constant) sensitivity matrix; equivalently every left-null form of
-    that matrix kills L(V).  The forms are applied one chunk of p^3 at a time.
+    V survives iff A V + S f = 0 for some free choices f (extension_constraints),
+    i.e. iff A V lies in the column space of S; equivalently N A V = 0, where
+    the rows of N span the left null space of S.  The mask is the span of
+    ker(N A), written by _membership_mask.
     """
     require_good_prime(p)
-    constraints, s_matrix = extension_constraints(p, blocks)
-    mask = np.ones(p**4, dtype=bool)
-    if not constraints:
-        return mask
-    # with a constraint there is at least one lane, so s_matrix is not empty
-    left_null = kernel_mod([list(col) for col in s_matrix.T], p)
-    for chunk, _ in _lane_chunks(p):
-        for nu in left_null:
-            mask[chunk] &= _lane_residue([c % p for c in nu], [L[chunk] for L in constraints], p) == 0
-    return mask
+    a_matrix, s_matrix = extension_constraints(p, blocks)
+    left_null = kernel_mod(list(zip(*s_matrix)), p)
+    forms = [[sum(n * a for n, a in zip(nu, col)) % p for col in zip(*a_matrix)] for nu in left_null]
+    return _membership_mask(p, forms)
 
 
 def vp_bruteforce_literal(p: int, blocks: int = 2) -> np.ndarray:
     """The mask of vp_bruteforce_mask (same C order) by plain enumeration over
     (V, first free choice) without the linear-algebra shortcut; feasible for
-    p <= 11.  Used to cross-check the vectorized oracle.
+    p <= 11.  Used to cross-check the linear-algebra oracle.
 
     The coefficients P_j(n) mod p of every step are tabulated once per call,
     the lead as -1/P_5(n) (0 at a free index)."""
     require_good_prime(p)
+    if blocks < 1:
+        raise ValueError(f"blocks = {blocks}: the search needs at least one block")
     n_terms = blocks * p + 2
     steps = []
     for n in range(n_terms - 5):
@@ -199,8 +184,10 @@ def compute_vp(p: int, brute_validate: bool | None = None) -> VpSpace:
     """V_p as the kernel of the hyperplane and Cartier forms; dimension 2,
     containing the reductions of (1, 2, -1/8, -1/2) and (c_{p+1..p+4}).
 
-    For p <= EXHAUSTIVE_PMAX (default) the kernel is cross-validated against
-    the exhaustive extension search over all of F_p^4.
+    For p <= EXHAUSTIVE_PMAX (default) the kernel is cross-validated on all
+    of F_p^4 against the survivors of the extension oracle
+    (vp_bruteforce_mask), which reads them off the recurrence's residual map
+    and none of the closed-form rows.
     """
     require_vp_prime(p)
     hyper = [v % p for v in HYPERPLANE_FORM]
@@ -230,13 +217,21 @@ def compute_vp(p: int, brute_validate: bool | None = None) -> VpSpace:
 
 
 def _membership_mask(p: int, forms: list[list[int]]) -> np.ndarray:
-    """Boolean mask over F_p^4 (C-order) of the vectors every form kills."""
-    mask = np.empty(p**4, dtype=bool)
-    for chunk, lanes in _lane_chunks(p):
-        kept = np.ones(p**3, dtype=bool)
-        for form in forms:
-            kept &= _lane_residue([c % p for c in form], lanes, p) == 0
-        mask[chunk] = kept
+    """Boolean mask over F_p^4 (C-order) of the vectors every form kills.
+
+    The kernel has a basis b_1..b_r; its p^r members sum_j a_j b_j are formed
+    coordinate by coordinate on an r-dimensional grid of (a_1..a_r) and set in
+    the mask by their flat C-order index.
+    """
+    # the zero row fixes the width at 4 when there are no forms
+    basis = kernel_mod([[0] * 4, *forms], p)
+    r = len(basis)
+    grid = [np.arange(p, dtype=np.int64).reshape([p if i == j else 1 for i in range(r)]) for j in range(r)]
+    flat = np.zeros((), np.int64)
+    for c in range(4):
+        flat = flat * p + sum(b[c] * a for b, a in zip(basis, grid)) % p
+    mask = np.zeros(p**4, dtype=bool)
+    mask[flat] = True
     return mask
 
 
@@ -343,12 +338,15 @@ def union_check(p: int, sample: int | None = None, seed: int = 0) -> UnionReport
     """C_p = C_1 exactly on the scalar multiples of the special vector,
     over all of V_p, or over ``sample`` members drawn with ``seed``.
 
-    The members run as lanes of the recurrence to index p; the first member
-    (in elements() or sample order) on which the two sides differ is the
-    counterexample.  At a degenerate prime (c_{2p} = c_{p+1} mod p; see
+    No index up to p is free, so C_p is the linear form ell.V with
+    ell_i = C_p of the extension of (0, e_i); the first member (in elements()
+    or sample order) on which the two sides differ is the counterexample.  At
+    a degenerate prime (c_{2p} = c_{p+1} mod p; see
     union_functional_degenerate) the equivalence genuinely fails and the
     report carries a counterexample with the diagnostic set."""
     require_vp_prime(p)
+    if sample is not None and sample < 1:
+        raise ValueError(f"sample = {sample}: the check needs at least one member")
     space = compute_vp(p, brute_validate=False)
     if sample is None:
         candidates = list(space.elements())
@@ -359,18 +357,13 @@ def union_check(p: int, sample: int | None = None, seed: int = 0) -> UnionReport
         for _ in range(sample):
             a, b = rng.randrange(p), rng.randrange(p)
             candidates.append(tuple((a * x + b * y) % p for x, y in zip(b1, b2)))
-    val_t, _ = _lane_types(p, 5)
-    lanes = list(np.array(candidates, dtype=val_t).reshape(-1, 4).T)
-    # the first free index is p + 1, so no free lanes are needed up to index p
-    window, _ = extend_lanes_modp(MAIN_RECURRENCE, [np.zeros(len(candidates), val_t), *lanes], p, p + 1, ())
-    # proportional to the special vector s (s_1 = 1): C_i = C_1 s_i
-    proportional = np.logical_and.reduce(
-        [_lane_residue([s], [lanes[0]], p) == lane for s, lane in zip(special_vector_mod(p), lanes)]
-    )
-    failing = np.flatnonzero((window[-1] == lanes[0]) != proportional)
-    if failing.size:
-        first = int(failing[0])
-        return UnionReport(p, first + 1, False, candidates[first], union_functional_degenerate(p))
+    ell = [extend_modp(MAIN_RECURRENCE, (0, *_unit(i, 4)), p, p + 1).values[p] for i in range(4)]
+    special = special_vector_mod(p)
+    for i, v in enumerate(candidates):
+        # proportional to the special vector s (s_1 = 1): C_i = C_1 s_i
+        proportional = all((v[0] * s - x) % p == 0 for s, x in zip(special, v))
+        if (form_value(ell, v) % p == v[0]) != proportional:
+            return UnionReport(p, i + 1, False, v, union_functional_degenerate(p))
     return UnionReport(p, len(candidates), True)
 
 

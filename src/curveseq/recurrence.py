@@ -212,6 +212,7 @@ def main_sequence(n_terms: int) -> list[Fraction]:
 
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
+_OBJECT = np.dtype(object)
 
 
 def _window_dtype(spec: Recurrence, q: int) -> np.dtype:
@@ -377,60 +378,10 @@ class ModPSolution:
         return self.violated_at is None
 
 
-#: lane dtypes with their max, narrowest first (see _lane_types)
-_VALUE_TYPES = tuple((np.dtype(t), int(np.iinfo(t).max)) for t in (np.uint8, np.uint16, np.uint32, np.uint64))
-_ACC_TYPES = tuple((np.dtype(t), int(np.iinfo(t).max)) for t in (np.int16, np.int32, np.int64))
-_OBJECT = np.dtype(object)
+def _step_modp(spec: Recurrence, window: Sequence[int], n: int, p: int) -> tuple[int | None, int | None]:
+    """One step of the recurrence over F_p at index n on the ints
+    values[n .. n+d-1].
 
-
-def _lane_types(p: int, d: int) -> tuple[np.dtype, np.dtype]:
-    """(value, accumulator) dtypes for lanes of residues mod p combined d at a time.
-
-    A lane value lies in [0, p), and a combination sum_{j<d} c_j w_j with
-    coefficients reduced mod p lies in [0, d(p-1)^2].  Values take the
-    narrowest unsigned type that holds p - 1 (uint8 while p <= 256).  The
-    accumulator is the narrowest of int16, int32 and int64 whose max is at
-    least d(p-1)^2 (int16 up to p = 81 at d = 5), and Python ints (object)
-    beyond int64, so every prime gets exact lanes.
-    """
-    top = d * (p - 1) ** 2
-    value = next((t for t, hi in _VALUE_TYPES if p - 1 <= hi), _OBJECT)
-    acc = next((t for t, hi in _ACC_TYPES if top <= hi), _OBJECT)
-    return value, acc
-
-
-def _lane_residue(coefs: Sequence[int], lanes: Sequence, p: int, scale: int = 1) -> np.ndarray:
-    """(scale * sum_j coefs[j] lanes[j]) mod p, lane by lane, in the value
-    type of _lane_types(p, len(coefs)).
-
-    ``coefs`` are ints reduced mod p and ``lanes`` arrays of residues mod p.
-    Every product names the accumulator dtype: a Python int times a uint8
-    array stays uint8 and wraps (NEP 50).  While the accumulator is int16 the
-    reduction is one lookup in t[a] = scale * a mod p, 0 <= a <= d(p-1)^2
-    (at most 32768 entries); wider accumulators reduce with %.
-    """
-    d = len(coefs)
-    val_t, acc_t = _lane_types(p, d)
-    shape = np.shape(lanes[-1])
-    acc = np.zeros(shape, acc_t)
-    tmp = np.empty(shape, acc_t)
-    for c, w in zip(coefs, lanes):
-        if c:
-            np.multiply(w, c, out=tmp, dtype=acc_t)
-            acc += tmp
-    if acc_t == np.int16:
-        table = np.tile((np.arange(p) * scale % p).astype(val_t), d * (p - 1) ** 2 // p + 1)
-        return table.take(acc)
-    return (acc % p * scale % p).astype(val_t)
-
-
-def _step_modp(spec: Recurrence, window: Sequence, n: int, p: int):
-    """One step of the recurrence over F_p at index n.
-
-    ``window`` holds values[n .. n+d-1] as ints, or as equal-length arrays of
-    residues mod p (one lane per element).  Lanes are combined and reduced by
-    _lane_residue in the types _lane_types picks, so they are exact for every
-    p: the accumulator always holds d(p-1)^2.
     Returns (forced value at n+d, None) where P_d(n) != 0 mod p, and
     (None, consistency residual of the window) where n+d is a free index.
     """
@@ -439,10 +390,6 @@ def _step_modp(spec: Recurrence, window: Sequence, n: int, p: int):
     for j, poly in spec.shifts:
         coefs[j] = poly_eval(poly, n) % p
     lead = coefs.pop()
-    if isinstance(window[-1], np.ndarray):
-        if lead:
-            return _lane_residue(coefs, window, p, -pow(lead, -1, p) % p), None
-        return None, _lane_residue(coefs, window, p)
     acc = sum(c * w for c, w in zip(coefs, window) if c) % p
     if lead:
         return -acc * pow(lead, -1, p) % p, None
@@ -481,23 +428,23 @@ def extend_modp(
     return sol
 
 
-def extend_lanes_modp(
-    spec: Recurrence, init: Sequence[np.ndarray], p: int, n_terms: int, free_lanes: Sequence[np.ndarray]
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Extend lanes of initial data over F_p to index n_terms-1 on a d-term
-    window: one lane per initial vector, all lanes stepped at once.
+def extend_residuals_modp(
+    spec: Recurrence, init: Sequence[int], p: int, n_terms: int, free_values: Sequence[int]
+) -> tuple[list[int], list[int]]:
+    """Extend initial data over F_p to index n_terms-1 on a d-term window,
+    recording each consistency residual instead of checking it.
 
-    The value at the k-th free index is ``free_lanes[k]``; there the window's
-    consistency residual is recorded instead of checked.  Returns (the last d
-    values, the residuals at the free indices in order).
+    The value at the k-th free index is ``free_values[k]``.  Returns (the last
+    d values, the residuals at the free indices in order).  Every step is
+    linear, so the residuals are a linear map of (init, free_values).
     """
     d = spec.order
-    window = list(init)
-    residuals: list[np.ndarray] = []
+    window = [v % p for v in init]
+    residuals: list[int] = []
     for m in range(d, n_terms):
         value, residual = _step_modp(spec, window, m - d, p)
         if value is None:
-            value = free_lanes[len(residuals)]
+            value = free_values[len(residuals)] % p
             residuals.append(residual)
         window = window[1:] + [value]
     return window, residuals

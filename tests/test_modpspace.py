@@ -11,8 +11,10 @@ from curveseq.curve import k_constants, xi_form
 from curveseq.exactnum import reduce_fraction_mod
 from curveseq.linalg import rank_mod
 from curveseq.modpspace import (
+    _membership_mask,
     cartier_form,
     compute_vp,
+    extension_constraints,
     extendability_test,
     sigma_blocks,
     special_vector_mod,
@@ -30,6 +32,7 @@ from curveseq.recurrence import (
     T2_BLOCK,
     InitialData,
     extend_modp,
+    extend_residuals_modp,
     form_value,
 )
 
@@ -62,8 +65,9 @@ def test_bruteforce_stable_at_deeper_blocks():
 
 
 def test_bruteforce_oracle_memory_is_o_p4():
-    # the oracle keeps a five-term window, not its whole history: peak
-    # memory is a fixed number of p^4 int64 arrays, independent of p
+    # the oracle keeps no history: 4 + blocks scalar residual runs on a
+    # five-term window, then the boolean mask, so peak memory stays within a
+    # fixed number of p^4 int64 arrays, independent of p
     import tracemalloc
 
     p = 23
@@ -77,9 +81,9 @@ def test_bruteforce_oracle_memory_is_o_p4():
 
 
 def test_bruteforce_oracle_memory_is_o_p3_plus_mask():
-    # p chunks of p^3 narrow lanes: beside the k = 2 uint8 constraint arrays
-    # and the boolean mask (p^4 bytes each) the oracle holds O(p^3) bytes; a
-    # single p^4 int16 temporary would add 2 p^4 = 46 p^3 at p = 23
+    # beside the boolean mask (p^4 bytes) the oracle holds the k x 4 and
+    # k x blocks residual matrices and the p^2 flat indices of the survivors'
+    # span; a single p^4 int16 temporary would add 2 p^4 = 46 p^3 at p = 23
     import tracemalloc
 
     p = 23
@@ -98,8 +102,6 @@ def test_bruteforce_mask_agrees_with_literal_at_each_depth():
 
 
 def test_bruteforce_mask_is_the_closed_form_at_every_good_prime_to_31():
-    from curveseq.modpspace import _membership_mask
-
     for p in (7, 11, 17, 19, 23, 29, 31):
         mask = vp_bruteforce_mask(p)
         assert np.array_equal(mask, _membership_mask(p, [list(HYPERPLANE_FORM), cartier_form(p)]))
@@ -110,6 +112,57 @@ def test_bruteforce_mask_is_the_closed_form_at_every_good_prime_to_31():
     member = _membership_mask(p, forms)
     plain = [all(form_value(row, v) % p == 0 for row in forms) for v in product(range(p), repeat=4)]
     assert member.tolist() == plain
+
+
+@pytest.mark.parametrize("blocks", [0, -1])
+def test_oracle_without_blocks_is_a_usage_error(blocks):
+    # no block means no free index and no constraint: every vector of F_p^4
+    # would survive a search that examined nothing
+    for oracle in (vp_bruteforce_mask, vp_bruteforce_literal, extension_constraints):
+        with pytest.raises(ValueError, match="at least one block"):
+            oracle(7, blocks)
+
+
+@pytest.mark.parametrize("p", [3, 7, 11])
+def test_residuals_are_the_linear_map_of_extension_constraints(p):
+    # the oracle rests on this: a residual run on (0, V) with free choices f
+    # gives A V + S f mod p
+    rng = random.Random(p)
+    for blocks in (1, 2, 3):
+        a_matrix, s_matrix = extension_constraints(p, blocks)
+        assert len(a_matrix) == len(s_matrix) and all(len(row) == blocks for row in s_matrix)
+        for _ in range(20):
+            v = [rng.randrange(p) for _ in range(4)]
+            f = [rng.randrange(p) for _ in range(blocks)]
+            _, got = extend_residuals_modp(MAIN_RECURRENCE, (0, *v), p, blocks * p + 2, f)
+            want = [(form_value(a, v) + form_value(s, f)) % p for a, s in zip(a_matrix, s_matrix)]
+            assert got == want, (p, blocks, v, f)
+
+
+#: form sets of rank 0 to 4, with zero and dependent rows
+SPAN_FORMS = (
+    [],
+    [[0, 0, 0, 0]],
+    [[1, 2, 0, 3]],
+    [[1, 2, 0, 3], [2, 4, 0, 6]],
+    [[0, 0, 1, 0], [0, 0, 0, 0], [0, 1, 0, 2]],
+    [[1, 1, 0, 6], [0, 1, 1, 1], [1, 2, 1, 7]],
+    [[1, 1, 0, 6], [3, 2, 8, 12], [0, 0, 0, 1]],
+    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 1, 1, 1]],
+)
+
+
+@pytest.mark.parametrize("p", [3, 7])
+def test_membership_mask_is_the_plain_enumeration(p):
+    rng = random.Random(p)
+    form_sets = list(SPAN_FORMS)
+    form_sets += [[[rng.randrange(p) for _ in range(4)] for _ in range(n)] for n in (1, 2, 3, 4) for _ in range(3)]
+    ranks = set()
+    for forms in form_sets:
+        plain = [all(form_value(row, v) % p == 0 for row in forms) for v in product(range(p), repeat=4)]
+        assert _membership_mask(p, forms).tolist() == plain, forms
+        ranks.add(rank_mod(forms, p))
+    assert ranks == {0, 1, 2, 3, 4}
 
 
 def test_excluded_primes_raise():
@@ -177,8 +230,6 @@ def test_extendability_fixtures():
 def test_method_agreement_full_f7_f11():
     # routes (a) and (b) agree on all of F_p^4 for p = 7, 11: compare the
     # closed-form membership mask with the series obstruction mask
-    from curveseq.modpspace import _membership_mask
-
     for p in (7, 11):
         obstruction = xi_obstruction_matrix(p)
         forms = [list(HYPERPLANE_FORM), cartier_form(p)]
@@ -205,6 +256,13 @@ def test_union_check():
     for p in (7, 11):
         rep = union_check(p)
         assert rep.equivalence_holds and rep.checked == p * p
+
+
+@pytest.mark.parametrize("p, sample", [(7, 0), (41, -3)])
+def test_union_check_without_members_is_a_usage_error(p, sample):
+    # a sample that checks nothing must not report the equivalence as holding
+    with pytest.raises(ValueError, match="at least one member"):
+        union_check(p, sample=sample)
 
 
 def test_union_check_sampled_large_prime():

@@ -17,14 +17,12 @@ from curveseq.recurrence import (
     MAIN_INITIAL_DATA,
     InitialData,
     Recurrence,
-    _lane_types,
-    _step_modp,
     _window_dtype,
     common_denominator,
     denominator_profile,
     extend_integral,
-    extend_lanes_modp,
     extend_modp,
+    extend_residuals_modp,
     extend_rational,
     main_sequence,
     rhs_forms,
@@ -143,72 +141,25 @@ def test_extend_modp_free_choice_log():
 
 
 def test_extend_lanes_modp_matches_extend_modp():
-    # each lane against its own scalar extension with the same free choices:
-    # a nonzero residual is extend_modp's violation, else the windows agree
+    # each residual run against extend_modp with the same free choices: a
+    # nonzero residual is extend_modp's violation, else the windows agree
     p, n_terms = 7, 24  # free indices 8, 15, 22
     rng = random.Random(3)
     inits = [(0, 0, 0, 0, 0), MAIN_INITIAL_DATA.reduce_mod(p)]
     inits += [(0, *(rng.randrange(p) for _ in range(4))) for _ in range(40)]
     choices = [rng.randrange(p) for _ in range(3)]
-    value_t, _ = _lane_types(p, 5)
-    free = [np.full(len(inits), c, value_t) for c in choices]
-    window, residuals = extend_lanes_modp(
-        MAIN_RECURRENCE, list(np.array(inits, dtype=value_t).T), p, n_terms, free
-    )
-    assert len(residuals) == 3
     outcomes = set()
-    for i, init in enumerate(inits):
+    for init in inits:
+        window, residuals = extend_residuals_modp(MAIN_RECURRENCE, init, p, n_terms, choices)
+        assert len(residuals) == 3
         sol = extend_modp(MAIN_RECURRENCE, init, p, n_terms, lambda m, prefix: choices[m // p - 1])
-        bad = [k for k, r in enumerate(residuals) if r[i]]
+        bad = [k for k, r in enumerate(residuals) if r]
         if bad:
             assert sol.violated_at == (bad[0] + 1) * p + 1
         else:
-            assert sol.ok and sol.values[-5:] == [int(w[i]) for w in window]
+            assert sol.ok and sol.values[-5:] == window
         outcomes.add(bool(bad))
     assert outcomes == {True, False}
-
-
-#: primes on both sides of each lane-type change at d = 5: accumulator int16 |
-#: int32 (5(p-1)^2 <= 2^15 - 1 up to p = 81), values uint8 | uint16 (p <= 256),
-#: accumulator int32 | int64 (up to p = 20725) and int64 | Python int (up to
-#: p = 1358187914), values uint64 | Python int (p <= 2^64)
-LANE_BOUNDARY_PRIMES = (79, 83, 251, 257, 20719, 20731, 1358187913, 1358187923, 2**61 - 1, 2**89 - 1)
-
-
-def test_lane_types_hold_every_combination():
-    # only dtypes are inspected, nothing is allocated
-    for p in (3, 7, *LANE_BOUNDARY_PRIMES, 2**127 - 1):
-        for d in (1, 4, 5):
-            value, acc = _lane_types(p, d)
-            assert value == object or np.iinfo(value).max >= p - 1
-            assert acc == object or np.iinfo(acc).max >= d * (p - 1) ** 2
-    assert [tuple(str(t) for t in _lane_types(p, 5)) for p in LANE_BOUNDARY_PRIMES] == [
-        ("uint8", "int16"), ("uint8", "int32"), ("uint8", "int32"), ("uint16", "int32"),
-        ("uint16", "int32"), ("uint16", "int64"), ("uint32", "int64"), ("uint32", "object"),
-        ("uint64", "object"), ("object", "object"),
-    ]
-
-
-@pytest.mark.parametrize("p", LANE_BOUNDARY_PRIMES)
-def test_lane_step_matches_scalar_step(p):
-    # every lower coefficient is p - 1 (>= 128 at p = 251: a Python int times
-    # a uint8 lane that is left in uint8 wraps, NEP 50), so a lane of p - 1
-    # reaches the accumulator bound 5(p-1)^2 exactly; the lead n + 1 vanishes
-    # at n = p - 1, MAIN's 4(n + 4) at n = p - 4
-    extreme = Recurrence(tuple((j, (p - 1,)) for j in range(5)) + ((5, (1, 1)),))
-    rng = random.Random(p)
-    value_t, _ = _lane_types(p, 5)
-    for spec in (MAIN_RECURRENCE, extreme):
-        for n in (rng.randrange(p), p - 4, p - 1):
-            rows = [[0, p - 1] + [rng.randrange(p) for _ in range(4)] for _ in range(5)]
-            got = _step_modp(spec, [np.array(r, dtype=value_t) for r in rows], n, p)
-            want = [_step_modp(spec, [r[i] for r in rows], n, p) for i in range(6)]
-            for k in (0, 1):
-                if got[k] is None:
-                    assert all(w[k] is None for w in want)
-                else:
-                    assert got[k].dtype == value_t
-                    assert [int(v) for v in got[k]] == [w[k] for w in want], (spec, n, k)
 
 
 def test_rhs_forms_special_vanish():
