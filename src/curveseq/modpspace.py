@@ -31,7 +31,6 @@ from .recurrence import (
     SPECIAL_DIRECTION,
     T2_BLOCK,
     extend_modp,
-    extend_residuals_modp,
     form_value,
     poly_eval,
     window_mod,
@@ -84,10 +83,10 @@ def extension_constraints(p: int, blocks: int) -> tuple[list[list[int]], list[li
 
     Every step of the recurrence over F_p is linear, so the residual vector
     of data V with free choices f is A V + S f.  Returns (A, S): column i of
-    A is the residual run on (0, e_i) with every free choice 0, column j of
-    S the run on zero data with free choice j equal to 1 and the others 0
-    (recurrence.extend_residuals_modp).  A has k rows, one per free index,
-    and 4 columns; S has k rows and ``blocks`` columns.
+    A holds the residuals of recurrence.extend_modp on (0, e_i) with every
+    free choice 0, column j of S those on zero data with free choice j equal
+    to 1 and the others 0.  A has k rows, one per free index, and 4 columns;
+    S has k rows and ``blocks`` columns.
     """
     # for odd p the free indices m = 1 mod p below blocks*p+2 are at most
     # ``blocks``; at p = 2 every index is free
@@ -98,9 +97,9 @@ def extension_constraints(p: int, blocks: int) -> tuple[list[list[int]], list[li
     n_terms = blocks * p + 2
 
     def residuals(init: list[int], free: list[int]) -> list[int]:
-        return extend_residuals_modp(MAIN_RECURRENCE, init, p, n_terms, free)[1]
+        return [r for _, r in extend_modp(MAIN_RECURRENCE, init, p, n_terms, free).residuals]
 
-    a_cols = [residuals([0, *_unit(i, 4)], [0] * blocks) for i in range(4)]
+    a_cols = [residuals([0, *_unit(i, 4)], []) for i in range(4)]
     s_cols = [residuals([0] * 5, _unit(j, blocks)) for j in range(blocks)]
     return [list(row) for row in zip(*a_cols)], [list(row) for row in zip(*s_cols)]
 

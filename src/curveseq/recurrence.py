@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -320,39 +320,61 @@ def window_mod(
 # -- mod-p extension -----------------------------------------------------------
 
 
-ChoicePolicy = Callable[[int, list[int]], int]
+@dataclass
+class ModPSolution:
+    """A solution over F_p with the consistency residual of each free index.
 
+    ``residuals`` holds (m, r) for every free index m (P_d(m-d) = 0 mod p;
+    m = 1 mod p on the main recurrence) in order: r = sum_{j<d} P_j(m-d)
+    values[m-d+j] mod p, the constraint on the window below m, which holds
+    when r = 0.  ``violated_at`` is the first m whose constraint fails.
+    """
 
-def zero_policy(index: int, prefix: list[int]) -> int:
-    return 0
+    p: int
+    values: list[int]
+    residuals: list[tuple[int, int]] = field(default_factory=list)
+
+    @property
+    def violated_at(self) -> int | None:
+        return next((m for m, r in self.residuals if r), None)
+
+    @property
+    def ok(self) -> bool:
+        return self.violated_at is None
+
+    @property
+    def free_choices(self) -> list[tuple[int, int]]:
+        return [(m, self.values[m]) for m, _ in self.residuals]
 
 
 def extend_modp_exhaustive(
     spec: Recurrence, init: Sequence[int], p: int, n_terms: int
-) -> "ModPSolution | None":
+) -> ModPSolution | None:
     """Search every combination of free choices (small p only); returns a
     successful extension or None when no choice sequence reaches n_terms."""
     if p < 3:
         raise ValueError("p >= 3 required")
     d = spec.order
+    if len(init) != d:
+        raise ValueError(f"need exactly {d} initial values")
     lead = spec.leading_poly
     lower = [(j, poly) for j, poly in spec.shifts if j < d]
 
-    def step(values: list[int], choices: list[tuple[int, int]]):
+    def step(values: list[int], free: list[int]):
         m = len(values)
         if m >= n_terms:
-            return ModPSolution(p, values, choices)
+            return ModPSolution(p, values, [(f, 0) for f in free])
         n = m - d
         denom = poly_eval(lead, n) % p
         acc = 0
         for j, poly in lower:
             acc = (acc + poly_eval(poly, n) * values[n + j]) % p
         if denom:
-            return step(values + [-acc * pow(denom, -1, p) % p], choices)
+            return step(values + [-acc * pow(denom, -1, p) % p], free)
         if acc % p != 0:
             return None
         for choice in range(p):
-            found = step(values + [choice], choices + [(m, choice)])
+            found = step(values + [choice], free + [m])
             if found is not None:
                 return found
         return None
@@ -360,94 +382,35 @@ def extend_modp_exhaustive(
     return step([v % p for v in init], [])
 
 
-@dataclass
-class ModPSolution:
-    """A (partial) solution over F_p with its free-choice log.
-
-    ``violated_at`` is the first index m = 1 mod p whose consistency
-    constraint failed; values then hold the prefix up to m-1.
-    """
-
-    p: int
-    values: list[int]
-    free_choices: list[tuple[int, int]] = field(default_factory=list)
-    violated_at: int | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.violated_at is None
-
-
-def _step_modp(spec: Recurrence, window: Sequence[int], n: int, p: int) -> tuple[int | None, int | None]:
-    """One step of the recurrence over F_p at index n on the ints
-    values[n .. n+d-1].
-
-    Returns (forced value at n+d, None) where P_d(n) != 0 mod p, and
-    (None, consistency residual of the window) where n+d is a free index.
-    """
-    d = len(window)
-    coefs = [0] * (d + 1)
-    for j, poly in spec.shifts:
-        coefs[j] = poly_eval(poly, n) % p
-    lead = coefs.pop()
-    acc = sum(c * w for c, w in zip(coefs, window) if c) % p
-    if lead:
-        return -acc * pow(lead, -1, p) % p, None
-    return None, acc
-
-
 def extend_modp(
-    spec: Recurrence,
-    init: Sequence[int],
-    p: int,
-    n_terms: int,
-    choice_policy: ChoicePolicy = zero_policy,
+    spec: Recurrence, init: Sequence[int], p: int, n_terms: int, free_values: Sequence[int] = ()
 ) -> ModPSolution:
-    """Extend initial data over F_p, inserting policy values at the free
-    indexes m = 1 mod p and checking the consistency constraint there.
+    """The first n_terms values over F_p of the solution with the given
+    initial data, with the consistency residual of each free index.
 
-    A constraint violation is a result (``violated_at``), not an error.
+    The value at the k-th free index is ``free_values[k]``, or 0 once that
+    list runs out.  A violated constraint is recorded, not an error, and the
+    run goes on past it.  Every step is linear, so the values and the
+    residuals are a linear map of (init, free_values).  P_j(n) mod p is read
+    off _coefficient_table.
     """
     if p < 3:
         raise ValueError("extend_modp requires p >= 3")
     d = spec.order
     if len(init) != d:
         raise ValueError(f"need exactly {d} initial values")
-    values = [v % p for v in init]
-    sol = ModPSolution(p, values)
-    for m in range(d, n_terms):
-        value, residual = _step_modp(spec, values[m - d :], m - d, p)
-        if value is None:
-            # the window below m is constrained; the value at m is free
-            if residual:
-                sol.violated_at = m
-                return sol
-            value = choice_policy(m, values) % p
-            sol.free_choices.append((m, value))
-        values.append(value)
-    return sol
-
-
-def extend_residuals_modp(
-    spec: Recurrence, init: Sequence[int], p: int, n_terms: int, free_values: Sequence[int]
-) -> tuple[list[int], list[int]]:
-    """Extend initial data over F_p to index n_terms-1 on a d-term window,
-    recording each consistency residual instead of checking it.
-
-    The value at the k-th free index is ``free_values[k]``.  Returns (the last
-    d values, the residuals at the free indices in order).  Every step is
-    linear, so the residuals are a linear map of (init, free_values).
-    """
-    d = spec.order
-    window = [v % p for v in init]
-    residuals: list[int] = []
-    for m in range(d, n_terms):
-        value, residual = _step_modp(spec, window, m - d, p)
-        if value is None:
-            value = free_values[len(residuals)] % p
-            residuals.append(residual)
-        window = window[1:] + [value]
-    return window, residuals
+    values = [v % p for v in init[: max(n_terms, 0)]]
+    residuals: list[tuple[int, int]] = []
+    table = _coefficient_table(spec, 0, max(n_terms - d, 0), p, _window_dtype(spec, p))
+    for n, (*coefs, lead) in enumerate(table.T.tolist()):
+        acc = sum(c * w for c, w in zip(coefs, values[n : n + d])) % p
+        if lead:
+            values.append(-acc * pow(lead, -1, p) % p)
+        else:
+            k = len(residuals)
+            residuals.append((n + d, acc))
+            values.append(free_values[k] % p if k < len(free_values) else 0)
+    return ModPSolution(p, values, residuals)
 
 
 # -- the right-hand side R(x) ---------------------------------------------------

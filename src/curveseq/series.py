@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exactnum import divisors, generalized_binomial, is_p_integral, mobius, reduce_fraction_mod
+from .exactnum import divisors, is_p_integral, mobius, reduce_fraction_mod
 
 _NUMPY_CUTOFF = 48
 
@@ -295,45 +295,6 @@ def _zero_like(coeffs, modulus: int | None):
     for c in coeffs:
         return c * 0
     return Fraction(0)
-
-
-def binomial_power(u: TruncatedSeries, a: int | Fraction) -> TruncatedSeries:
-    """(1 + u)^a = sum_k binom(a, k) u^k for a series u with u(0) = 0.
-
-    Satisfies (1+u)^a (1+u)^b = (1+u)^(a+b); for integer a >= 0 it agrees
-    with the polynomial power.
-    """
-    if u.precision == 0:
-        return u
-    if u.coeffs[0]:
-        raise ValueError("binomial_power needs u(0) = 0")
-    n = u.precision
-    val = u.valuation()
-    result = TruncatedSeries([1], n, u.modulus)
-    power = result
-    k = 1
-    step = val if val is not None else n
-    while val is not None and k * step < n:
-        power = power * u
-        result = result + power.scale(generalized_binomial(a, k))
-        k += 1
-    return result
-
-
-def phi_part(f: TruncatedSeries, p: int) -> TruncatedSeries:
-    """Keep exactly the coefficients a_n with p | n (the averaged series p^{-1} sum f(theta x))."""
-    zero = f._zero()
-    return f._wrap([c if n % p == 0 else zero for n, c in enumerate(f.coeffs)], f.precision)
-
-
-def divided_derivative(f: TruncatedSeries, k: int) -> TruncatedSeries:
-    """The k-th divided derivative sum_n binom(n, k) a_n x^{n-k}."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    n = f.precision
-    if n <= k:
-        return TruncatedSeries([], 0, f.modulus)
-    return TruncatedSeries([f.coeffs[i] * math.comb(i, k) for i in range(k, n)], n - k, f.modulus)
 
 
 # -- Dieudonne exponents ----------------------------------------------------

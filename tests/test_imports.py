@@ -1,13 +1,16 @@
 """Lint guards: every name a module of the package imports is used there,
-every import sits at module level, and every public function or class is
+every import sits at module level, every public function or class is
 called by the package or the benchmark, or is listed in TEST_ONLY with the
-route or claim it serves.
+route or claim it serves, and every call the benchmark makes into the
+package binds to the current signature.
 
 No linter is a dependency of the project, so the check walks the syntax
 tree with the standard library.
 """
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -38,10 +41,7 @@ TEST_ONLY = {
     "p_decompose": "p-basis decomposition over F_p(x)",
     "clear_denominator": "descent with a declared denominator",
     "lcm_upto": "lcm(1..n) of the denominator bound",
-    # no claim route yet
-    "binomial_power": "(1 + u)^a of a series",
-    "phi_part": "the coefficients a_n with p | n",
-    "divided_derivative": "the k-th divided derivative",
+    "generalized_binomial": "reference for the binomials of _mul_one_minus_xm_power",
 }
 
 
@@ -204,3 +204,72 @@ def test_guard_flags_a_public_name_shadowed_by_a_local():
         "    return lambda: called() + planted\n"
     )
     assert uncalled_public_names([package], [package]) == {"planted", "caller", "takes", "assigns"}
+
+
+def package_calls(source: str):
+    """(line, dotted name, callee or None, call node) for every call in
+    ``source`` of the form <curveseq module>.<name>(...), the module imported
+    with ``from curveseq import <module>`` anywhere in the source."""
+    tree = ast.parse(source)
+    modules = {}  # local name -> curveseq module
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "curveseq":
+            for alias in node.names:
+                modules[alias.asname or alias.name] = importlib.import_module(f"curveseq.{alias.name}")
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id in modules
+        ):
+            module = modules[node.func.value.id]
+            yield node.lineno, f"{module.__name__}.{node.func.attr}", getattr(module, node.func.attr, None), node
+
+
+def unbindable_calls(source: str) -> list[str]:
+    """The package calls in ``source`` that do not bind to the callee's
+    current signature, with one placeholder per argument written out."""
+    bad = []
+    for line, name, obj, call in package_calls(source):
+        if not callable(obj):
+            bad.append(f"{name} (line {line}): no such callable")
+            continue
+        try:
+            inspect.signature(obj).bind(*call.args, **{k.arg: None for k in call.keywords})
+        except TypeError as exc:
+            bad.append(f"{name} (line {line}): {exc}")
+    return bad
+
+
+def test_benchmark_calls_bind_to_the_package():
+    # tier 1 never runs perfbench/tests, so a signature change that breaks
+    # the benchmark must show here
+    checked = []
+    for path in BENCHMARK:
+        source = path.read_text()
+        checked += [name for _, name, _, _ in package_calls(source)]
+        assert unbindable_calls(source) == [], path.name
+    assert "curveseq.recurrence.extend_modp" in checked
+    assert "curveseq.modpspace.vp_bruteforce_mask" in checked
+
+
+def test_guard_flags_a_call_that_does_not_bind():
+    source = (
+        "from curveseq import modpspace\n"
+        "def f():\n"
+        "    from curveseq import recurrence as rec\n"
+        "    rec.extend_modp(rec.MAIN_RECURRENCE, (0, 1, 2, 3, 4), 7, 8)\n"
+        "    rec.extend_modp(rec.MAIN_RECURRENCE, (0, 1, 2, 3, 4), 7, 8, choice_policy=None)\n"
+        "    rec.extend_modp(rec.MAIN_RECURRENCE, (0, 1, 2, 3, 4), 7)\n"
+        "    modpspace.union_check(41, seed=5)\n"
+        "    modpspace.union_check(41, sede=5)\n"
+        "    modpspace.retired_helper(7)\n"
+    )
+    bad = [entry.split(":")[0] for entry in unbindable_calls(source)]
+    assert bad == [
+        "curveseq.recurrence.extend_modp (line 5)",
+        "curveseq.recurrence.extend_modp (line 6)",
+        "curveseq.modpspace.union_check (line 8)",
+        "curveseq.modpspace.retired_helper (line 9)",
+    ]

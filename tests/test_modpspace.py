@@ -32,7 +32,6 @@ from curveseq.recurrence import (
     T2_BLOCK,
     InitialData,
     extend_modp,
-    extend_residuals_modp,
     form_value,
 )
 
@@ -125,18 +124,26 @@ def test_oracle_without_blocks_is_a_usage_error(blocks):
 
 @pytest.mark.parametrize("p", [3, 7, 11])
 def test_residuals_are_the_linear_map_of_extension_constraints(p):
-    # the oracle rests on this: a residual run on (0, V) with free choices f
-    # gives A V + S f mod p
+    # the oracle rests on this: a run on (0, V) with free choices f gives the
+    # residuals A V + S f mod p, and its values are linear in (V, f) too
     rng = random.Random(p)
     for blocks in (1, 2, 3):
+        n_terms = blocks * p + 2
         a_matrix, s_matrix = extension_constraints(p, blocks)
         assert len(a_matrix) == len(s_matrix) and all(len(row) == blocks for row in s_matrix)
+        # the values of the run on each unit vector of (V, f)
+        units = []
+        for i in range(4 + blocks):
+            e = [int(k == i) for k in range(4 + blocks)]
+            units.append(extend_modp(MAIN_RECURRENCE, (0, *e[:4]), p, n_terms, e[4:]).values)
         for _ in range(20):
             v = [rng.randrange(p) for _ in range(4)]
             f = [rng.randrange(p) for _ in range(blocks)]
-            _, got = extend_residuals_modp(MAIN_RECURRENCE, (0, *v), p, blocks * p + 2, f)
+            sol = extend_modp(MAIN_RECURRENCE, (0, *v), p, n_terms, f)
+            got = [r for _, r in sol.residuals]
             want = [(form_value(a, v) + form_value(s, f)) % p for a, s in zip(a_matrix, s_matrix)]
             assert got == want, (p, blocks, v, f)
+            assert sol.values == [form_value(col, [*v, *f]) % p for col in zip(*units)], (p, blocks, v, f)
 
 
 #: form sets of rank 0 to 4, with zero and dependent rows

@@ -22,7 +22,6 @@ from curveseq.recurrence import (
     denominator_profile,
     extend_integral,
     extend_modp,
-    extend_residuals_modp,
     extend_rational,
     main_sequence,
     rhs_forms,
@@ -96,18 +95,18 @@ def test_extend_modp_reduction_stays_consistent():
         n = 5 * p
         c = main_sequence(n)
         sol = extend_modp(MAIN_RECURRENCE, MAIN_INITIAL_DATA.reduce_mod(p), p, n,
-                          lambda index, prefix: reduce_fraction_mod(c[index], p))
+                          [reduce_fraction_mod(c[m], p) for m in range(5, n) if m % p == 1])
         assert sol.ok
         assert sol.values == [reduce_fraction_mod(v, p) for v in c]
 
 
 def test_extend_modp_violation():
-    # hyperplane value 6 != 0 forces failure for every choice policy tried
+    # hyperplane value 6 != 0 forces failure for every free choice tried
     p = 7
     found_ok = False
     for choice in range(p):
         sol = extend_modp(
-            MAIN_RECURRENCE, (0, 0, 0, 0, 1), p, 30, lambda m, prefix: choice
+            MAIN_RECURRENCE, (0, 0, 0, 0, 1), p, 30, [choice] * 4
         )
         if sol.ok:
             found_ok = True
@@ -136,13 +135,14 @@ def test_extend_modp_zero_solution():
 def test_extend_modp_free_choice_log():
     c = main_sequence(30)
     sol = extend_modp(MAIN_RECURRENCE, MAIN_INITIAL_DATA.reduce_mod(7), 7, 30,
-                      lambda index, prefix: reduce_fraction_mod(c[index], 7))
+                      [reduce_fraction_mod(c[m], 7) for m in (8, 15, 22, 29)])
     assert [m for m, _ in sol.free_choices] == [8, 15, 22, 29]
 
 
-def test_extend_lanes_modp_matches_extend_modp():
-    # each residual run against extend_modp with the same free choices: a
-    # nonzero residual is extend_modp's violation, else the windows agree
+def test_extend_modp_matches_window_value():
+    # every step against Recurrence.window_value, Horner on the exact
+    # coefficients, independent of _coefficient_table: 0 at each forced
+    # step, the recorded residual at each free index
     p, n_terms = 7, 24  # free indices 8, 15, 22
     rng = random.Random(3)
     inits = [(0, 0, 0, 0, 0), MAIN_INITIAL_DATA.reduce_mod(p)]
@@ -150,16 +150,62 @@ def test_extend_lanes_modp_matches_extend_modp():
     choices = [rng.randrange(p) for _ in range(3)]
     outcomes = set()
     for init in inits:
-        window, residuals = extend_residuals_modp(MAIN_RECURRENCE, init, p, n_terms, choices)
-        assert len(residuals) == 3
-        sol = extend_modp(MAIN_RECURRENCE, init, p, n_terms, lambda m, prefix: choices[m // p - 1])
-        bad = [k for k, r in enumerate(residuals) if r]
-        if bad:
-            assert sol.violated_at == (bad[0] + 1) * p + 1
-        else:
-            assert sol.ok and sol.values[-5:] == window
-        outcomes.add(bool(bad))
+        sol = extend_modp(MAIN_RECURRENCE, init, p, n_terms, choices)
+        assert len(sol.values) == n_terms
+        assert sol.free_choices == list(zip((8, 15, 22), choices))
+        residuals = dict(sol.residuals)
+        for n in range(n_terms - 5):
+            assert MAIN_RECURRENCE.window_value(sol.values, n) % p == residuals.get(n + 5, 0)
+        bad = [m for m, r in sol.residuals if r]
+        assert sol.violated_at == (bad[0] if bad else None)
+        outcomes.add(sol.ok)
     assert outcomes == {True, False}
+
+
+def test_extend_modp_goes_on_past_a_violation():
+    # off the hyperplane the constraint below 8 fails; the run still
+    # reaches n_terms, records every residual and reports the first failure
+    p = 7
+    sol = extend_modp(MAIN_RECURRENCE, (0, 0, 0, 0, 1), p, 30, [1, 2, 3, 4])
+    assert len(sol.values) == 30
+    assert [m for m, _ in sol.residuals] == [8, 15, 22, 29]
+    assert sol.residuals[0][1] != 0 and sol.violated_at == 8 and not sol.ok
+    assert sol.free_choices == [(8, 1), (15, 2), (22, 3), (29, 4)]
+
+
+def test_extend_modp_pads_free_values_with_zero():
+    p, init = 7, MAIN_INITIAL_DATA.reduce_mod(7)
+    short = extend_modp(MAIN_RECURRENCE, init, p, 30, [5])
+    padded = extend_modp(MAIN_RECURRENCE, init, p, 30, [5, 0, 0, 0])
+    assert short == padded
+    assert [v for _, v in short.free_choices] == [5, 0, 0, 0]
+    assert extend_modp(MAIN_RECURRENCE, init, p, 30) == extend_modp(MAIN_RECURRENCE, init, p, 30, [0] * 4)
+
+
+@pytest.mark.parametrize("n_terms", [0, 3, 5, 6])
+def test_extend_modp_returns_n_terms_values(n_terms):
+    # as many as extend_integral returns, and the same values mod 7
+    sol = extend_modp(MAIN_RECURRENCE, (0, 1, 2, 3, 4), 7, n_terms)
+    exact = extend_rational(MAIN_RECURRENCE, (0, 1, 2, 3, 4), n_terms)
+    assert sol.values == [reduce_fraction_mod(v, 7) for v in exact]
+    assert len(sol.values) == n_terms
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda init: extend_modp(MAIN_RECURRENCE, init, 7, 20),
+        lambda init: extend_modp(MAIN_RECURRENCE, init, 7, 20, [0] * 20),
+        lambda init: recurrence.extend_modp_exhaustive(MAIN_RECURRENCE, init, 7, 20),
+        lambda init: window_mod(MAIN_RECURRENCE, init, 7, 10),
+        lambda init: extend_integral(MAIN_RECURRENCE, init, 20),
+    ],
+    ids=["extend_modp", "extend_modp_free_values", "extend_modp_exhaustive", "window_mod", "extend_integral"],
+)
+def test_six_initial_values_raise(run):
+    # the order-5 recurrence takes exactly five; a sixth is no free value
+    with pytest.raises(ValueError, match="need exactly 5 initial values"):
+        run((0, 1, 2, 3, 4, 5))
 
 
 def test_rhs_forms_special_vanish():

@@ -14,12 +14,9 @@ from curveseq.series import (
     TruncatedSeries,
     _exponent_product,
     _rederives,
-    binomial_power,
     congruence_scan,
     dieudonne_exponents,
     dieudonne_exponents_peeling,
-    divided_derivative,
-    phi_part,
 )
 
 
@@ -87,28 +84,6 @@ def test_sqrt_rejects():
         TruncatedSeries([2, 1], 4).sqrt(Fraction(1))
     with pytest.raises(ValueError):
         TruncatedSeries([1, 1], 2, 2).sqrt(1)
-
-
-def test_binomial_power_exponent_additivity():
-    x = TruncatedSeries([0, 1], 9)
-    a, b = Fraction(2, 3), Fraction(-1, 2)
-    lhs = binomial_power(x, a) * binomial_power(x, b)
-    assert lhs == binomial_power(x, a + b)
-
-
-def test_binomial_power_sqrt():
-    x = TruncatedSeries([0, 1], 8)
-    h = binomial_power(x, Fraction(1, 2))
-    assert (h * h) == TruncatedSeries([1, 1], 8)
-
-
-def test_binomial_power_matches_curve_inverse_sqrt():
-    # (1 + (x+x^2)^2/4)^(-1/2) / 2 equals 1/y for y = sqrt(Q), y(0) = 2
-    n = 20
-    u = TruncatedSeries([0, 0, Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)], n)
-    direct = binomial_power(u, Fraction(-1, 2)) / 2
-    via_sqrt = TruncatedSeries([4, 0, 1, 2, 1], n).sqrt(Fraction(2)).inverse()
-    assert direct == via_sqrt
 
 
 def test_log_derivative_fermat_series():
@@ -328,50 +303,6 @@ def test_scan_congruence_implies_integral_witness():
         from curveseq.exactnum import padic_valuation
 
         assert all(padic_valuation(v, p) >= 0 for v in witness.coeffs)
-
-
-def test_phi_part():
-    f = TruncatedSeries([1] * 9, 9, 3)
-    assert phi_part(f, 3).coeffs == [1, 0, 0, 1, 0, 0, 1, 0, 0]
-
-
-def test_divided_derivative_basics():
-    f = TruncatedSeries([0, 0, 1], 5)  # x^2
-    assert divided_derivative(f, 2).coeffs[0] == 1
-
-
-def lucas_binom(n: int, k: int, p: int) -> int:
-    out = 1
-    while n or k:
-        out = out * math.comb(n % p, k % p) % p
-        n //= p
-        k //= p
-    return out
-
-
-def test_divided_derivative_lucas_oracle():
-    p, k = 3, 2
-    n = 30
-    f = TruncatedSeries([1] * n, n, p)
-    dd = divided_derivative(f, k)
-    # over F_3 the k = p-1 divided derivative keeps n = -1 mod p
-    for idx, coeff in enumerate(dd.coeffs):
-        expect = lucas_binom(idx + k, k, p)
-        assert coeff == expect
-        if (idx + k) % p == p - 1:
-            assert coeff == 1  # binom(3m+2, 2) = 1 mod 3 by Lucas
-        else:
-            assert coeff == 0
-
-
-def test_phi_and_divided_derivative_mod_p_support():
-    p = 3
-    n = 31
-    f = TruncatedSeries([1] * n, n, p)
-    ph, dd = phi_part(f, p), divided_derivative(f, p - 1)
-    assert all(c == 0 for i, c in enumerate(ph.coeffs) if i % p)
-    support = {i for i, c in enumerate(dd.coeffs) if c}
-    assert support == {i for i in range(n - p + 1) if (i + p - 1) % p == p - 1}
 
 
 def test_precision_propagation():
