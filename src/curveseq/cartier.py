@@ -14,6 +14,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .curve import (
     BAD_PRIMES,
@@ -22,7 +23,7 @@ from .curve import (
     CurveFunction,
     Place,
     eta,
-    expand_form,
+    expand_to_bound,
     finite_place,
     infinity_place,
     omega,
@@ -81,31 +82,15 @@ class ExactnessResult:
     bound: int
 
 
-def _origin_expansion_of(form: CurveForm, p: int, needed_bound: int) -> LaurentSeries:
-    slack = 4 * (
-        form.g.u.num.degree
-        + form.g.u.den.degree
-        + form.g.v.num.degree
-        + form.g.v.den.degree
-        + 6
-    )
-    place = origin_place(+1, needed_bound + slack, p)
-    return expand_form(form, place, slack=slack // 2)
-
-
-def _cartier_pair(
-    form: CurveForm, p: int, budget: int, precision: int
-) -> tuple[LaurentSeries, LaurentSeries]:
-    """The (0, 2)-expansion w of the reduced form through about ``precision``
-    and its Cartier image C(w), both known through exponent ``budget``."""
+def _cartier_pair(form: CurveForm, p: int, budget: int) -> tuple[LaurentSeries, LaurentSeries]:
+    """The (0, 2)-expansion w of the reduced form and its Cartier image C(w),
+    both known through exponent ``budget``: C(w) through f needs w below
+    p(f + 1)."""
     require_good_prime(p)
     if form.modulus != p:
         raise ValueError("form must be reduced mod p")
-    w = _origin_expansion_of(form, p, precision)
-    c = cartier_laurent(w, p)
-    if min(w.bound, c.bound) <= budget:
-        raise ValueError(f"insufficient expansion precision for a Cartier decision through {budget}")
-    return w, c
+    _, [w] = expand_to_bound([form], partial(origin_place, +1, modulus=p), p * (budget + 1))
+    return w, cartier_laurent(w, p)
 
 
 def exactness_test(form: CurveForm, p: int) -> ExactnessResult:
@@ -117,7 +102,7 @@ def exactness_test(form: CurveForm, p: int) -> ExactnessResult:
     have more zeros than poles, so h = 0 and the form is exact (C1).
     """
     blocks = exactness_scan_bound(form)
-    _, c = _cartier_pair(form, p, blocks, p * (blocks + 3) + p)
+    _, c = _cartier_pair(form, p, blocks)
     for f in range(min(c.offset, 0), blocks + 1):
         if c.coefficient(f):
             return ExactnessResult(False, f + 1, blocks)
@@ -129,7 +114,7 @@ def log_exactness_test(form: CurveForm, p: int) -> bool:
     # (C(form) - form)/omega has at most 2B + 4 poles; vanishing from the
     # valuation floor through that budget forces it to be zero
     budget = 2 * pole_degree_bound(form) + 4
-    w, c = _cartier_pair(form, p, budget, p * (budget + 4) + p)
+    w, c = _cartier_pair(form, p, budget)
     for e in range(min(w.offset, c.offset, 0), budget + 1):
         if w.coefficient(e) != c.coefficient(e):
             return False
@@ -208,19 +193,21 @@ def alphabeta_quartic(p: int, cross_check: bool = False) -> CartierInvariants:
     return inv
 
 
-def _cross_check_quartic(inv: CartierInvariants, n_coeffs: int = 60):
+#: Cartier image coefficients the cross-check compares
+CROSS_CHECK_COEFFS = 60
+
+
+def _cross_check_quartic(inv: CartierInvariants):
     """Compare the polynomial route with cartier_series on (0,2)-expansions."""
     p = inv.p
-    n = p * (n_coeffs + 1) + 1
-    place = origin_place(+1, n + 8, p)
-    w_omega = expand_form(omega(p), place)
-    w_eta = expand_form(eta(p), place)
+    n = p * (CROSS_CHECK_COEFFS + 1) + 1
+    _, (w_omega, w_eta) = expand_to_bound([omega(p), eta(p)], partial(origin_place, +1, modulus=p), n)
     base = TruncatedSeries([w_omega.coefficient(k) for k in range(n)], n, p)
     for form_w, scalar in ((w_omega, inv.alpha), (w_eta, inv.beta)):
         series = TruncatedSeries([form_w.coefficient(k) for k in range(n)], n, p)
         img = cartier_series(series, p)
         want = base.truncate(img.precision).scale(scalar)
-        if img.coeffs[:n_coeffs] != want.coeffs[:n_coeffs]:
+        if img.coeffs[:CROSS_CHECK_COEFFS] != want.coeffs[:CROSS_CHECK_COEFFS]:
             raise AssertionError(f"cartier_series route disagrees at p = {p}")
 
 
@@ -305,7 +292,7 @@ def legendre_hasse(lam0: int, p: int, rng: random.Random | None = None) -> Legen
 # -- residues and pole bounds ------------------------------------------------------
 
 
-def half_pole_place(p: int, sign: int, precision: int = 32) -> Place:
+def half_pole_place(p: int, sign: int, precision: int) -> Place:
     """A place above x = -1/2 on the reduced curve (where t = 1 + 2x vanishes);
     defined over F_p(sqrt(65)), which may be F_p or the quadratic extension."""
     require_good_prime(p)
@@ -320,19 +307,21 @@ def half_pole_place(p: int, sign: int, precision: int = 32) -> Place:
     return finite_place(x0, y0, precision, label=f"t=0({'+' if sign > 0 else '-'})")
 
 
-def residue_check(form: CurveForm, p: int, precision: int = 48) -> dict[str, object]:
+def residue_check(form: CurveForm, p: int) -> dict[str, object]:
     """Residues of the reduced form at the places above x = -1/2 and at both
     points at infinity."""
     require_good_prime(p)
     if form.modulus != p:
         raise ValueError("form must be reduced mod p")
     out = {}
-    for sign in (+1, -1):
-        place = half_pole_place(p, sign, precision)
-        out[place.name] = expand_form(form, place).residue()
-    for sign in (+1, -1):
-        place = infinity_place(sign, precision, p)
-        out[place.name] = expand_form(form, place).residue()
+    for place_at in (
+        partial(half_pole_place, p, +1),
+        partial(half_pole_place, p, -1),
+        partial(infinity_place, +1, modulus=p),
+        partial(infinity_place, -1, modulus=p),
+    ):
+        place, [w] = expand_to_bound([form], place_at, 0)
+        out[place.name] = w.residue()
     return out
 
 
@@ -345,28 +334,30 @@ class PoleBoundRow:
     ok: bool
 
 
-def pole_bound_check(form: CurveForm, p: int, precision: int = 64) -> list[PoleBoundRow]:
+def pole_bound_check(form: CurveForm, p: int) -> list[PoleBoundRow]:
     """v(C(form)) >= ceil((v(form)+1)/p) - 1 at the inspected places, plus the
     degree comparison sum_{v<0} v(C(form)) >= sum_{v<0} v(form) over them.
 
     Inspected places: (0, +-2), inf+-, and the two places above x = -1/2;
-    fixtures are chosen with all their poles among these.
+    fixtures are chosen with all their poles among these.  C(form)/omega has
+    at most B + 4 poles (exactness_scan_bound), so each image is expanded
+    through that exponent: ``v_image`` is None exactly when the image
+    vanishes there, and then the image is zero.
     """
     require_good_prime(p)
-    places = [
-        origin_place(+1, precision, p),
-        origin_place(-1, precision, p),
-        infinity_place(+1, precision, p),
-        infinity_place(-1, precision, p),
-        half_pole_place(p, +1, precision),
-        half_pole_place(p, -1, precision),
-    ]
+    budget = exactness_scan_bound(form)
     rows = []
-    for place in places:
-        w = expand_form(form, place)
+    for place_at in (
+        partial(origin_place, +1, modulus=p),
+        partial(origin_place, -1, modulus=p),
+        partial(infinity_place, +1, modulus=p),
+        partial(infinity_place, -1, modulus=p),
+        partial(half_pole_place, p, +1),
+        partial(half_pole_place, p, -1),
+    ):
+        place, [w] = expand_to_bound([form], place_at, p * (budget + 1))
         v = w.valuation()
-        c = cartier_laurent(w, p)
-        vc = c.valuation()
+        vc = cartier_laurent(w, p).valuation()
         if v is None:
             rows.append(PoleBoundRow(place.name, None, vc, None, vc is None or vc >= 0))
             continue

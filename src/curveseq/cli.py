@@ -28,8 +28,8 @@ from .cartier import (
 from .curve import (
     BAD_PRIMES,
     CurveForm,
-    CurveModel,
     closed_forms,
+    curve_model_checks,
     s_series,
     two_adic_facts,
     verify_algebraic_identities,
@@ -247,7 +247,7 @@ def cmd_identities(args) -> Report:
     rep = Report("identities", {})
     for chk in verify_algebraic_identities():
         rep.add(chk.name, chk.holds, chk.detail if not chk.holds else "")
-    for chk in CurveModel().checks():
+    for chk in curve_model_checks():
         rep.add(chk.name, chk.holds, chk.detail)
     res = verify_ode(s_series(80))
     rep.add("ODE residual for s", res.is_zero(), "precision 80")

@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 from .exactnum import padic_valuation, prime_factors, reduce_fraction_mod
 from .polyring import Polynomial, RationalFunction, _to_ratfunc, resultant
@@ -325,40 +326,57 @@ def _taylor_shift(coeffs: Sequence, x0) -> list:
     return out
 
 
-def expand_function(f: CurveFunction, place: Place, slack: int = 8) -> LaurentSeries:
-    """Laurent expansion of f at the place."""
-    bound = place.x_series.bound - slack
-    u = f.u.eval_laurent(place.x_series, bound)
+def expand_function(f: CurveFunction, place: Place) -> LaurentSeries:
+    """Laurent expansion of f at the place, known as far as the place's
+    x and y series carry it."""
+    u = f.u.eval_laurent(place.x_series)
     if f.v.is_zero():
         return u
-    v = f.v.eval_laurent(place.x_series, bound)
-    return u + v * place.y_series.truncate_bound(min(bound, place.y_series.bound))
+    return u + f.v.eval_laurent(place.x_series) * place.y_series
 
 
-def expand_form(form: CurveForm, place: Place, slack: int = 8) -> LaurentSeries:
-    """The coefficient series w with form = w * d(parameter) at the place."""
-    g = expand_function(form.g, place, slack)
-    dx = place.x_series.derivative()
-    y = place.y_series
-    bound = min(g.bound, dx.bound, y.bound)
-    return g.truncate_bound(bound) * dx.truncate_bound(bound) / y.truncate_bound(bound)
+def expand_form(form: CurveForm, place: Place) -> LaurentSeries:
+    """The coefficient series w with form = w * d(parameter) at the place,
+    known as far as the place's x and y series carry it."""
+    return expand_function(form.g, place) * place.x_series.derivative() / place.y_series
+
+
+def expand_to_bound(
+    items: Sequence[CurveForm | CurveFunction], place_at: Callable[[int], Place], bound: int
+) -> tuple[Place, list[LaurentSeries]]:
+    """The place ``place_at(n)`` and the expansions there of ``items`` (forms
+    or functions), each known at least below the exponent ``bound``.
+
+    Series arithmetic records the exact precision each step leaves, and every
+    step moves it one for one with the chart's precision n once the leading
+    terms it divides by are seen.  So an expansion is known below n + c, with
+    c fixed by the item and the kind of place.  A polynomial of degree d
+    vanishes to order at most d at a chart, so a trial at n = d + 1 sees every
+    leading term and measures each c; n = bound - min(c) then serves all
+    items on one place.
+    """
+    funcs = [item.g if isinstance(item, CurveForm) else item for item in items]
+    trial = 1 + max(r.degree for f in funcs for r in (f.u.num, f.u.den, f.v.num, f.v.den))
+
+    def expand_all(place: Place) -> list[LaurentSeries]:
+        return [
+            expand_form(item, place) if isinstance(item, CurveForm) else expand_function(item, place)
+            for item in items
+        ]
+
+    lag = min(w.bound for w in expand_all(place_at(trial))) - trial
+    place = place_at(max(trial, bound - lag))
+    return place, expand_all(place)
 
 
 def expand_at_origin(f: CurveFunction, n: int) -> TruncatedSeries:
-    """Taylor expansion at the point (0, 2); a pole there is an error."""
-    slack = 4 * (
-        f.u.num.degree + f.u.den.degree + f.v.num.degree + f.v.den.degree + 4
-    )
-    place = origin_place(+1, n + slack, f.modulus)
-    ls = expand_function(f, place, slack=slack // 2)
+    """Taylor expansion at the point (0, 2) through x^(n-1); a pole there is
+    an error."""
+    place, [ls] = expand_to_bound([f], partial(origin_place, +1, modulus=f.modulus), n)
     v = ls.valuation()
     if v is not None and v < 0:
         raise PoleAtPlaceError(place.name, -v)
-    if ls.bound < n:
-        raise ValueError("insufficient working precision")
-    return TruncatedSeries(
-        [ls.coefficient(k) for k in range(n)], n, f.modulus
-    )
+    return TruncatedSeries([ls.coefficient(k) for k in range(n)], n, f.modulus)
 
 
 # -- the ODE ---------------------------------------------------------------------
@@ -471,46 +489,38 @@ def verify_algebraic_identities() -> list[IdentityCheck]:
     return checks
 
 
-@dataclass(frozen=True)
-class CurveModel:
+def curve_model_checks() -> list[IdentityCheck]:
     """The fixed model: Q, the Weierstrass form, j-invariant, bad primes."""
+    out = []
+    z = fn_z()
+    t = fn_t()
+    two_z = z * 2
+    lhs = (t * z * 2) * (t * z * 2)
+    rhs = two_z * two_z * two_z + two_z * two_z - 16 * two_z
+    out.append(IdentityCheck("(2tz)^2 = (2z)^3 + (2z)^2 - 16(2z)", lhs == rhs))
 
-    q_coeffs: tuple = Q_COEFFS
-    weierstrass: tuple = (WEIERSTRASS_A, WEIERSTRASS_B)
-    j_invariant: Fraction = J_INVARIANT
-    bad_primes: tuple = BAD_PRIMES
+    u_fn = two_z + Fraction(1, 3)
+    v_fn = t * z * 2
+    lhs = v_fn * v_fn
+    rhs = u_fn * u_fn * u_fn + WEIERSTRASS_A * u_fn + WEIERSTRASS_B
+    out.append(IdentityCheck("V^2 = U^3 - 49/3 U + 146/27", lhs == rhs))
 
-    def checks(self) -> list[IdentityCheck]:
-        out = []
-        z = fn_z()
-        t = fn_t()
-        two_z = z * 2
-        lhs = (t * z * 2) * (t * z * 2)
-        rhs = two_z * two_z * two_z + two_z * two_z - 16 * two_z
-        out.append(IdentityCheck("(2tz)^2 = (2z)^3 + (2z)^2 - 16(2z)", lhs == rhs))
+    a, b = WEIERSTRASS_A, WEIERSTRASS_B
+    j = 1728 * 4 * a**3 / (4 * a**3 + 27 * b**2)
+    out.append(IdentityCheck("j = 7^6/65", j == J_INVARIANT, f"j = {j}"))
 
-        u_fn = two_z + Fraction(1, 3)
-        v_fn = t * z * 2
-        lhs = v_fn * v_fn
-        rhs = u_fn * u_fn * u_fn + WEIERSTRASS_A * u_fn + WEIERSTRASS_B
-        out.append(IdentityCheck("V^2 = U^3 - 49/3 U + 146/27", lhs == rhs))
-
-        a, b = self.weierstrass
-        j = 1728 * 4 * a**3 / (4 * a**3 + 27 * b**2)
-        out.append(IdentityCheck("j = 7^6/65", j == self.j_invariant, f"j = {j}"))
-
-        q = q_polynomial()
-        disc = resultant(q, q.derivative())
-        support = set(prime_factors(abs(int(disc))))
-        out.append(
-            IdentityCheck(
-                "bad primes = {2, 5, 13}",
-                support == set(self.bad_primes),
-                f"res(Q, Q') = {disc}",
-            )
+    q = q_polynomial()
+    disc = resultant(q, q.derivative())
+    support = set(prime_factors(abs(int(disc))))
+    out.append(
+        IdentityCheck(
+            "bad primes = {2, 5, 13}",
+            support == set(BAD_PRIMES),
+            f"res(Q, Q') = {disc}",
         )
-        out.append(IdentityCheck("Q squarefree (gcd(Q,Q') = 1)", q.gcd(q.derivative()).degree == 0))
-        return out
+    )
+    out.append(IdentityCheck("Q squarefree (gcd(Q,Q') = 1)", q.gcd(q.derivative()).degree == 0))
+    return out
 
 
 # -- closed forms and 2-adic facts ---------------------------------------------------
@@ -631,11 +641,9 @@ def xi_quadrature(init: InitialData, n: int) -> XiQuadrature:
     k1, k2 = k_constants(init)
     hyper_zero = init.hyperplane_value == 0
 
-    place = origin_place(+1, n + 16)
-    w = expand_form(form, place, slack=8)
     df = f.derivative()
-    m = min(df.precision, w.bound)
-    matches = all(df[k] == w.coefficient(k) for k in range(m))
+    _, [w] = expand_to_bound([form], partial(origin_place, +1), df.precision)
+    matches = all(df[k] == w.coefficient(k) for k in range(df.precision))
 
     decomposition = None
     if hyper_zero:

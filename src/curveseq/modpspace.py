@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 from typing import Sequence
 
 import numpy as np
 
 from .cartier import alphabeta_quartic, exactness_test, require_good_prime
-from .curve import expand_form, origin_place, s_series, xi_form
+from .curve import expand_to_bound, origin_place, s_series, xi_form
 from .exactnum import reduce_fraction_mod
 from .linalg import kernel_mod, rank_mod
 from .recurrence import (
@@ -296,15 +297,9 @@ def xi_obstruction_matrix(p: int, blocks: int = 8) -> list[list[int]]:
     forms xi(e_i); a vector extends iff this matrix kills it (bulk form of the
     series route)."""
     require_vp_prime(p)
-    n = p * (blocks + 1) + 4
-    place = origin_place(+1, n + 32, p)
-    cols = []
-    for i in range(4):
-        e = [0, 0, 0, 0]
-        e[i] = 1
-        w = expand_form(xi_form(e, p), place, slack=16)
-        cols.append([w.coefficient(m * p - 1) for m in range(1, blocks + 1)])
-    return [[cols[i][m] for i in range(4)] for m in range(blocks)]
+    units = [xi_form([int(i == j) for j in range(4)], p) for i in range(4)]
+    _, cols = expand_to_bound(units, partial(origin_place, +1, modulus=p), blocks * p)
+    return [[w.coefficient(m * p - 1) for w in cols] for m in range(1, blocks + 1)]
 
 
 # -- Theorem on C_p = C_1 -------------------------------------------------------------

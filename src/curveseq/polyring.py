@@ -185,15 +185,15 @@ class Polynomial:
             return self._zero() if not hasattr(x, "__mul__") else x * 0
         return acc
 
-    def eval_laurent(self, x: LaurentSeries, precision_bound: int) -> LaurentSeries:
-        """Evaluate at a Laurent series, truncating to the given bound."""
-        zero = LaurentSeries(0, TruncatedSeries([], precision_bound, x.modulus))
-        acc = zero
-        for c in reversed(self.coeffs):
-            acc = acc * x
-            if acc.bound > precision_bound:
-                acc = acc.truncate_bound(precision_bound)
-            acc = acc + c
+    def eval_laurent(self, x: LaurentSeries) -> LaurentSeries:
+        """Evaluate at a Laurent series by Horner.  The value is known as far
+        as the powers of x are; a constant is known through the precision of
+        x's coefficient series."""
+        if self.degree < 1:
+            return LaurentSeries(0, TruncatedSeries(self.coeffs, x.series.precision, x.modulus))
+        acc = x * self.coeffs[-1] + self.coeffs[-2]
+        for c in reversed(self.coeffs[:-2]):
+            acc = acc * x + c
         return acc
 
     def reduce_mod(self, p: int) -> "Polynomial":
@@ -320,10 +320,9 @@ class RationalFunction:
     def __call__(self, x):
         return self.num(x) / self.den(x)
 
-    def eval_laurent(self, x: LaurentSeries, precision_bound: int) -> LaurentSeries:
-        num = self.num.eval_laurent(x, precision_bound)
-        den = self.den.eval_laurent(x, precision_bound)
-        return num / den
+    def eval_laurent(self, x: LaurentSeries) -> LaurentSeries:
+        """num(x) / den(x), known as far as both are."""
+        return self.num.eval_laurent(x) / self.den.eval_laurent(x)
 
     def reduce_mod(self, p: int) -> "RationalFunction":
         return RationalFunction(self.num.reduce_mod(p), self.den.reduce_mod(p))

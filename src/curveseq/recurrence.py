@@ -363,7 +363,7 @@ def extend_modp_exhaustive(
     def step(values: list[int], free: list[int]):
         m = len(values)
         if m >= n_terms:
-            return ModPSolution(p, values, [(f, 0) for f in free])
+            return ModPSolution(p, values[: max(n_terms, 0)], [(f, 0) for f in free])
         n = m - d
         denom = poly_eval(lead, n) % p
         acc = 0
@@ -426,11 +426,9 @@ class RhsForms:
 
     r_coeffs: tuple[Fraction, ...]
     r_tilde_coeffs: tuple[Fraction, Fraction, Fraction]
-    a_coeffs: tuple[int, ...] = A_COEFFS
-    b_coeffs: tuple[int, ...] = B_COEFFS
 
     def r_is_multiple_of_b(self) -> bool:
-        rows = [list(self.r_coeffs), [Fraction(c) for c in self.b_coeffs]]
+        rows = [list(self.r_coeffs), [Fraction(c) for c in B_COEFFS]]
         return rank_fraction(rows) <= 1
 
 

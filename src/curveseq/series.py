@@ -586,9 +586,6 @@ class LaurentSeries:
         out = [c * e for e, c in enumerate(s.coeffs, start=self.offset)]
         return LaurentSeries(self.offset - 1, s._wrap(out if m is None else [c % m for c in out], s.precision))
 
-    def truncate_bound(self, bound: int) -> "LaurentSeries":
-        return LaurentSeries(self.offset, self.series.truncate(bound - self.offset))
-
     def __eq__(self, other):
         if not isinstance(other, LaurentSeries):
             return NotImplemented

@@ -20,8 +20,9 @@ from curveseq.cartier import (
     legendre_hasse,
 )
 from curveseq.curve import (
-    CurveModel,
+    J_INVARIANT,
     closed_forms,
+    curve_model_checks,
     s_series,
     two_adic_facts,
     verify_algebraic_identities,
@@ -128,9 +129,9 @@ def test_criterion_05_identities():
     t0 = time.time()
     checks = verify_algebraic_identities()
     assert len(checks) >= 6 and all(c.holds for c in checks)
-    model = CurveModel().checks()
+    model = curve_model_checks()
     assert all(c.holds for c in model)
-    assert CurveModel().j_invariant == Fraction(7**6, 65)
+    assert J_INVARIANT == Fraction(7**6, 65)
     report("criterion 05: exact identity suite + j-invariant", time.time() - t0, 1)
 
 

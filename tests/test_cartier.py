@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -26,7 +27,11 @@ from curveseq.curve import (
     Q_COEFFS,
     CurveForm,
     CurveFunction,
+    eta,
     expand_form,
+    expand_function,
+    expand_to_bound,
+    fn_s,
     fn_y,
     infinity_place,
     omega,
@@ -303,6 +308,36 @@ def test_pole_bounds_omega_regular():
             assert (r.v_form or 0) >= 0 and (r.v_image is None or r.v_image >= 0)
 
 
+def test_pole_bound_image_decided_through_the_budget():
+    # expanded through the B + 4 budget, the image at (0, +-2) is decided:
+    # a fixed working precision used to leave it unknown (None) at p = 37
+    rows = pole_bound_check(xi_form((1, 2, 3, 4), 37), 37)
+    origin_rows = [r for r in rows if r.place in ("(0,2)", "(0,-2)")]
+    assert len(origin_rows) == 2
+    assert all(r.v_image == 1 and r.ok for r in origin_rows)
+
+
+def test_expansion_bound_moves_with_the_chart_precision():
+    # each expansion is known below n + c with c independent of the chart's
+    # precision n, so the one trial of expand_to_bound lands on the bound
+    p = 11
+    items = [omega(p), eta(p), xi_form((1, 2, 3, 4), p), x_shift_form(3, p), fn_s(p), fn_y(p)]
+    charts = [
+        partial(origin_place, -1, modulus=p),
+        partial(infinity_place, +1, modulus=p),
+        partial(half_pole_place, p, +1),
+    ]
+    for place_at in charts:
+        for item in items:
+            expand = expand_form if isinstance(item, CurveForm) else expand_function
+            assert len({expand(item, place_at(n)).bound - n for n in (20, 40, 80)}) == 1
+            _, [w] = expand_to_bound([item], place_at, 45)
+            assert w.bound == 45
+        # several items share one place, and the tightest lands on the bound
+        _, ws = expand_to_bound(items, place_at, 45)
+        assert min(w.bound for w in ws) == 45
+
+
 def test_pole_bound_v_minus_p():
     # pole of order exactly p: C has at most a simple pole
     p = 7
@@ -382,7 +417,7 @@ def test_no_stronger_periodicity():
     # c_i dx/(1-x) has a pole there; check regularity of the image
     for i in (1, 2, 4):
         form = x_shift_form(i, p)
-        w = expand_form(form, origin_place(+1, 16 * p, p), slack=24)
+        w = expand_form(form, origin_place(+1, 16 * p, p))
         img = cartier_laurent(w, p)
         # image = sum c_{pn+i} x^(n-1) dx: a rational function regular at 1;
         # its first coefficients match the sequence directly

@@ -5,11 +5,11 @@ import pytest
 
 from curveseq.curve import (
     CurveFunction,
-    CurveModel,
     PoleAtPlaceError,
     Place,
     b_coefficient,
     closed_forms,
+    curve_model_checks,
     differential_of,
     eta,
     expand_at_origin,
@@ -52,7 +52,7 @@ def test_identity_suite_all_pass():
 
 
 def test_model_checks_all_pass():
-    for chk in CurveModel().checks():
+    for chk in curve_model_checks():
         assert chk.holds, chk.name
 
 

@@ -1,8 +1,8 @@
 """Lint guards: every name a module of the package imports is used there,
-every import sits at module level, every public function or class is
-called by the package or the benchmark, or is listed in TEST_ONLY with the
-route or claim it serves, and every call the benchmark makes into the
-package binds to the current signature.
+every import sits at module level, every public function, class, method
+or property is called by the package or the benchmark, or is listed in
+TEST_ONLY with the route or claim it serves, and every call the benchmark
+makes into the package binds to the current signature.
 
 No linter is a dependency of the project, so the check walks the syntax
 tree with the standard library.
@@ -19,7 +19,8 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "curveseq"
 MODULES = sorted(PACKAGE.glob("*.py"))
 BENCHMARK = sorted((PACKAGE.parents[1] / "perfbench").rglob("*.py"))
 
-#: The public names that no module of the package and no benchmark file
+#: The public names (functions, classes, and methods or properties as
+#: ``Class.name``) that no module of the package and no benchmark file
 #: calls, each with the route or claim it serves; the tests call them.
 TEST_ONLY = {
     # independent oracles and routes
@@ -42,6 +43,13 @@ TEST_ONLY = {
     "clear_denominator": "descent with a declared denominator",
     "lcm_upto": "lcm(1..n) of the denominator bound",
     "generalized_binomial": "reference for the binomials of _mul_one_minus_xm_power",
+    # methods and properties only the tests call
+    "PBasisDecomposition.recombine": "p-basis decomposition: sum u_i^p x^i gives back u",
+    "FirstOrderOperator.apply_series": "descent: the operator kills the reduced series of s",
+    "ModPSolution.free_choices": "extend_modp: the value taken at each free index",
+    "RhsForms.r_is_multiple_of_b": "R is a multiple of B(x) exactly for special data",
+    "TruncatedSeries.agrees_with": "Dieudonne exponents: reconstruction against the series",
+    "DieudonneExponents.reconstruct": "criterion 14: Dieudonne exponents round trip",
 }
 
 
@@ -139,16 +147,23 @@ def local_names(func: ast.AST) -> set[str]:
 
 
 def uncalled_public_names(defining: list[str], calling: list[str]) -> set[str]:
-    """Public module-level functions and classes of the ``defining`` sources
-    that no ``calling`` source names, as a Name or an attribute.  A Name
-    that an enclosing function binds is a local variable, not a caller."""
-    defined = set()
+    """Public module-level functions and classes of the ``defining`` sources,
+    and the public methods and properties of their classes (as
+    ``Class.name``), that no ``calling`` source names.  A function or class
+    is named as a Name or an attribute, a method or property as an
+    attribute.  A Name that an enclosing function binds is a local
+    variable, not a caller."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    defined = {}  # reported name -> the name a caller writes
     for source in defining:
         for node in ast.parse(source).body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if not node.name.startswith("_"):
-                    defined.add(node.name)
-    named = set()
+            if isinstance(node, functions + (ast.ClassDef,)) and not node.name.startswith("_"):
+                defined[node.name] = node.name
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, functions) and not item.name.startswith("_"):
+                        defined[f"{node.name}.{item.name}"] = item.name
+    names, attributes = set(), set()
     for source in calling:
         stack = [(ast.parse(source), frozenset())]
         while stack:
@@ -156,11 +171,15 @@ def uncalled_public_names(defining: list[str], calling: list[str]) -> set[str]:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 bound = bound | local_names(node)
             if isinstance(node, ast.Name) and node.id not in bound:
-                named.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                named.add(node.attr)
+                attributes.add(node.attr)
             stack.extend((child, bound) for child in ast.iter_child_nodes(node))
-    return defined - named
+    return {
+        name
+        for name, written in defined.items()
+        if written not in attributes and ("." in name or written not in names)
+    }
 
 
 def test_every_public_name_has_a_caller():
@@ -183,9 +202,30 @@ def test_guard_flags_an_uncalled_public_name():
         "    def method(self):\n"
         "        return used()\n"
     )
-    benchmark = "import m\nm.Shape()\n"
+    benchmark = "import m\nm.Shape().method()\n"
     assert uncalled_public_names([package], [package, benchmark]) == {"planted"}
-    assert uncalled_public_names([package], [package]) == {"planted", "Shape"}
+    assert uncalled_public_names([package], [package]) == {"planted", "Shape", "Shape.method"}
+
+
+def test_guard_flags_an_uncalled_public_method():
+    # a method or property is called only through an attribute: a function
+    # of the same name called as a Name does not call it
+    package = (
+        "class Shape:\n"
+        "    @property\n"
+        "    def area(self):\n"
+        "        return self._side() ** 2\n"
+        "    def _side(self):\n"
+        "        return 1\n"
+        "    def planted(self):\n"
+        "        return 2\n"
+        "    def scaled(self):\n"
+        "        return 3\n"
+        "def scaled():\n"
+        "    return Shape().area\n"
+        "x = scaled()\n"
+    )
+    assert uncalled_public_names([package], [package]) == {"Shape.planted", "Shape.scaled"}
 
 
 def test_guard_flags_a_public_name_shadowed_by_a_local():

@@ -154,11 +154,11 @@ def test_rational_function_field_ops():
 def test_eval_laurent():
     f = Polynomial([1, 0, 1])  # 1 + x^2
     xl = LaurentSeries(-1, TruncatedSeries([1], 8))  # x = 1/u
-    val = f.eval_laurent(xl, 6)
+    val = f.eval_laurent(xl)
     assert val.coefficient(-2) == 1 and val.coefficient(0) == 1
     r = RationalFunction(Polynomial([1]), Polynomial([1, -1]))  # 1/(1-x)
     series_x = LaurentSeries(1, TruncatedSeries([1], 8))
-    expansion = r.eval_laurent(series_x, 8)
+    expansion = r.eval_laurent(series_x)
     assert [expansion.coefficient(k) for k in range(5)] == [Fraction(1)] * 5
 
 

@@ -189,6 +189,8 @@ def test_extend_modp_returns_n_terms_values(n_terms):
     exact = extend_rational(MAIN_RECURRENCE, (0, 1, 2, 3, 4), n_terms)
     assert sol.values == [reduce_fraction_mod(v, 7) for v in exact]
     assert len(sol.values) == n_terms
+    oracle = recurrence.extend_modp_exhaustive(MAIN_RECURRENCE, (0, 1, 2, 3, 4), 7, n_terms)
+    assert oracle.values == sol.values
 
 
 @pytest.mark.parametrize(
