@@ -11,10 +11,9 @@ controlled by the pole divisor of the form.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
+from typing import Sequence
 
 from .curve import (
     BAD_PRIMES,
@@ -22,9 +21,9 @@ from .curve import (
     CurveForm,
     CurveFunction,
     Place,
+    chart,
     eta,
     expand_to_bound,
-    finite_place,
     infinity_place,
     omega,
     origin_place,
@@ -138,10 +137,39 @@ class CartierInvariants:
         return not self.alpha and not self.beta
 
 
+def hasse_window(f_coeffs: Sequence[int], p: int, n: int) -> tuple[int, ...]:
+    """(a_(n-d+1), ..., a_n) mod p for a_k = [x^k] F^((p-1)/2), where F has
+    the integer coefficients ``f_coeffs`` (degree d, F(0) a unit mod p) and
+    0 <= n < p; a_k = 0 for k < 0.
+
+    Below x^p, F^((p-1)/2) = F(0)^((p-1)/2) h with h = (F/F(0))^(-1/2), since
+    (F/F(0))^(p/2) = (F(x^p)/F(0))^(1/2) = 1 + O(x^p) mod p.  h solves
+    2F h' + F' h = 0, whose coefficient of x^k is
+    sum_j f_j (2k + 2 - j) h_(k+1-j) = 0: shift d - j carries
+    (f_j (2 - j), 2 f_j), and the lead 2 f_0 (k + 1) is a unit for k < p - 1.
+    One window_mod call reads the window from h_0 = 1 preceded by d - 1 zeros.
+    """
+    require_prime(p)
+    if p == 2 or f_coeffs[0] % p == 0:
+        raise ValueError(f"need p odd and F(0) a unit mod p (p = {p})")
+    if not 0 <= n < p:
+        raise ValueError(f"window index {n} outside [0, {p})")
+    d = len(f_coeffs) - 1
+    spec = Recurrence(tuple((d - j, (f * (2 - j), 2 * f)) for j, f in enumerate(f_coeffs) if f))
+    h = window_mod(spec, (0,) * (d - 1) + (1,), p, n)
+    scale = pow(f_coeffs[0], (p - 1) // 2, p)
+    return tuple(v * scale % p for v in h)
+
+
 def alphabeta_weierstrass(f_coeffs, p: int) -> CartierInvariants:
     """Invariants for y^2 = f(x), f a monic cubic nonsingular mod p:
     alpha = [x^(p-1)] f^((p-1)/2) (the Hasse invariant),
-    beta  = [x^(p-2)] f^((p-1)/2) (from eta = x omega)."""
+    beta  = [x^(p-2)] f^((p-1)/2) (from eta = x omega).
+
+    With F = x^3 f(1/x) (F(0) = 1), [x^k] f^m = [x^(3m-k)] F^m for
+    m = (p-1)/2, so alpha and beta are the coefficients of x^m and x^(m+1)
+    of F^m: the last two of its Hasse window at m + 1.
+    """
     require_prime(p)
     if p < 5:
         raise ValueError("p >= 5 required for a cubic Weierstrass model")
@@ -151,20 +179,8 @@ def alphabeta_weierstrass(f_coeffs, p: int) -> CartierInvariants:
     fpoly = Polynomial(coeffs, p)
     if fpoly.gcd(fpoly.derivative()).degree != 0:
         raise ValueError("singular reduction: f has a repeated root mod p")
-    power = fpoly ** ((p - 1) // 2)
-    return CartierInvariants(p, power[p - 1], power[p - 2])
-
-
-# The Hasse coefficients a_k of Q^((p-1)/2) are read off h = 2 Q^(-1/2): for
-# k < 2p, a_k = h_k mod p, since Q^(p/2) = Q(x^p)^(1/2) = 2 + O(x^(2p)) mod p.
-# h' = -Q' h / (2Q) gives 2Q h' + Q' h = 0, whose coefficient of x^(n+3) is
-# sum_j q_j (2n + 8 - j) h_(n+4-j) = 0 (q_j of Q_COEFFS): shift 4 - j carries
-# (q_j (8 - j), 2 q_j).  The lead 8(n + 4) is a unit mod p for n < p - 4.
-HASSE_RECURRENCE = Recurrence(
-    tuple((4 - j, (q * (8 - j), 2 * q)) for j, q in enumerate(Q_COEFFS) if q)
-)
-#: h_0..h_3 of 2 Q^(-1/2)
-HASSE_INIT = (1, 0, Fraction(-1, 8), Fraction(-1, 4))
+    _, alpha, beta = hasse_window(coeffs[::-1], p, (p + 1) // 2)
+    return CartierInvariants(p, alpha, beta)
 
 
 def alphabeta_quartic(p: int, cross_check: bool = False) -> CartierInvariants:
@@ -172,22 +188,19 @@ def alphabeta_quartic(p: int, cross_check: bool = False) -> CartierInvariants:
     alpha' = [x^(p-1)] Q^((p-1)/2), beta' = [x^(p-1)] (x^2+x) Q^((p-1)/2).
 
     With a_k the coefficients of Q^((p-1)/2), [x^k] (x^2+x) Q^((p-1)/2) =
-    a_(k-2) + a_(k-1).  a_(p-3), a_(p-2), a_(p-1) are one window of
-    HASSE_RECURRENCE mod p.  The coefficient of x^(2p-1) in (x^2+x) Q^((p-1)/2)
-    must vanish (it is the regularity of C(eta) at infinity) and is asserted;
-    it is a_(2p-3) + a_(2p-2) = m q_3 q_4^(m-1) + q_4^m, m = (p-1)/2, read
-    from Q_COEFFS in closed form, so the check trips if Q's shape changes.
+    a_(k-2) + a_(k-1), so both come off the Hasse window of Q at p - 1.  The
+    coefficient of x^(2p-1) in (x^2+x) Q^((p-1)/2) must vanish (it is the
+    regularity of C(eta) at infinity) and is asserted; it is
+    a_(2p-3) + a_(2p-2) = m q_3 q_4^(m-1) + q_4^m, m = (p-1)/2, read from
+    Q_COEFFS in closed form, so the check trips if Q's shape changes.
     """
     require_good_prime(p)
-    n = max(p - 4, 0)
-    h = window_mod(HASSE_RECURRENCE, HASSE_INIT, p, n)
-    alpha = h[p - 1 - n]
-    beta = (h[p - 3 - n] + h[p - 2 - n]) % p
+    a = hasse_window(Q_COEFFS, p, p - 1)  # a_(p-4), ..., a_(p-1)
     m, q3, q4 = (p - 1) // 2, Q_COEFFS[3], Q_COEFFS[4]
     sanity = (m * q3 * pow(q4, m - 1, p) + pow(q4, m, p)) % p
     if sanity != 0:
         raise AssertionError(f"[x^(2p-1)] (x^2+x) Q^((p-1)/2) = {sanity} != 0 at p = {p}")
-    inv = CartierInvariants(p, alpha, beta)
+    inv = CartierInvariants(p, a[3], (a[1] + a[2]) % p)
     if cross_check:
         _cross_check_quartic(inv)
     return inv
@@ -245,7 +258,7 @@ def _h_polynomials(p: int) -> list[Polynomial]:
     return out
 
 
-def legendre_hasse(lam0: int, p: int, rng: random.Random | None = None) -> LegendreHasseData:
+def legendre_hasse(lam0: int, p: int) -> LegendreHasseData:
     """H_m, H_{m-1} at lambda_0 plus the two exact polynomial identities:
     K_i' = -(m+1) H_i and the hypergeometric equation for
     F(z) = sum_k C(m,k) C(m+1,k) z^k."""
@@ -266,13 +279,6 @@ def legendre_hasse(lam0: int, p: int, rng: random.Random | None = None) -> Legen
         if k_i.derivative() != h[i] * (-(m + 1) % p):
             deriv_ok = False
             break
-    if deriv_ok and rng is not None:
-        k_m_poly = h[m - 1] - lam * h[m]
-        for _ in range(20):
-            v = rng.randrange(p)
-            if k_m_poly.derivative()(v) != (-(m + 1)) * h[m](v) % p:
-                deriv_ok = False
-                break
 
     f_poly = Polynomial([math.comb(m, k) * math.comb(m + 1, k) % p for k in range(m + 1)], p)
     z = Polynomial([0, 1], p)
@@ -304,7 +310,8 @@ def half_pole_place(p: int, sign: int, precision: int) -> Place:
         y0 = QuadExt(sign * root65 * inv4, 0, p, 65)
     else:
         y0 = QuadExt(0, sign * inv4, p, 65)
-    return finite_place(x0, y0, precision, label=f"t=0({'+' if sign > 0 else '-'})")
+    x = LaurentSeries(0, TruncatedSeries([x0, QuadExt(1, 0, p, 65)], precision))
+    return chart(f"t=0({'+' if sign > 0 else '-'})", x, y0)
 
 
 def residue_check(form: CurveForm, p: int) -> dict[str, object]:

@@ -384,7 +384,7 @@ def cmd_cartier(args) -> Report:
         not res.exact and res.witness_m is not None and res.witness_m <= res.bound,
         f"witness m = {res.witness_m} <= {res.bound}",
     )
-    lh = legendre_hasse(3, p, random.Random(args.seed))
+    lh = legendre_hasse(random.Random(args.seed).randrange(2, p), p)
     rep.add("K' = -(m+1) H identity", lh.derivative_identity)
     rep.add("hypergeometric ODE", lh.ode_identity)
     kmax = args.kmax

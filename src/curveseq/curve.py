@@ -3,8 +3,9 @@
 Functions are represented as u + v*y with rational-function components, so
 the identities behind the main theorems are checked exactly, not to finite
 precision.  Series enter only through expansions at places of the curve:
-the rational points above x = 0, the two points at infinity, and ad-hoc
-finite places (the zeros of 1 + 2x live over F_p(sqrt(65))).
+the rational points above x = 0, the two points at infinity, and the
+places above the zero of 1 + 2x (over F_p(sqrt(65))).  ``chart`` builds
+each of them from the series of x in its local parameter alone.
 """
 
 from __future__ import annotations
@@ -277,53 +278,27 @@ class Place:
     y_series: LaurentSeries
 
 
+def chart(name: str, x: LaurentSeries, y0) -> Place:
+    """The place where x = x(w) in the local parameter w, with y the square
+    root of Q(x(w)) whose leading coefficient is y0.
+
+    Q(x(w)) has even order at every place charted this way (x regular with
+    Q(x(0)) != 0, or a simple pole of x), and y starts at half that order.
+    """
+    q = Polynomial(Q_COEFFS, x.modulus).eval_laurent(x).normalized()
+    if q.offset % 2:
+        raise ValueError(f"Q(x) has odd order {q.offset} at {name}")
+    return Place(name, x, LaurentSeries(q.offset // 2, q.series.sqrt(y0)))
+
+
 def origin_place(sign: int, precision: int, modulus: int | None = None) -> Place:
     """The rational point (0, +-2); local parameter x itself."""
-    x = LaurentSeries(1, TruncatedSeries([1], precision, modulus))
-    q = TruncatedSeries(Q_COEFFS, precision, modulus)
-    return Place(f"(0,{2*sign})", x, LaurentSeries(0, q.sqrt(2 * sign)))
+    return chart(f"(0,{2*sign})", LaurentSeries(1, TruncatedSeries([1], precision, modulus)), 2 * sign)
 
 
 def infinity_place(sign: int, precision: int, modulus: int | None = None) -> Place:
-    """inf_+ or inf_-; local parameter u = 1/x, y = sign * u^-2 sqrt(1+2u+u^2+4u^4)."""
-    x = LaurentSeries(-1, TruncatedSeries([1], precision, modulus))
-    inner = TruncatedSeries([1, 2, 1, 0, 4], precision, modulus)
-    y = LaurentSeries(-2, inner.sqrt(sign))
-    return Place(f"inf{'+' if sign > 0 else '-'}", x, y)
-
-
-def finite_place(x0, y0, precision: int, label: str | None = None) -> Place:
-    """A finite place (x0, y0) with Q(x0) != 0; local parameter w = x - x0.
-
-    Scalars are exact objects (Fraction, QuadExt); the places above
-    x = -1/2 take x0 and y0 in F_p(sqrt(65)), whether or not 65 is a
-    square mod p.
-    """
-    one = y0 * 0 + 1
-    shifted = [c * one for c in _taylor_shift(Q_COEFFS, x0 * one)]
-    q = TruncatedSeries(shifted, precision)
-    xs = LaurentSeries(0, TruncatedSeries([x0 * one, one], precision))
-    y = LaurentSeries(0, q.sqrt(y0))
-    return Place(label or f"({x0},{y0})", xs, y)
-
-
-def _taylor_shift(coeffs: Sequence, x0) -> list:
-    """Coefficients of P(x0 + w) in w, by repeated synthetic division."""
-    one = x0 * 0 + 1
-    cur = [c * one for c in coeffs]
-    out = []
-    for _ in range(len(coeffs)):
-        # divide cur by (x - x0): remainder is cur(x0)
-        acc = cur[-1] * 0
-        quot = []
-        for c in reversed(cur):
-            acc = acc * x0 + c
-            quot.append(acc)
-        out.append(acc)
-        cur = quot[:-1][::-1]
-        if not cur:
-            break
-    return out
+    """inf_+ or inf_-; local parameter u = 1/x, y = sign * u^-2 (1 + O(u))."""
+    return chart(f"inf{'+' if sign > 0 else '-'}", LaurentSeries(-1, TruncatedSeries([1], precision, modulus)), sign)
 
 
 def expand_function(f: CurveFunction, place: Place) -> LaurentSeries:

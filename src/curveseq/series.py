@@ -550,7 +550,9 @@ class LaurentSeries:
         if isinstance(other, LaurentSeries):
             off, a, b = self._align(other)
             return LaurentSeries(off, a + b)
-        # exactly-known scalar
+        # exactly-known scalar; it sits at x^0, beyond a bound <= 0
+        if self.bound <= 0:
+            return self
         if self.offset > 0:
             return LaurentSeries(0, self.series.shift(self.offset)) + other
         s = self.series

@@ -6,8 +6,6 @@ import pytest
 
 from curveseq import cartier
 from curveseq.cartier import (
-    HASSE_INIT,
-    HASSE_RECURRENCE,
     CartierInvariants,
     alphabeta_quartic,
     alphabeta_weierstrass,
@@ -16,6 +14,7 @@ from curveseq.cartier import (
     exactness_test,
     exactness_scan_bound,
     half_pole_place,
+    hasse_window,
     legendre_hasse,
     log_exactness_test,
     pole_bound_check,
@@ -211,49 +210,125 @@ def test_alphabeta_quartic_matches_the_hasse_power():
     assert (inv.alpha, inv.beta) == (1, 1)
 
 
-def test_hasse_recurrence_solves_two_over_root_q():
+def _kernel_call(monkeypatch, f_coeffs):
+    """The recurrence and start window hasse_window hands to window_mod."""
+    seen = []
+    real = cartier.window_mod
+    with monkeypatch.context() as m:
+        m.setattr(cartier, "window_mod", lambda spec, init, p, n: seen.append((spec, init)) or real(spec, init, p, n))
+        hasse_window(f_coeffs, 7, 0)
+    return seen[0]
+
+
+def test_hasse_recurrence_solves_two_over_root_q(monkeypatch):
+    spec, init = _kernel_call(monkeypatch, Q_COEFFS)
+    assert init == (0, 0, 0, 1)
     n = 200
     q = TruncatedSeries([Fraction(c) for c in Q_COEFFS], n)
     h = q.sqrt(2).inverse().scale(2)
-    assert extend_rational(HASSE_RECURRENCE, HASSE_INIT, n) == h.coeffs
+    assert extend_rational(spec, init, n + 3) == [0, 0, 0] + h.coeffs
 
 
-def _hasse_mutants():
-    """HASSE_RECURRENCE with one coefficient moved (the absent shift 3
-    included), and HASSE_INIT with one value moved."""
-    shifts = dict(HASSE_RECURRENCE.shifts)
-    shifts.setdefault(3, (0, 0))
+def _hasse_mutants(spec, init):
+    """The kernel's recurrence with one coefficient moved (absent shifts
+    included), and its start window with one value moved."""
+    shifts = dict(spec.shifts)
+    for j in range(spec.order + 1):
+        shifts.setdefault(j, (0, 0))
     for j, poly in shifts.items():
         for k in range(len(poly)):
             moved = {**shifts, j: poly[:k] + (poly[k] + 1,) + poly[k + 1:]}
-            yield f"P_{j}[{k}]", Recurrence(tuple(moved.items())), HASSE_INIT
-    for i in range(len(HASSE_INIT)):
-        init = HASSE_INIT[:i] + (HASSE_INIT[i] + 1,) + HASSE_INIT[i + 1:]
-        yield f"h_{i}", HASSE_RECURRENCE, init
+            yield f"P_{j}[{k}]", Recurrence(tuple(moved.items())), init
+    for i in range(len(init)):
+        yield f"start[{i}]", spec, init[:i] + (init[i] + 1,) + init[i + 1:]
 
 
-def _reads_off_the_power(p):
-    """alphabeta_quartic(p) disagrees with the power route; a moved lead can
-    vanish mod p before p - 4, and a window it cannot read is no mismatch."""
+def _disagrees(invariants, reference, p):
+    """The kernel's invariants at p differ from the power route's; a moved
+    lead can vanish mod p inside the window, and a window the mutant cannot
+    read is no mismatch."""
     try:
-        inv = alphabeta_quartic(p)
+        inv = invariants(p)
     except (ValueError, ZeroDivisionError):
         return False
-    return (inv.alpha, inv.beta) != hasse_power_route(p)
+    return (inv.alpha, inv.beta) != reference(p)
+
+
+def _assert_mutants_caught(monkeypatch, f_coeffs, invariants, reference, primes):
+    real = cartier.window_mod
+    for label, spec, init in _hasse_mutants(*_kernel_call(monkeypatch, f_coeffs)):
+        monkeypatch.setattr(cartier, "window_mod", lambda _s, _i, p, n, spec=spec, init=init: real(spec, init, p, n))
+        assert any(_disagrees(invariants, reference, p) for p in primes), label
 
 
 def test_hasse_recurrence_mutants_are_caught(monkeypatch):
     primes = [p for p in range(3, 100) if is_prime(p) and p not in (5, 13)]
-    for label, spec, init in _hasse_mutants():
-        monkeypatch.setattr(cartier, "HASSE_RECURRENCE", spec)
-        monkeypatch.setattr(cartier, "HASSE_INIT", init)
-        assert any(_reads_off_the_power(p) for p in primes), label
+    _assert_mutants_caught(monkeypatch, Q_COEFFS, alphabeta_quartic, hasse_power_route, primes)
+
+
+def weierstrass_power_route(f_coeffs, p):
+    """(alpha, beta) off all coefficients of f^((p-1)/2) mod p."""
+    a = Polynomial(f_coeffs, p) ** ((p - 1) // 2)
+    return a[p - 1], a[p - 2]
+
+
+def test_hasse_kernel_mutants_are_caught_on_a_weierstrass_curve(monkeypatch):
+    # y^2 = x^3 + 1: the kernel reads F = 1 + x^3
+    curve = [1, 0, 0, 1]
+    primes = [p for p in range(5, 100) if is_prime(p)]
+    _assert_mutants_caught(
+        monkeypatch,
+        curve[::-1],
+        partial(alphabeta_weierstrass, curve),
+        partial(weierstrass_power_route, curve),
+        primes,
+    )
+
+
+def test_alphabeta_weierstrass_matches_the_power():
+    # (a, b) = (2, 0) and (-1, 0) have b = 0 at every p, (3, 7 * 11) at 7 and
+    # 11; the last two cubics carry an x^2 term
+    curves = [[1, 0, 0, 1], [0, 2, 0, 1], [0, -1, 0, 1], [77, 3, 0, 1], [3, -2, 5, 1], [0, 1, 1, 1]]
+    for c0, c1, c2, _ in curves:
+        disc = 18 * c2 * c1 * c0 - 4 * c2**3 * c0 + c2**2 * c1**2 - 4 * c1**3 - 27 * c0**2
+        for p in range(5, 1000):
+            if not is_prime(p):
+                continue
+            f = [c0, c1, c2, 1]
+            if disc % p == 0:
+                with pytest.raises(ValueError):
+                    alphabeta_weierstrass(f, p)
+                continue
+            inv = alphabeta_weierstrass(f, p)
+            assert (inv.alpha, inv.beta) == weierstrass_power_route(f, p), (f, p)
+
+
+def test_hasse_window_is_the_power_window():
+    # any degree, F(0) a non-residue at some p, every window 0 <= n < p
+    rng = random.Random(18)
+    for p in (3, 7, 11, 23, 41):
+        for d in (1, 2, 3, 5):
+            f = [rng.randrange(1, p)] + [rng.randrange(-9, 10) for _ in range(d)]
+            power = Polynomial(f, p) ** ((p - 1) // 2)
+            a = [0] * (d - 1) + [power[k] for k in range(p)]
+            for n in range(p):
+                assert hasse_window(f, p, n) == tuple(a[n : n + d]), (f, p, n)
+
+
+def test_hasse_window_domain():
+    assert hasse_window(Q_COEFFS, 7, 0) == (0, 0, 0, 1)
+    for p, n in ((7, 7), (7, -1)):
+        with pytest.raises(ValueError):
+            hasse_window(Q_COEFFS, p, n)
+    with pytest.raises(ValueError):
+        hasse_window([2, 1], 2, 0)  # p = 2
+    with pytest.raises(ValueError):
+        hasse_window([7, 1, 1], 7, 3)  # F(0) = 0 mod p
 
 
 def test_legendre_hasse_identities():
-    rng = random.Random(0)
     for p in (7, 11, 13):
-        data = legendre_hasse(3, p, rng)
+        data = legendre_hasse(3, p)
         assert data.derivative_identity
         assert data.ode_identity
         assert data.h_m or data.h_m1
@@ -429,3 +504,31 @@ def test_no_stronger_periodicity():
 def test_exactness_scan_bound_values():
     assert exactness_scan_bound(xi_form((0, 0, 0, 1), 7)) == 8
     assert exactness_scan_bound(omega(7)) == 4
+
+
+def test_half_pole_chart_is_the_root_of_q_above_minus_one_half():
+    # Q(-1/2 + w) = 65/16 - w^2/2 + w^4 and y(0) = +-sqrt(65)/4, in F_p(sqrt 65)
+    # whether or not 65 is a square mod p (7: it is; 11: it is not)
+    n = 12
+    for p, split in ((7, True), (11, False)):
+        one = QuadExt(1, 0, p, 65)
+        shifted = [one * c for c in (Fraction(65, 16), 0, Fraction(-1, 2), 0, 1)]
+        places = {sign: half_pole_place(p, sign, n) for sign in (+1, -1)}
+        y0 = places[+1].y_series.coefficient(0)
+        assert y0 * y0 == one * Fraction(65, 16) and (y0.b == 0) == split
+        assert places[-1].y_series.coefficient(0) == -y0
+        for place in places.values():
+            assert place.x_series == LaurentSeries(0, TruncatedSeries([one * Fraction(-1, 2), one], n))
+            root = TruncatedSeries(shifted, n).sqrt(place.y_series.coefficient(0))
+            assert (place.y_series.offset, place.y_series.series) == (0, root)
+
+
+def test_infinity_chart_is_the_reversed_quartic():
+    # y = sign u^-2 sqrt(1 + 2u + u^2 + 4u^4) at inf+-, u = 1/x
+    for modulus in (None, 7, 11):
+        for n in (1, 2, 5, 40):
+            inner = TruncatedSeries([1, 2, 1, 0, 4], n, modulus)
+            for sign in (+1, -1):
+                place = infinity_place(sign, n, modulus)
+                assert place.name == ("inf+" if sign > 0 else "inf-")
+                assert (place.y_series.offset, place.y_series.series) == (-2, inner.sqrt(sign))

@@ -13,8 +13,8 @@ from curveseq.curve import (
     differential_of,
     eta,
     expand_at_origin,
+    chart,
     expand_form,
-    finite_place,
     fn_s,
     fn_t,
     fn_y,
@@ -41,7 +41,7 @@ from curveseq.recurrence import (
     extend_rational,
     rhs_forms,
 )
-from curveseq.series import TruncatedSeries
+from curveseq.series import LaurentSeries, TruncatedSeries
 
 
 def test_identity_suite_all_pass():
@@ -253,8 +253,21 @@ def test_k_constants_formulas():
 
 
 def test_finite_place_chart():
-    # the generic finite chart at x0 = 0 must agree with the origin chart
-    pl = finite_place(Fraction(0), Fraction(2), 24)
+    # at the rational point (-1, +-2), local parameter w = x + 1:
+    # Q(-1 + w) = 4 + w^2 - 2w^3 + w^4 over Q
+    n = 24
+    x = LaurentSeries(0, TruncatedSeries([-1, 1], n))
+    shifted = TruncatedSeries([4, 0, 1, -2, 1], n)
+    for sign in (+1, -1):
+        place = chart(f"(-1,{2 * sign})", x, 2 * sign)
+        assert place.x_series is x
+        assert (place.y_series.offset, place.y_series.series) == (0, shifted.sqrt(2 * sign))
+    # at x0 = 0 the generic chart is the origin chart
+    pl = chart("(0,2)", LaurentSeries(0, TruncatedSeries([0, 1], n)), 2)
     w = expand_form(omega(), pl)
-    w0 = expand_form(omega(), origin_place(+1, 24))
+    w0 = expand_form(omega(), origin_place(+1, n))
     assert [w.coefficient(k) for k in range(8)] == [w0.coefficient(k) for k in range(8)]
+    # Q(10) = 0 mod 17: at a branch point Q(x0 + w) has odd order, and y is
+    # no series in w
+    with pytest.raises(ValueError):
+        chart("(10,0)", LaurentSeries(0, TruncatedSeries([10, 1], n, 17)), 1)

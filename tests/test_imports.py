@@ -1,8 +1,9 @@
 """Lint guards: every name a module of the package imports is used there,
-every import sits at module level, every public function, class, method
-or property is called by the package or the benchmark, or is listed in
-TEST_ONLY with the route or claim it serves, and every call the benchmark
-makes into the package binds to the current signature.
+every import sits at module level, every public function, class, method,
+property or UPPER_CASE module constant is called (a constant: read) by the
+package or the benchmark, or is listed in TEST_ONLY with the route or claim
+it serves, and every call the benchmark makes into the package binds to the
+current signature.
 
 No linter is a dependency of the project, so the check walks the syntax
 tree with the standard library.
@@ -19,9 +20,10 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "curveseq"
 MODULES = sorted(PACKAGE.glob("*.py"))
 BENCHMARK = sorted((PACKAGE.parents[1] / "perfbench").rglob("*.py"))
 
-#: The public names (functions, classes, and methods or properties as
-#: ``Class.name``) that no module of the package and no benchmark file
-#: calls, each with the route or claim it serves; the tests call them.
+#: The public names (functions, classes, methods or properties as
+#: ``Class.name``, and UPPER_CASE module constants) that no module of the
+#: package and no benchmark file calls or reads, each with the route or
+#: claim it serves; the tests use them.
 TEST_ONLY = {
     # independent oracles and routes
     "vp_bruteforce_literal": "V_p oracle: plain enumeration against vp_bruteforce_mask",
@@ -43,6 +45,7 @@ TEST_ONLY = {
     "clear_denominator": "descent with a declared denominator",
     "lcm_upto": "lcm(1..n) of the denominator bound",
     "generalized_binomial": "reference for the binomials of _mul_one_minus_xm_power",
+    "FOOTNOTE_RECURRENCE": "contrast fixture: a second recurrence for the recurrence kernels",
     # methods and properties only the tests call
     "PBasisDecomposition.recombine": "p-basis decomposition: sum u_i^p x^i gives back u",
     "FirstOrderOperator.apply_series": "descent: the operator kills the reduced series of s",
@@ -146,15 +149,22 @@ def local_names(func: ast.AST) -> set[str]:
     return {a.arg for a in every if a is not None} | stored
 
 
+def _is_constant(name: str) -> bool:
+    return name.isupper() and not name.startswith("_")
+
+
 def uncalled_public_names(defining: list[str], calling: list[str]) -> set[str]:
     """Public module-level functions and classes of the ``defining`` sources,
-    and the public methods and properties of their classes (as
-    ``Class.name``), that no ``calling`` source names.  A function or class
-    is named as a Name or an attribute, a method or property as an
-    attribute.  A Name that an enclosing function binds is a local
-    variable, not a caller."""
+    the public methods and properties of their classes (as ``Class.name``),
+    and their UPPER_CASE module constants, that no ``calling`` source names.
+    A function or class is named as a Name or an attribute, a method or
+    property as an attribute, and a constant only where a Name or an
+    attribute loads it: the assignment that defines it does not read it.  A
+    Name that an enclosing function binds is a local variable, not a
+    caller."""
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     defined = {}  # reported name -> the name a caller writes
+    constants = set()
     for source in defining:
         for node in ast.parse(source).body:
             if isinstance(node, functions + (ast.ClassDef,)) and not node.name.startswith("_"):
@@ -163,7 +173,12 @@ def uncalled_public_names(defining: list[str], calling: list[str]) -> set[str]:
                 for item in node.body:
                     if isinstance(item, functions) and not item.name.startswith("_"):
                         defined[f"{node.name}.{item.name}"] = item.name
-    names, attributes = set(), set()
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target] if isinstance(node, ast.AnnAssign) else []
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and _is_constant(name.id):
+                        constants.add(name.id)
+    names, attributes, loaded = set(), set(), set()
     for source in calling:
         stack = [(ast.parse(source), frozenset())]
         while stack:
@@ -172,14 +187,19 @@ def uncalled_public_names(defining: list[str], calling: list[str]) -> set[str]:
                 bound = bound | local_names(node)
             if isinstance(node, ast.Name) and node.id not in bound:
                 names.add(node.id)
+                if isinstance(node.ctx, ast.Load):
+                    loaded.add(node.id)
             elif isinstance(node, ast.Attribute):
                 attributes.add(node.attr)
+                if isinstance(node.ctx, ast.Load):
+                    loaded.add(node.attr)
             stack.extend((child, bound) for child in ast.iter_child_nodes(node))
-    return {
+    uncalled = {
         name
         for name, written in defined.items()
         if written not in attributes and ("." in name or written not in names)
     }
+    return uncalled | (constants - loaded)
 
 
 def test_every_public_name_has_a_caller():
@@ -244,6 +264,24 @@ def test_guard_flags_a_public_name_shadowed_by_a_local():
         "    return lambda: called() + planted\n"
     )
     assert uncalled_public_names([package], [package]) == {"planted", "caller", "takes", "assigns"}
+
+
+def test_guard_flags_an_unread_public_constant():
+    # a constant is read where it is loaded: its own assignment, a rebinding
+    # and a store through an attribute do not read it
+    package = (
+        "PLANTED = (1, 2)\n"
+        "READ = 3\n"
+        "USED_BY_BENCHMARK: int = 4\n"
+        "PAIR_A, PAIR_B = 5, 6\n"
+        "_PRIVATE = 7\n"
+        "def f():\n"
+        "    return READ + PAIR_A\n"
+        "lower = f()\n"
+    )
+    benchmark = "import m\nm.PLANTED = (3,)\nprint(m.USED_BY_BENCHMARK)\n"
+    assert uncalled_public_names([package], [package, benchmark]) == {"PLANTED", "PAIR_B"}
+    assert uncalled_public_names([package], [package]) == {"PLANTED", "PAIR_B", "USED_BY_BENCHMARK"}
 
 
 def package_calls(source: str):

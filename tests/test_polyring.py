@@ -200,3 +200,18 @@ def test_polynomial_operations_stay_reduced(m):
     for got, want in pairs:
         assert all(isinstance(c, int) and 0 <= c < m for c in got.coeffs)
         assert got == want.reduce_mod(m)
+
+
+def test_eval_laurent_with_a_constant_beyond_the_bound():
+    # x = u^-1 + O(u^0): its bound 0 leaves the x^0 slot unknown, so adding a
+    # constant (as Horner does) keeps the series; it used to index past it
+    x = LaurentSeries(-1, TruncatedSeries([1], 1, 7))
+    assert Polynomial([1, 1], 7).eval_laurent(x) == x
+    for modulus in (None, 7):
+        for offset, precision in ((-1, 1), (-3, 2), (-2, 0)):
+            s = LaurentSeries(offset, TruncatedSeries([1, 2][:precision], precision, modulus))
+            total = s + 5
+            assert (total.offset, total.series) == (offset, s.series)
+        # a bound of 1 knows x^0, and the constant lands there
+        total = LaurentSeries(-1, TruncatedSeries([1, 2], 2, modulus)) + 5
+        assert total.series.coeffs == TruncatedSeries([1, 7], 2, modulus).coeffs
