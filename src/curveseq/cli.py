@@ -21,6 +21,7 @@ from . import __version__
 from .cartier import (
     alphabeta_quartic,
     exactness_test,
+    invariant_disagreement,
     legendre_hasse,
     log_exactness_test,
     require_good_prime,
@@ -341,11 +342,15 @@ def cmd_modp_space(args) -> Report:
 def cmd_cartier(args) -> Report:
     rep = Report("cartier", {"p": args.p, "pmax": args.pmax})
     p = args.p
-    inv = alphabeta_quartic(p, cross_check=True)
+    inv = alphabeta_quartic(p)
+    # the invariants must also be the Cartier images: C(omega) = alpha' omega
+    # and C(eta) = beta' omega, refuted at the exponents in the witness
+    refuted = invariant_disagreement(inv)
     rep.add(
         f"(alpha', beta') != (0,0) at p={p}",
-        not inv.both_zero,
+        not inv.both_zero and refuted is None,
         f"alpha'={inv.alpha}, beta'={inv.beta}",
+        refuted,
     )
     pmax = args.pmax
     bad, scanned = [], 0
@@ -385,7 +390,7 @@ def cmd_cartier(args) -> Report:
         f"witness m = {res.witness_m} <= {res.bound}",
     )
     lh = legendre_hasse(random.Random(args.seed).randrange(2, p), p)
-    rep.add("K' = -(m+1) H identity", lh.derivative_identity)
+    rep.add("K' = -(m+1) H identity", lh.derivative_identity, f"lambda_0={lh.lam0}, H_m={lh.h_m}, H_(m-1)={lh.h_m1}")
     rep.add("hypergeometric ODE", lh.ode_identity)
     kmax = args.kmax
     c = s_series(kmax * p + p + 6, modulus=p).coeffs

@@ -128,14 +128,6 @@ def mobius(n: int) -> int:
     return result
 
 
-def lcm_upto(n: int) -> int:
-    """lcm(1, 2, ..., n); 1 for n <= 1 (empty range behaves as lcm of nothing)."""
-    out = 1
-    for k in range(2, n + 1):
-        out = math.lcm(out, k)
-    return out
-
-
 def divisors(n: int) -> list[int]:
     small, large = [], []
     d = 1

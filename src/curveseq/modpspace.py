@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cartier import alphabeta_quartic, exactness_test, require_good_prime
+from .cartier import alphabeta_quartic, exactness_scan_bound, exactness_test, require_good_prime
 from .curve import expand_to_bound, origin_place, s_series, xi_form
 from .exactnum import reduce_fraction_mod
 from .linalg import kernel_mod, rank_mod
@@ -292,14 +292,16 @@ def extendability_test(init4: Sequence[int], p: int) -> ExtendabilityResult:
     return result
 
 
-def xi_obstruction_matrix(p: int, blocks: int = 8) -> list[list[int]]:
-    """Rows m = 1..blocks of the x^(mp-1) expansion coefficients of the basis
-    forms xi(e_i); a vector extends iff this matrix kills it (bulk form of the
-    series route)."""
+def xi_obstruction_matrix(p: int) -> list[list[int]]:
+    """Rows m = 1..B + 5 of the x^(mp-1) expansion coefficients of the basis
+    forms xi(e_i), with B + 4 = exactness_scan_bound: the coefficients of
+    C(xi) at f = m - 1 = 0..B + 4, through which exactness_test proves.  A
+    vector extends iff this matrix kills it (bulk form of the series route)."""
     require_vp_prime(p)
     units = [xi_form([int(i == j) for j in range(4)], p) for i in range(4)]
-    _, cols = expand_to_bound(units, partial(origin_place, +1, modulus=p), blocks * p)
-    return [[w.coefficient(m * p - 1) for w in cols] for m in range(1, blocks + 1)]
+    rows = max(exactness_scan_bound(u) for u in units) + 1
+    _, cols = expand_to_bound(units, partial(origin_place, +1, modulus=p), rows * p)
+    return [[w.coefficient(m * p - 1) for w in cols] for m in range(1, rows + 1)]
 
 
 # -- Theorem on C_p = C_1 -------------------------------------------------------------
@@ -372,13 +374,13 @@ class WpWitnesses:
     independent: bool
 
 
-def wp_witnesses(p: int, k: int, length: int | None = None) -> WpWitnesses:
+def wp_witnesses(p: int, k: int) -> WpWitnesses:
     """k candidate members of W_p: the coefficient sequences of x^(jp) s(x)
-    mod p (j = 0..k-1); for p = 2 the family x^(2j) (1 + x).  ``satisfy``
-    says whether each one satisfies the recurrence mod p, ``independent``
-    whether their valuations are distinct (so they are independent)."""
-    if length is None:
-        length = (k + 3) * p + 10
+    mod p (j = 0..k-1), each of length (k + 3) p + 10; for p = 2 the family
+    x^(2j) (1 + x).  ``satisfy`` says whether each one satisfies the
+    recurrence mod p, ``independent`` whether their valuations are distinct
+    (so they are independent)."""
+    length = (k + 3) * p + 10
     if p == 2:
         seqs = []
         for j in range(k):

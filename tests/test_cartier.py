@@ -15,6 +15,7 @@ from curveseq.cartier import (
     exactness_scan_bound,
     half_pole_place,
     hasse_window,
+    invariant_disagreement,
     legendre_hasse,
     log_exactness_test,
     pole_bound_check,
@@ -163,8 +164,10 @@ def test_alphabeta_quartic_values():
     inv3 = alphabeta_quartic(3)
     assert inv3.alpha == 1  # [x^2] Q = 1
     for p in (3, 7, 11, 17, 19, 23, 29, 31, 37, 41, 43, 47):
-        inv = alphabeta_quartic(p, cross_check=p <= 31)
+        inv = alphabeta_quartic(p)
         assert not inv.both_zero
+        if p <= 31:
+            assert invariant_disagreement(inv) is None, p
 
 
 def test_quartic_alpha_is_trace_of_weierstrass_reduction():
@@ -181,9 +184,61 @@ def test_quartic_alpha_is_trace_of_weierstrass_reduction():
         assert point_count(a, b, p).trace % p == alphabeta_quartic(p).alpha, p
 
 
+#: Cartier image coefficients the series reference route compares
+SERIES_ROUTE_COEFFS = 60
+
+
+def series_route_refutes(p, invariants):
+    """For each (alpha, beta), the forms among omega and eta whose Cartier
+    image differs from alpha omega, beta omega within its first 60
+    coefficients: cartier_series on the first 61p + 1 coefficients of the
+    (0, 2)-expansions, a fixed length and no pole budget."""
+    n = p * (SERIES_ROUTE_COEFFS + 1) + 1
+    _, expansions = expand_to_bound([omega(p), eta(p)], partial(origin_place, +1, modulus=p), n)
+    w_omega, w_eta = (TruncatedSeries([w.coefficient(k) for k in range(n)], n, p) for w in expansions)
+    images = {"omega": cartier_series(w_omega, p), "eta": cartier_series(w_eta, p)}
+    out = []
+    for alpha, beta in invariants:
+        refuted = set()
+        for name, scalar in (("omega", alpha), ("eta", beta)):
+            img = images[name]
+            want = w_omega.truncate(img.precision).scale(scalar)
+            if img.coeffs[:SERIES_ROUTE_COEFFS] != want.coeffs[:SERIES_ROUTE_COEFFS]:
+                refuted.add(name)
+        out.append(refuted)
+    return out
+
+
+def _invariant_mutants(inv):
+    """The invariants with alpha' or beta' moved by +-1, each with the form
+    on which the move must be caught."""
+    p = inv.p
+    for d in (1, -1):
+        yield CartierInvariants(p, (inv.alpha + d) % p, inv.beta), "omega"
+        yield CartierInvariants(p, inv.alpha, (inv.beta + d) % p), "eta"
+
+
 def test_quartic_series_route_cross_check_to_50():
+    # the budgeted check and the fixed-length series route reach the same
+    # verdict, on the invariants and on every +-1 mutant of them
     for p in (37, 41, 43, 47):
-        alphabeta_quartic(p, cross_check=True)
+        inv = alphabeta_quartic(p)
+        cases = [inv] + [mutant for mutant, _ in _invariant_mutants(inv)]
+        series = series_route_refutes(p, [(c.alpha, c.beta) for c in cases])
+        budgeted = [set(invariant_disagreement(c) or ()) for c in cases]
+        assert series == budgeted, p
+        assert series[0] == set()
+
+
+def test_invariant_mutants_are_caught_on_their_form():
+    for p in range(3, 100):
+        if not is_prime(p) or p in (5, 13):
+            continue
+        inv = alphabeta_quartic(p)
+        assert invariant_disagreement(inv) is None, p
+        for mutant, form in _invariant_mutants(inv):
+            refuted = invariant_disagreement(mutant)
+            assert refuted is not None and set(refuted) == {form}, (p, mutant)
 
 
 def test_quartic_sanity_coefficient_all_p():

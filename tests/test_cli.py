@@ -1,11 +1,13 @@
 import json
+import random
 import re
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from curveseq import frobenius
+from curveseq import cartier, frobenius
+from curveseq.cartier import legendre_hasse
 from curveseq.cli import main, report_from_json
 
 
@@ -226,6 +228,36 @@ def test_cartier_scan_reports_the_primes_it_scanned(tmp_path, capsys):
     (check,) = [c for c in json.loads(path.read_text())["checks"] if c["name"].endswith("for good p <= 3")]
     assert check["status"] == "pass"
     assert check["details"] == "1 good primes"
+
+
+def test_cartier_refuted_invariant_is_a_failure_with_a_witness(monkeypatch, tmp_path, capsys):
+    # beta' moved by one: C(eta) = beta' omega fails at exponent 0, where
+    # the difference -omega starts; the run reports it instead of raising
+    window = cartier.hasse_window
+
+    def beta_off_by_one(f_coeffs, p, n):
+        a = window(f_coeffs, p, n)
+        return (*a[:2], (a[2] + 1) % p, a[3])
+
+    monkeypatch.setattr(cartier, "hasse_window", beta_off_by_one)
+    path = tmp_path / "cartier.json"
+    code, out = run_cli(["cartier", "--p", "7", "--pmax", "3", "--json", str(path)], capsys)
+    assert code == 1
+    assert "[FAIL] (alpha', beta') != (0,0) at p=7" in out
+    (check,) = [c for c in json.loads(path.read_text())["checks"] if c["name"] == "(alpha', beta') != (0,0) at p=7"]
+    assert check["status"] == "fail"
+    assert check["witness"] == {"eta": 0}
+
+
+def test_cartier_report_names_lambda_0_and_the_hasse_values(tmp_path, capsys):
+    path = tmp_path / "cartier.json"
+    for p, seed in ((7, 0), (11, 5), (23, 9)):
+        code, _ = run_cli(["cartier", "--p", str(p), "--pmax", "3", "--seed", str(seed), "--json", str(path)], capsys)
+        assert code == 0
+        lam0 = random.Random(seed).randrange(2, p)
+        data = legendre_hasse(lam0, p)
+        (check,) = [c for c in json.loads(path.read_text())["checks"] if c["name"] == "K' = -(m+1) H identity"]
+        assert check["details"] == f"lambda_0={lam0}, H_m={data.h_m}, H_(m-1)={data.h_m1}"
 
 
 def test_frobenius_command(capsys):

@@ -10,7 +10,6 @@ from curveseq.exactnum import (
     generalized_binomial,
     is_prime,
     legendre_symbol,
-    lcm_upto,
     mobius,
     padic_valuation,
     reduce_fraction_mod,
@@ -75,12 +74,12 @@ def test_legendre_euler_criterion_exhaustive():
             assert legendre_symbol(a, p) % p == pow(a, (p - 1) // 2, p)
 
 
-def test_mobius_and_lcm():
-    assert (mobius(12), lcm_upto(12)) == (0, 27720)
-    assert (mobius(6), lcm_upto(6)) == (1, 60)
+def test_mobius_values():
+    assert mobius(12) == 0
+    assert mobius(6) == 1
     # 10 = 2 * 5 has an even number of prime factors, so mu(10) = +1
-    assert (mobius(10), lcm_upto(10)) == (1, 2520)
-    assert (mobius(30), lcm_upto(30)) == (-1, 2329089562800)
+    assert mobius(10) == 1
+    assert mobius(30) == -1
     with pytest.raises(ValueError):
         mobius(0)
 
@@ -92,12 +91,6 @@ def test_mobius_divisor_sum():
     for n in range(1, 10001):
         total = sum(mobius(d) for d in divisors(n))
         assert total == (1 if n == 1 else 0)
-
-
-def test_lcm_upto_growth():
-    assert lcm_upto(1) == 1
-    assert lcm_upto(0) == 1
-    assert lcm_upto(10) == 2520
 
 
 def test_is_prime_64bit_cases():

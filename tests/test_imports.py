@@ -2,8 +2,9 @@
 every import sits at module level, every public function, class, method,
 property or UPPER_CASE module constant is called (a constant: read) by the
 package or the benchmark, or is listed in TEST_ONLY with the route or claim
-it serves, and every call the benchmark makes into the package binds to the
-current signature.
+it serves, every defaulted parameter of a public function or method is
+passed by some call, and every call the benchmark makes into the package
+binds to the current signature.
 
 No linter is a dependency of the project, so the check walks the syntax
 tree with the standard library.
@@ -19,6 +20,7 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "curveseq"
 MODULES = sorted(PACKAGE.glob("*.py"))
 BENCHMARK = sorted((PACKAGE.parents[1] / "perfbench").rglob("*.py"))
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 #: The public names (functions, classes, methods or properties as
 #: ``Class.name``, and UPPER_CASE module constants) that no module of the
@@ -30,6 +32,7 @@ TEST_ONLY = {
     "extend_modp_exhaustive": "V_p oracle: every combination of free choices",
     "dieudonne_exponents_peeling": "Dieudonne exponents: factor peeling against the Moebius formula",
     "xi_obstruction_matrix": "V_p: the series route through the xi forms",
+    "cartier_series": "the Cartier operator on F_p[[x]]: the series reference route",
     # routes of the acceptance criteria
     "dieudonne_exponents": "criterion 14: Dieudonne exponents round trip",
     "xi_quadrature": "criterion 06: the ODE solved by quadrature",
@@ -43,7 +46,6 @@ TEST_ONLY = {
     "expand_at_origin": "Taylor expansion of s at (0, 2) against the recurrence",
     "p_decompose": "p-basis decomposition over F_p(x)",
     "clear_denominator": "descent with a declared denominator",
-    "lcm_upto": "lcm(1..n) of the denominator bound",
     "generalized_binomial": "reference for the binomials of _mul_one_minus_xm_power",
     "FOOTNOTE_RECURRENCE": "contrast fixture: a second recurrence for the recurrence kernels",
     # methods and properties only the tests call
@@ -282,6 +284,105 @@ def test_guard_flags_an_unread_public_constant():
     benchmark = "import m\nm.PLANTED = (3,)\nprint(m.USED_BY_BENCHMARK)\n"
     assert uncalled_public_names([package], [package, benchmark]) == {"PLANTED", "PAIR_B"}
     assert uncalled_public_names([package], [package]) == {"PLANTED", "PAIR_B", "USED_BY_BENCHMARK"}
+
+
+def defaulted_parameters(defining: list[str]) -> dict[str, list[tuple[str, str, int | None]]]:
+    """The defaulted parameters of the public module-level functions and of
+    the public methods (``__init__`` included) of public classes in the
+    ``defining`` sources, by the name a call writes (the class name for
+    ``__init__``): (reported name, parameter, position or None for a
+    keyword-only one), positions counted after self or cls."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    out = {}
+
+    def add(written, reported, func, skip):
+        args = func.args
+        positional = (args.posonlyargs + args.args)[skip:]
+        first_default = len(positional) - len(args.defaults)
+        for i, a in enumerate(positional):
+            if i >= first_default:
+                out.setdefault(written, []).append((f"{reported}.{a.arg}", a.arg, i))
+        for a, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                out.setdefault(written, []).append((f"{reported}.{a.arg}", a.arg, None))
+
+    for source in defining:
+        for node in ast.parse(source).body:
+            if isinstance(node, functions) and not node.name.startswith("_"):
+                add(node.name, node.name, node, 0)
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                for item in node.body:
+                    if not isinstance(item, functions) or (item.name.startswith("_") and item.name != "__init__"):
+                        continue
+                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in item.decorator_list)
+                    written = node.name if item.name == "__init__" else item.name
+                    add(written, f"{node.name}.{item.name}", item, 0 if static else 1)
+    return out
+
+
+def unpassed_defaults(defining: list[str], calling: list[str]) -> set[str]:
+    """The defaulted parameters (``function.param``, ``Class.method.param``)
+    of the ``defining`` sources that no call in ``calling`` passes, by
+    keyword or by position: a knob no caller turns.  A call is matched by
+    the name it writes (a Name or an attribute; ``partial(f, ...)`` calls
+    f), and one that unpacks ``*args`` or ``**kwargs`` passes every
+    parameter it could reach."""
+    params = defaulted_parameters(defining)
+    passed = set()
+    for source in calling:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            func, args = node.func, node.args
+            if isinstance(func, ast.Name) and func.id == "partial" and args:
+                func, args = args[0], args[1:]
+            written = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+            n_positional = float("inf") if any(isinstance(a, ast.Starred) for a in args) else len(args)
+            keywords = {k.arg for k in node.keywords}
+            for reported, name, position in params.get(written, ()):
+                if None in keywords or name in keywords or (position is not None and position < n_positional):
+                    passed.add(reported)
+    return {reported for entries in params.values() for reported, _, _ in entries} - passed
+
+
+def test_every_default_is_passed_by_a_caller():
+    package = [path.read_text() for path in MODULES]
+    callers = package + [path.read_text() for path in BENCHMARK + TESTS]
+    assert unpassed_defaults(package, callers) == set()
+
+
+def test_guard_flags_a_default_no_caller_passes():
+    package = (
+        "def f(a, b=1, c=2, *, d=3, e=4):\n"
+        "    return a\n"
+        "def _private(knob=1):\n"
+        "    return knob\n"
+        "def g(x, knob=None):\n"
+        "    return x\n"
+        "def h(*args, knob=0):\n"
+        "    return args\n"
+        "class Shape:\n"
+        "    def __init__(self, side, scale=1):\n"
+        "        self.side = side\n"
+        "    def area(self, unit=1):\n"
+        "        return unit\n"
+        "    @staticmethod\n"
+        "    def build(kind=0):\n"
+        "        return kind\n"
+    )
+    calls = (
+        "import m\n"
+        "m.f(0, 1, d=2)\n"
+        "f(0, *rest)\n"
+        "partial(g, 1, 2)\n"
+        "h(1, 2, 3)\n"
+        "m.Shape(1, 2).area()\n"
+        "Shape.build(3)\n"
+    )
+    assert unpassed_defaults([package], [package, calls]) == {"f.e", "h.knob", "Shape.area.unit"}
+    assert unpassed_defaults([package], [package]) == {
+        "f.b", "f.c", "f.d", "f.e", "g.knob", "h.knob", "Shape.__init__.scale", "Shape.area.unit", "Shape.build.kind",
+    }
 
 
 def package_calls(source: str):
