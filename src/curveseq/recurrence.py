@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exactnum import padic_valuation, prime_factors, reduce_fraction_mod
+from .exactnum import padic_valuation, prime_factors, reduce_fraction_mod, require_prime
 from .linalg import rank_fraction
 
 
@@ -219,7 +219,9 @@ def _window_dtype(spec: Recurrence, q: int) -> np.dtype:
     """int64 while every value window_mod forms mod q fits it, else object.
 
     Entries are residues in [0, q): a row times a column sums d products, at
-    most d(q-1)^2, and a Horner step of the coefficient table forms
+    most d(q-1)^2; the closed-form first level of _forced_steps sums two
+    products, r'_j L + r'_(d-1) r_(j+1), at most 2(q-1)^2 <= d(q-1)^2 (one
+    product when d = 1); and a Horner step of the coefficient table forms
     acc * m + c with acc, m in [0, q), at most (q-1)^2 + max|c|.
     """
     cmax = max(abs(c) for _, poly in spec.shifts for c in poly)
@@ -227,43 +229,72 @@ def _window_dtype(spec: Recurrence, q: int) -> np.dtype:
     return np.dtype(np.int64) if top <= _INT64_MAX else _OBJECT
 
 
-def _coefficient_table(spec: Recurrence, start: int, stop: int, q: int, dtype: np.dtype) -> np.ndarray:
-    """P_j(m) mod q for start <= m < stop: row j for j = 0..d, by Horner's rule
-    reduced mod q at every step."""
-    ms = np.arange(start, stop, dtype=dtype) % q
-    table = np.zeros((spec.order + 1, stop - start), dtype)
-    for j, poly in spec.shifts:
-        for c in reversed(poly):
-            table[j] = (table[j] * ms + c) % q
+def _horner(polys: Sequence[Sequence[int]], ms: np.ndarray, q: int) -> np.ndarray:
+    """Each polynomial of ``polys`` at every m of ``ms`` mod q, one row each:
+    one Horner pass over all rows at once, from the top coefficients down,
+    in place and reduced mod q at every step."""
+    coeffs = np.zeros((len(polys), max(map(len, polys))), ms.dtype)
+    for row, poly in zip(coeffs, polys):
+        row[: len(poly)] = poly
+    table = np.empty((len(polys), len(ms)), ms.dtype)
+    table[:] = coeffs[:, -1:] % q
+    for c in coeffs.T[-2::-1]:
+        table *= ms
+        table += c[:, None]
+        table %= q
     return table
+
+
+def _coefficient_table(spec: Recurrence, start: int, stop: int, q: int, dtype: np.dtype) -> np.ndarray:
+    """P_j(m) mod q for start <= m < stop: row j for j = 0..d."""
+    polys = dict(spec.shifts)
+    return _horner([polys.get(j, ()) for j in range(spec.order + 1)], np.arange(start, stop, dtype=dtype) % q, q)
 
 
 def _forced_steps(spec: Recurrence, window: list[int], start: int, stop: int, q: int, dtype: np.dtype) -> list[int]:
     """The window at ``start`` carried to ``stop`` mod q, where p | P_d(m) at
     no step m in [start, stop).
 
-    Step m multiplies the window by the division-free companion matrix (shift
-    rows scaled by P_d(m), last row -P_0(m)..-P_{d-1}(m)) and divides it by
-    P_d(m).  The matrices (and the leads) are multiplied pairwise in a product
-    tree, and the product of the leads, a unit mod q, is divided out once.
+    Step m multiplies the window by the division-free companion matrix C(m)
+    (shift rows scaled by the lead L = P_d(m), last row r = -P_0(m)..-P_{d-1}(m))
+    and divides it by L; the product of the leads, a unit mod q, is divided
+    out once at the end.  An odd first step is applied to the window.  The
+    other steps pair up, and the first level of the product tree is read off
+    the coefficient table in closed form: C(m+1) C(m) has rows L'L e_(i+2) for
+    i < d - 2, row d - 2 equal to L' r, and last row
+    (r'_(d-1) r_0, r'_j L + r'_(d-1) r_(j+1) for j < d - 1); the minus signs
+    of r' and r go onto q - L' and q - L, or cancel.  Every later level
+    multiplies its matrices (and leads) pairwise; at a level with an odd
+    count the earliest matrix is set aside, applied to the window at once.
     """
     if start == stop:
         return window
     d = spec.order
     table = _coefficient_table(spec, start, stop, q, dtype)
-    mats = np.zeros((stop - start, d, d), dtype)
-    shift = np.arange(d - 1)
-    mats[:, shift, shift + 1] = table[d][:, None]
-    mats[:, d - 1, :] = (-table[:d].T) % q
-    leads = table[d]
-    while len(mats) > 1:
-        top = len(mats) - len(mats) % 2  # an odd last factor waits a level
-        pairs = np.matmul(mats[1:top:2], mats[:top:2]) % q
-        lead_pairs = leads[1:top:2] * leads[:top:2] % q
-        mats = np.concatenate([pairs, mats[top:]])
-        leads = np.concatenate([lead_pairs, leads[top:]])
-    inv = pow(int(leads[0]), -1, q)
-    return [int(v) * inv % q for v in mats[0].dot(np.array(window, dtype)) % q]
+    w = np.array(window, dtype)
+    scale = 1
+    odd = (stop - start) % 2
+    if odd:
+        w = np.append(table[d, 0] * w[1:], -table[:d, 0].dot(w)) % q
+        scale = int(table[d, 0])
+    P, P1 = table[:, odd::2], table[:, odd + 1 :: 2]  # steps m and m + 1
+    leads = P1[d] * P[d] % q
+    mats = np.zeros((d, d, len(leads)), dtype)  # batch last: every row written is contiguous
+    for i in range(d - 2):
+        mats[i, i + 2] = leads
+    mats[d - 2] = (q - P1[d]) * P[:d] % q  # for d = 1 the last row, written over next
+    mats[d - 1, 0] = P1[d - 1] * P[0] % q
+    mats[d - 1, 1:] = (P1[: d - 1] * (q - P[d]) + P1[d - 1] * P[1:d]) % q
+    mats = mats.transpose(2, 0, 1)
+    while len(mats):
+        if len(mats) % 2:
+            w = mats[0].dot(w) % q
+            scale = scale * int(leads[0]) % q
+            mats, leads = mats[1:], leads[1:]
+        mats = np.matmul(mats[1::2], mats[::2]) % q
+        leads = leads[1::2] * leads[::2] % q
+    inv = pow(scale, -1, q)
+    return [int(v) * inv % q for v in w]
 
 
 def window_mod(
@@ -278,20 +309,22 @@ def window_mod(
     matrix products mod p^k (_forced_steps).  Such a step runs in scalar
     form: its accumulator must be divisible by p^v exactly, v = v_p(P_d(m));
     it is divided by p^v, and the modulus drops by p^v, so one digit is left
-    at the end.  Raises ValueError when some c_k, k < n + d, is not p-integral
-    (as exactnum.reduce_fraction_mod does), and ZeroDivisionError when P_d
-    vanishes at a step (as extend_integral does).  Every call computes from
-    scratch.
+    at the end.  The steps with p | P_d(m) are found from P_d mod p alone.
+    Raises ValueError when p is not prime (before any array is built) or when
+    some c_k, k < n + d, is not p-integral (the message names p), and
+    ZeroDivisionError when P_d vanishes at a step (as extend_integral does).
+    Every call computes from scratch.
     """
+    require_prime(p)
     reads = [n] if isinstance(n, int) else list(n)
     if not reads or reads[0] < 0 or any(a >= b for a, b in zip(reads, reads[1:])):
         raise ValueError("window indices must be increasing and nonnegative")
-    values = init.values if isinstance(init, InitialData) else init
+    values = [Fraction(v) for v in (init.values if isinstance(init, InitialData) else init)]
     d = spec.order
     if len(values) != d:
         raise ValueError(f"need exactly {d} initial values")
     lead = spec.leading_poly
-    lead_modp = _coefficient_table(spec, 0, reads[-1], p, _window_dtype(spec, p))[d]
+    lead_modp = _horner([lead], np.arange(reads[-1], dtype=_window_dtype(spec, p)) % p, p)[0]
     free = {}  # step m -> v_p(P_d(m)) > 0
     for m in np.flatnonzero(lead_modp == 0).tolist():
         exact = poly_eval(lead, m)
@@ -300,7 +333,10 @@ def window_mod(
         free[m] = padic_valuation(exact, p)
     q = p ** (1 + sum(free.values()))
     dtype = _window_dtype(spec, q)
-    window = [reduce_fraction_mod(Fraction(v), q) for v in values]
+    for v in values:
+        if v.denominator % p == 0:
+            raise ValueError(f"initial value {v} is not {p}-integral")
+    window = [reduce_fraction_mod(v, q) for v in values]
     out, pos = [], 0
     for t in sorted(free.keys() | set(reads)):
         window, pos = _forced_steps(spec, window, pos, t, q, dtype), t
@@ -396,6 +432,7 @@ def extend_modp(
     """
     if p < 3:
         raise ValueError("extend_modp requires p >= 3")
+    require_prime(p)
     d = spec.order
     if len(init) != d:
         raise ValueError(f"need exactly {d} initial values")

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from curveseq import recurrence
 from curveseq.cli import json_scalar
-from curveseq.curve import q_polynomial
+from curveseq.curve import Q_COEFFS, q_polynomial
 from curveseq.exactnum import is_prime, padic_valuation, reduce_fraction_mod
 from curveseq.recurrence import (
     FOOTNOTE_RECURRENCE,
@@ -24,6 +25,7 @@ from curveseq.recurrence import (
     extend_modp,
     extend_rational,
     main_sequence,
+    poly_eval,
     rhs_forms,
     window_mod,
 )
@@ -436,9 +438,22 @@ def test_window_mod_not_p_integral_raises():
             q_windows(FOOTNOTE_RECURRENCE, [1, 1], p, [p - 1])
 
 
+def hasse_spec(f_coeffs):
+    """The recurrence of (F/F(0))^(-1/2) that cartier.hasse_window builds
+    from F's coefficients: shift d - j carries (f_j (2 - j), 2 f_j)."""
+    d = len(f_coeffs) - 1
+    return Recurrence(tuple((d - j, (f * (2 - j), 2 * f)) for j, f in enumerate(f_coeffs) if f))
+
+
+#: order 4 from the quartic Q; order 3 from x^3 f(1/x), f = x^3 + x + 1 (no
+#: shift 2, so a zero row in the coefficient table)
+HASSE_QUARTIC = hasse_spec(Q_COEFFS)
+HASSE_CUBIC = hasse_spec((1, 0, 1, 1))
+
+
 @settings(max_examples=80, deadline=None)
 @given(
-    st.sampled_from([(MAIN_RECURRENCE, 5), (FOOTNOTE_RECURRENCE, 2)]),
+    st.sampled_from([(MAIN_RECURRENCE, 5), (FOOTNOTE_RECURRENCE, 2), (HASSE_QUARTIC, 4), (HASSE_CUBIC, 3)]),
     st.sampled_from([3, 5, 7, 11, 13]),
     st.data(),
 )
@@ -480,6 +495,48 @@ def test_window_mod_bad_indices_raise():
             window_mod(MAIN_RECURRENCE, MAIN_INITIAL_DATA, 7, n)
     with pytest.raises(ValueError):
         window_mod(MAIN_RECURRENCE, [0, 1], 7, 3)
+
+
+def test_window_mod_checks_its_domain_before_any_array_work():
+    # p = 0 used to reach numpy's % 0 (two RuntimeWarnings) before failing,
+    # and a composite p failed in extend_modp as "base is not invertible"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p in (0, 1, 9):
+            with pytest.raises(ValueError, match=f"{p} is not prime"):
+                window_mod(MAIN_RECURRENCE, MAIN_INITIAL_DATA, p, 10)
+            with pytest.raises(ValueError):
+                extend_modp(MAIN_RECURRENCE, (0, 1, 2, 3, 4), p, 10)
+    with pytest.raises(ValueError, match="9 is not prime"):
+        extend_modp(MAIN_RECURRENCE, (0, 1, 2, 3, 4), 9, 10)
+    # the message names p, not the working modulus p^(1 + e)
+    with pytest.raises(ValueError, match="initial value -1/8 is not 2-integral"):
+        window_mod(MAIN_RECURRENCE, MAIN_INITIAL_DATA, 2, 10)
+
+
+def random_unit_lead_spec(rng, d, p, steps):
+    """A random order-d recurrence whose lead is a unit mod p at every step
+    m < steps, so that a window at n <= steps is one forced segment."""
+    poly = lambda: tuple(rng.randint(-9, 9) for _ in range(rng.randint(1, 3)))
+    while True:
+        lead = poly()
+        if all(poly_eval(lead, m) % p for m in range(steps)):
+            return Recurrence(tuple((j, poly()) for j in range(d)) + ((d, lead),))
+
+
+def test_window_mod_sweeps_segment_lengths():
+    # one forced segment of every length 0..70: each level of the product
+    # tree meets both parities, and the closed-form first level meets d = 1..5
+    p, top = 101, 70
+    rng = random.Random(2024)
+    cases = [(MAIN_RECURRENCE, MAIN_INITIAL_DATA), (FOOTNOTE_RECURRENCE, [1, 1])]
+    for d in (1, 2, 3, 4, 5):
+        for _ in range(2):
+            spec = random_unit_lead_spec(rng, d, p, top)
+            cases.append((spec, [Fraction(rng.randint(-20, 20), rng.choice([1, 2, 3, 7])) for _ in range(d)]))
+    for spec, init in cases:
+        want = q_windows(spec, init, p, range(top + 1))
+        assert [window_mod(spec, init, p, n) for n in range(top + 1)] == want, spec
 
 
 def test_window_mod_object_fallback(monkeypatch):
