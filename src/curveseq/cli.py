@@ -3,14 +3,15 @@
 Every subcommand runs a battery of checks, prints a human table, and with
 --json PATH writes the report as JSON.  Exit status: 0 all checks pass,
 1 a claim refuted, 2 usage or domain error (a one-line message, no
-traceback).  Rationals are serialized as "num/den" strings; values mod p
-are plain ints in [0, p).
+traceback), 141 (128 + SIGPIPE) the reader closed stdout.  Rationals are
+serialized as "num/den" strings; values mod p are plain ints in [0, p).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from dataclasses import dataclass, field
@@ -597,8 +598,15 @@ def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespa
 
 def main(argv: list[str] | None = None) -> int:
     args = _parse(build_parser(), sys.argv[1:] if argv is None else argv)
-    rep: Report = args.handler(args)
-    _print_report(rep)
+    try:
+        rep: Report = args.handler(args)
+        _print_report(rep)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`): stop quietly, 128 + SIGPIPE;
+        # stdout goes to devnull so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     if args.json:
         with open(args.json, "w") as fh:
             fh.write(rep.to_json())

@@ -14,22 +14,45 @@ from fractions import Fraction
 
 INF = math.inf
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+#: psi_k, the least strong pseudoprime to the first k prime bases (OEIS
+#: A014233; Jaeschke 1993, Sorenson and Webster 2015): Miller-Rabin on the
+#: first k primes decides every n < psi_k
+_PSI = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    318665857834031151167461,
+    3317044064679887385961981,
+)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for all n < 3.3e24 (covers 64-bit)."""
+    """Deterministic Miller-Rabin on the first k primes, k the least with
+    n < psi_k; raises ValueError for n >= psi_13 (about 3.3e24), beyond the
+    table."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
+    k = next((k for k, psi in enumerate(_PSI, 1) if n < psi), None)
+    if k is None:
+        raise ValueError(f"{n} is too large: the primality test decides n < {_PSI[-1]} only")
     d = n - 1
     s = 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _SMALL_PRIMES:
+    for a in _SMALL_PRIMES[:k]:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

@@ -20,8 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .cartier import alphabeta_quartic, exactness_scan_bound, exactness_test, require_good_prime
-from .curve import expand_to_bound, origin_place, s_series, xi_form
+from .cartier import alphabeta_quartic, exactness_scan_bound, exactness_test, hasse_window, require_good_prime
+from .curve import Q_COEFFS, expand_to_bound, origin_place, s_series, xi_form
 from .exactnum import reduce_fraction_mod
 from .linalg import kernel_mod, rank_mod
 from .recurrence import (
@@ -321,13 +321,19 @@ def union_functional_degenerate(p: int) -> bool:
     mod p.  The map v -> C_p(v) - C_1(v) is linear on the 2-dimensional V_p
     and kills the special line; it kills the tail basis vector exactly when
     this congruence holds, and then EVERY member of V_p passes the C_p = C_1
-    test.  Sporadic: the only instance below 1050 is p = 37.
+    test.  Sporadic: the only instance below 1050 is p = 37; the second is
+    p = 25171, and both are tested.
 
-    c_{p+1} and c_{2p} are the last entries of the windows at p - 3 and
-    2p - 4, read in one pass of recurrence.window_mod over Z/p^2."""
+    Decided mod p.  With m = (p-1)/2 and a_k = [x^k] Q^m: s = 2x(1+2x)Q^(-1/2)
+    and Q^(p/2) = Q(x^p)^(1/2) = 2 + O(x^(2p)) give c_n = a_(n-1) + 2 a_(n-2)
+    for n <= 2p.  Q^m is monic of degree 2p - 2, so c_{2p} = 2, and
+    c_{p+1} = a_p + 2 alpha' (alpha' = a_(p-1)): p is degenerate iff
+    a_p + 2 alpha' = 2.  For the reversed quartic Q~ = x^4 Q(1/x),
+    [x^j] Q~^m = a_(2p-2-j), so its Hasse window at p - 1 is
+    (a_(p+2), a_(p+1), a_p, a_(p-1))."""
     require_vp_prime(p)
-    cp1, c2p = (w[-1] for w in window_mod(MAIN_RECURRENCE, MAIN_INITIAL_DATA, p, [p - 3, 2 * p - 4]))
-    return c2p == cp1
+    _, _, a_p, alpha = hasse_window(Q_COEFFS[::-1], p, p - 1)
+    return (a_p + 2 * alpha) % p == 2
 
 
 def union_check(p: int, sample: int | None = None, seed: int = 0) -> UnionReport:

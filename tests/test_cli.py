@@ -1,11 +1,15 @@
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import curveseq
 from curveseq import cartier, frobenius
 from curveseq.cartier import legendre_hasse
 from curveseq.cli import main, report_from_json
@@ -90,6 +94,7 @@ def test_usage_error_exit_code():
         ["modp-space", "--p", "41", "--seed", "-3"],
         ["all", "--quick"],  # retired: all runs one battery
         ["modp-space", "--p", "7", "--seed", "5"],  # the union check is exhaustive: nothing drawn
+        ["modp-space", "--p", "318665857834031151167461"],  # psi_12, a strong pseudoprime to bases 2..37
     ],
 )
 def test_domain_error_exit_code(argv, capsys):
@@ -333,6 +338,25 @@ def test_all_is_its_subcommands(tmp_path, capsys):
         ["asd", "--p", "5", "--rmax", "2", "--nmax", "5"],
     ]
     assert checks(["all", "--seed", "1"]) == [c for argv in steps for c in checks(argv)]
+
+
+def test_closed_stdout_pipe_exits_quietly_with_141():
+    """`curveseq modp-space --pmax 400 | head -1`: the reader has gone when
+    the report is written.  Exit 128 + SIGPIPE, not 1 (a refuted claim), and
+    no traceback."""
+    src = Path(curveseq.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "curveseq.cli", "modp-space", "--pmax", "400"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
 
 
 def test_report_scalars_serialize_exactly():

@@ -99,6 +99,40 @@ def test_is_prime_64bit_cases():
     assert is_prime(2**31 - 1)
 
 
+def test_is_prime_agrees_with_trial_division_below_1e5():
+    sieve = bytearray([1]) * 10**5
+    sieve[0] = sieve[1] = 0
+    for d in range(2, 317):
+        if sieve[d]:
+            sieve[d * d :: d] = bytearray(len(sieve[d * d :: d]))
+    assert [n for n in range(10**5) if is_prime(n)] == [n for n in range(10**5) if sieve[n]]
+
+
+def _strong_probable_prime(n: int, a: int) -> bool:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2**r, n) == n - 1 for r in range(1, s))
+
+
+def test_is_prime_rejects_the_strong_pseudoprimes_to_the_first_prime_bases():
+    """Each psi_k fools Miller-Rabin on the first k prime bases (so the
+    table's bounds are tight) and is rejected; psi_12 = 399165290221 *
+    798330580441 passes every base below 41."""
+    from curveseq.exactnum import _PSI, _SMALL_PRIMES
+
+    for k, psi in enumerate(_PSI, 1):
+        assert all(_strong_probable_prime(psi, a) for a in _SMALL_PRIMES[:k]), k
+    psi_12 = 318665857834031151167461
+    assert psi_12 == 399165290221 * 798330580441 == _PSI[11]
+    for psi in _PSI[:-1]:
+        assert not is_prime(psi), psi
+    assert is_prime(2**61 - 1) and is_prime(10**24 + 7)
+    with pytest.raises(ValueError):
+        is_prime(_PSI[-1])
+
+
 def test_reduce_fraction_mod():
     from curveseq.series import _to_domain
 

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from curveseq.cartier import alphabeta_quartic, reduce_form
-from curveseq.curve import k_constants, xi_form
-from curveseq.exactnum import reduce_fraction_mod
+from curveseq.cartier import alphabeta_quartic, hasse_window, reduce_form
+from curveseq.curve import Q_COEFFS, k_constants, xi_form
+from curveseq.exactnum import is_prime, reduce_fraction_mod
 from curveseq.linalg import rank_mod
 from curveseq.modpspace import (
+    EXCLUDED_PRIMES,
     _membership_mask,
     cartier_form,
     compute_vp,
@@ -20,6 +21,7 @@ from curveseq.modpspace import (
     special_vector_mod,
     tail_vector_mod,
     union_check,
+    union_functional_degenerate,
     vp_bruteforce_literal,
     vp_bruteforce_mask,
     wp_witnesses,
@@ -28,11 +30,13 @@ from curveseq.modpspace import (
 from curveseq.recurrence import (
     CONSTANT_BLOCK,
     HYPERPLANE_FORM,
+    MAIN_INITIAL_DATA,
     MAIN_RECURRENCE,
     T2_BLOCK,
     InitialData,
     extend_modp,
     form_value,
+    window_mod,
 )
 
 
@@ -338,6 +342,47 @@ def test_37_is_the_only_degenerate_prime_below_1050():
     good = [p for p in range(7, 1050) if is_prime(p) and p not in EXCLUDED_PRIMES]
     assert len(good) == 172  # the scan is not vacuous
     assert [p for p in good if union_functional_degenerate(p)] == [37]
+
+
+def _degenerate_zp2(p: int) -> tuple[bool, int]:
+    """The Z/p^2 reference: c_{p+1} and c_{2p} from the order-5 recurrence
+    (the last entries of its windows at p - 3 and 2p - 4); returns whether
+    they agree, and c_{2p}."""
+    cp1, c2p = (w[-1] for w in window_mod(MAIN_RECURRENCE, MAIN_INITIAL_DATA, p, [p - 3, 2 * p - 4]))
+    return c2p == cp1, c2p
+
+
+GOOD_BELOW_1050 = [p for p in range(7, 1050) if is_prime(p) and p not in EXCLUDED_PRIMES]
+
+
+def test_degeneracy_from_the_reversed_quartic_matches_the_recurrence():
+    """The mod-p route (a_p + 2 alpha' = 2 off the Hasse window of
+    x^4 Q(1/x)) agrees with c_{2p} = c_{p+1} read off the order-5
+    recurrence over Z/p^2, at every good p < 1050 and at the second
+    degenerate prime 25171; c_{2p} = 2 at each of them."""
+    for p in [*GOOD_BELOW_1050, 25171]:
+        reference, c2p = _degenerate_zp2(p)
+        assert union_functional_degenerate(p) == reference, p
+        assert c2p == 2, p
+    assert union_functional_degenerate(25171)
+
+
+def test_reversed_quartic_window_reads_alpha():
+    """[x^j] Q~^m = a_(2p-2-j), so the last entry of the reversed quartic's
+    window at p - 1 is a_(p-1) = alpha'."""
+    for p in GOOD_BELOW_1050:
+        assert hasse_window(Q_COEFFS[::-1], p, p - 1)[-1] == alphabeta_quartic(p).alpha, p
+
+
+def test_degeneracy_reference_catches_a_shifted_coefficient():
+    """A route that read a_(p+1) in place of a_p would be caught by the
+    Z/p^2 reference below 1050."""
+
+    def shifted(p):
+        _, a_p1, _, alpha = hasse_window(Q_COEFFS[::-1], p, p - 1)
+        return (a_p1 + 2 * alpha) % p == 2
+
+    assert any(shifted(p) != _degenerate_zp2(p)[0] for p in GOOD_BELOW_1050)
 
 
 def test_union_counterexample_at_37_from_first_principles():
