@@ -30,7 +30,7 @@ from .curve import (
 )
 from .exactnum import QuadExt, require_prime, sqrt_mod
 from .polyring import Polynomial, RationalFunction
-from .recurrence import Recurrence, window_mod
+from .recurrence import operator_recurrence, window_mod
 from .series import LaurentSeries, TruncatedSeries, _domain_inverse
 
 
@@ -153,10 +153,10 @@ def hasse_window(f_coeffs: Sequence[int], p: int, n: int) -> tuple[int, ...]:
 
     Below x^p, F^((p-1)/2) = F(0)^((p-1)/2) h with h = (F/F(0))^(-1/2), since
     (F/F(0))^(p/2) = (F(x^p)/F(0))^(1/2) = 1 + O(x^p) mod p.  h solves
-    2F h' + F' h = 0, whose coefficient of x^k is
-    sum_j f_j (2k + 2 - j) h_(k+1-j) = 0: shift d - j carries
-    (f_j (2 - j), 2 f_j), and the lead 2 f_0 (k + 1) is a unit for k < p - 1.
-    One window_mod call reads the window from h_0 = 1 preceded by d - 1 zeros.
+    2F h' + F' h = 0, whose recurrence in g_m = h_(m+1-d) (operator_recurrence)
+    gives shift d - j the polynomial f_j (2n + 2 - j); the lead 2 f_0 (k + 1)
+    is a unit for k < p - 1.  One window_mod call reads the window from
+    h_0 = 1 preceded by d - 1 zeros.
     """
     require_prime(p)
     if p == 2 or f_coeffs[0] % p == 0:
@@ -164,7 +164,7 @@ def hasse_window(f_coeffs: Sequence[int], p: int, n: int) -> tuple[int, ...]:
     if not 0 <= n < p:
         raise ValueError(f"window index {n} outside [0, {p})")
     d = len(f_coeffs) - 1
-    spec = Recurrence(tuple((d - j, (f * (2 - j), 2 * f)) for j, f in enumerate(f_coeffs) if f))
+    spec = operator_recurrence([2 * f for f in f_coeffs], [j * f for j, f in enumerate(f_coeffs)][1:], 1 - d)
     h = window_mod(spec, (0,) * (d - 1) + (1,), p, n)
     scale = pow(f_coeffs[0], (p - 1) // 2, p)
     return tuple(v * scale % p for v in h)

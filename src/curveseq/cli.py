@@ -35,10 +35,10 @@ from .curve import (
     s_series,
     two_adic_facts,
     verify_algebraic_identities,
-    verify_ode,
     xi_form,
     xi_s,
 )
+from .descent import main_operator
 from .exactnum import is_prime, require_prime
 from .frobenius import asd_check, point_count, singular_mod, supersingular_scan
 from .modpspace import (
@@ -251,7 +251,7 @@ def cmd_identities(args) -> Report:
         rep.add(chk.name, chk.holds, chk.detail if not chk.holds else "")
     for chk in curve_model_checks():
         rep.add(chk.name, chk.holds, chk.detail)
-    res = verify_ode(s_series(80))
+    res = main_operator().apply_series(s_series(80))
     rep.add("ODE residual for s", res.is_zero(), "precision 80")
     return rep
 

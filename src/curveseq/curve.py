@@ -22,8 +22,10 @@ from .recurrence import (
     A_COEFFS,
     B_COEFFS,
     CONSTANT_BLOCK,
+    Q_COEFFS,
     R_TILDE_ROWS,
     T2_BLOCK,
+    T_COEFFS,
     InitialData,
     MAIN_INITIAL_DATA,
     MAIN_RECURRENCE,
@@ -34,8 +36,6 @@ from .recurrence import (
 )
 from .series import LaurentSeries, TruncatedSeries, _domain_inverse
 
-Q_COEFFS = (4, 0, 1, 2, 1)
-T_COEFFS = (1, 2)
 BAD_PRIMES = (2, 5, 13)
 WEIERSTRASS_A = Fraction(-49, 3)
 WEIERSTRASS_B = Fraction(146, 27)
@@ -352,18 +352,6 @@ def expand_at_origin(f: CurveFunction, n: int) -> TruncatedSeries:
     if v is not None and v < 0:
         raise PoleAtPlaceError(place.name, -v)
     return TruncatedSeries([ls.coefficient(k) for k in range(n)], n, f.modulus)
-
-
-# -- the ODE ---------------------------------------------------------------------
-
-
-def verify_ode(f: TruncatedSeries) -> TruncatedSeries:
-    """Residual A(x) f'(x) - B(x) f(x); identically zero exactly for multiples
-    of the main generating function."""
-    n = f.precision
-    a = TruncatedSeries(A_COEFFS, n, f.modulus)
-    b = TruncatedSeries(B_COEFFS, n, f.modulus)
-    return a.truncate(n - 1) * f.derivative() - (b * f).truncate(n - 1)
 
 
 def s_series(n: int, modulus: int | None = None) -> TruncatedSeries:

@@ -22,14 +22,12 @@ import numpy as np
 
 from .cartier import alphabeta_quartic, exactness_scan_bound, exactness_test, hasse_window, require_good_prime
 from .curve import Q_COEFFS, expand_to_bound, origin_place, s_series, xi_form
-from .exactnum import reduce_fraction_mod
 from .linalg import kernel_mod, rank_mod
 from .recurrence import (
     CONSTANT_BLOCK,
     HYPERPLANE_FORM,
     MAIN_INITIAL_DATA,
     MAIN_RECURRENCE,
-    SPECIAL_DIRECTION,
     T2_BLOCK,
     extend_modp,
     form_value,
@@ -62,7 +60,7 @@ def cartier_form(p: int) -> list[int]:
 
 
 def special_vector_mod(p: int) -> tuple[int, int, int, int]:
-    return tuple(reduce_fraction_mod(v, p) for v in SPECIAL_DIRECTION)
+    return MAIN_INITIAL_DATA.reduce_mod(p)[1:]
 
 
 def tail_vector_mod(p: int) -> tuple[int, int, int, int]:

@@ -10,6 +10,10 @@ whose solution with initial data (0, 1, 2, -1/8, -1/2) is the main sequence
 studied throughout this package.  Over F_p the leading coefficient vanishes
 at every step producing an index m = 1 mod p, which leaves that value free
 but imposes a linear consistency constraint on the five values before it.
+
+The recurrence is derived, not entered: ``operator_recurrence`` reads it off
+the operator A d/dx - B that the generating function solves, and A, B and
+the linear forms in the initial data are derived from Q.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import numpy as np
 
 from .exactnum import padic_valuation, prime_factors, reduce_fraction_mod, require_prime
 from .linalg import rank_fraction
+from .polyring import Polynomial
 
 
 def poly_eval(poly: Sequence[int], n: int) -> int:
@@ -34,81 +39,95 @@ def poly_eval(poly: Sequence[int], n: int) -> int:
 
 @dataclass(frozen=True)
 class Recurrence:
-    """sum_j P_j(n) * g_{n+j} = 0; shifts maps offset j -> coefficients of P_j."""
+    """sum_j P_j(n) * g_{n+j} = 0; shifts pairs each offset j >= 0 with the
+    coefficients of P_j, sorted by offset (so the last pair is the lead)."""
 
     shifts: tuple[tuple[int, tuple[int, ...]], ...]
 
     def __post_init__(self):
+        shifts = tuple(sorted(self.shifts, key=lambda s: s[0]))
+        offsets = [j for j, _ in shifts]
+        if not offsets or offsets[0] < 0 or offsets[-1] < 1 or len(set(offsets)) < len(offsets):
+            raise ValueError(f"need distinct nonnegative offsets, the largest >= 1, got {offsets}")
+        object.__setattr__(self, "shifts", shifts)
         if not any(c for c in self.leading_poly):
             raise ValueError("leading coefficient polynomial must be nonzero")
 
     @property
     def order(self) -> int:
-        return max(j for j, _ in self.shifts)
+        return self.shifts[-1][0]
 
     @property
     def leading_poly(self) -> tuple[int, ...]:
-        return dict(self.shifts)[self.order]
+        return self.shifts[-1][1]
 
     def window_value(self, values: Sequence, n: int):
-        """sum_j P_j(n) * values[n+j]; zero exactly when the window satisfies
-        the recurrence at index n."""
-        acc = None
-        for j, poly in self.shifts:
-            term = values[n + j] * poly_eval(poly, n)
-            acc = term if acc is None else acc + term
-        return acc
+        """sum_j P_j(n) * values[n+j], values below index 0 read as zero: zero
+        exactly when the window satisfies the recurrence at index n >= 0.  For
+        the recurrence of an operator, the value at n < 0 is a coefficient of
+        the operator applied to the solution's series (R, for the main one)."""
+        return sum(values[n + j] * poly_eval(poly, n) for j, poly in self.shifts if n + j >= 0)
 
     def satisfies(self, values: Sequence, modulus: int | None = None) -> bool:
-        for n in range(len(values) - self.order):
-            w = self.window_value(values, n)
-            if (w % modulus if modulus is not None else w) != 0:
-                return False
-        return True
+        windows = (self.window_value(values, n) for n in range(len(values) - self.order))
+        return all((w % modulus if modulus is not None else w) == 0 for w in windows)
 
 
-#: the main order-5 recurrence
-MAIN_RECURRENCE = Recurrence(
-    (
-        (0, (0, 2)),       # 2n
-        (1, (4, 5)),       # 5n + 4
-        (2, (7, 4)),       # 4n + 7
-        (3, (3, 1)),       # n + 3
-        (4, (16, 8)),      # 8(n + 2)
-        (5, (16, 4)),      # 4(n + 4)
-    )
-)
+def operator_recurrence(a1: Sequence[int], a0: Sequence[int], start: int = 0) -> Recurrence:
+    """The recurrence (n >= 0) of g_m = [x^(m+start)] G for G in x^start Q[[x]]
+    with a1 G' + a0 G = 0; a1, a0 are integer coefficients, lowest degree first.
+    With T = max(deg a1, deg a0 + 1), the coefficient of x^(n+T+start-1) is
+    sum_t P_(T-t)(n) g_(n+T-t), P_(T-t)(n) = a1_t (n+T-t+start) + a0_(t-1);
+    a vanishing P_(T-t) is left out, so a1(0) = 0 lowers the order."""
+    top = max(len(a1) - 1, len(a0))
+    shifts = []
+    for t in range(top + 1):
+        lin = a1[t] if t < len(a1) else 0
+        const = lin * (top - t + start) + (a0[t - 1] if 0 < t <= len(a0) else 0)
+        if lin or const:
+            shifts.append((top - t, (const, lin) if lin else (const,)))
+    return Recurrence(tuple(shifts))
 
-#: contrast fixture (n+2)c_{n+2} - (2n+3)c_{n+1} + n c_n = 0, generating
-#: function exp(x/(1-x)), factorial denominator growth
-FOOTNOTE_RECURRENCE = Recurrence(
-    (
-        (0, (0, 1)),
-        (1, (-3, -2)),
-        (2, (2, 1)),
-    )
-)
 
-#: A(x) = x(1+2x)Q(x) and B(x): the generating-function identity reads
-#: A(x) S'(x) - B(x) S(x) = R(x) with R determined by the initial data
-A_COEFFS = (0, 4, 8, 1, 4, 5, 2)
-B_COEFFS = (4, 16, 0, 1, 1)
+def _integral(values) -> tuple[int, ...]:
+    values = tuple(values)
+    assert all(Fraction(v).denominator == 1 for v in values), f"{values} is not integral"
+    return tuple(map(int, values))
 
-SPECIAL_DIRECTION = (Fraction(1), Fraction(2), Fraction(-1, 8), Fraction(-1, 2))
+
+# -- the operator of the main sequence and its linear forms, all from Q ----------
+
+#: y^2 = Q(x) = 4 + (x + x^2)^2 and T(x) = 1 + 2x: the only hand-entered
+#: tables; every recurrence, the operator and the linear forms derive from them
+Q_COEFFS = (4, 0, 1, 2, 1)
+T_COEFFS = (1, 2)
+_Q, _T, _X = Polynomial(Q_COEFFS), Polynomial(T_COEFFS), Polynomial((0, 1))
+#: A = x T Q and B = A s'/s for s = 2x T/y: the generating function solves
+#: A S' - B S = R, with R determined by the initial data
+A_COEFFS = _integral((_X * _T * _Q).coeffs)
+B_COEFFS = _integral(((_T + 2 * _X) * _Q - _X * _T * _Q.derivative() * Fraction(1, 2)).coeffs)
+#: the main order-5 recurrence, of the operator A d/dx - B
+MAIN_RECURRENCE = operator_recurrence(A_COEFFS, tuple(-b for b in B_COEFFS))
+#: contrast fixture (n+2)c_{n+2} - (2n+3)c_{n+1} + n c_n = 0, of (1-x)^2 G' = G:
+#: generating function exp(x/(1-x)), factorial denominator growth
+FOOTNOTE_RECURRENCE = operator_recurrence((1, -2, 1), (-1,))
 
 # The linear forms in the initial data, as integer rows in (C_1..C_4).  They
 # serve Q (rational data) and F_p (reduce the value mod p) alike.
 
-#: the residue hyperplane C_1 + C_2 + 6 C_4; it vanishes on special data
-HYPERPLANE_FORM = (1, 1, 0, 6)
-#: R~ = R/x^2 at C_0 = 0: one row per coefficient of x^0, x^1, x^2
-R_TILDE_ROWS = ((-8, 4, 0, 0), (1, 0, 8, 0), (3, 2, 8, 12))
+#: R~ = R/x^2 at C_0 = 0, rows x^0..x^2; R_(5+n) is the window value at n < 0
+_UNITS = [[int(i == k) for i in range(4)] for k in range(4)]
+R_TILDE_ROWS = tuple(tuple(MAIN_RECURRENCE.window_value((0, *e), n) for e in _UNITS) for n in (-3, -2, -1))
+_R_TILDE = [Polynomial(column) for column in zip(*R_TILDE_ROWS)]  # R~ on each unit vector
+#: the residue hyperplane -R~'(-1/2)/2 = C_1 + C_2 + 6 C_4; it vanishes on
+#: special data
+HYPERPLANE_FORM = _integral(-r.derivative()(Fraction(-1, 2)) / 2 for r in _R_TILDE)
 #: on the hyperplane the form xi = R~/(2(1+2x)^2) omega decomposes as
-#: (K_2 + K_1/(1+2x)^2) omega / 2; 4 K_2 is the constant block, 4 K_1 the
-#: (1+2x)^-2 block.  Mod p, C(xi) = 0 pairs the constant block with
-#: 65 alpha' and the other block with alpha' + 4 beta'.
-CONSTANT_BLOCK = (3, 2, 8, 12)
-T2_BLOCK = (-31, 18, -8, 12)
+#: (K_2 + K_1/(1+2x)^2) omega / 2; 4 K_2 = [x^2] R~ is the constant block,
+#: 4 K_1 = 4 R~(-1/2) the (1+2x)^-2 block.  Mod p, C(xi) = 0 pairs the
+#: constant block with 65 alpha' and the other block with alpha' + 4 beta'.
+CONSTANT_BLOCK = R_TILDE_ROWS[2]
+T2_BLOCK = _integral(4 * r(Fraction(-1, 2)) for r in _R_TILDE)
 
 
 def form_value(row: Sequence[int], c4: Sequence):
@@ -133,10 +152,9 @@ class InitialData:
 
     @property
     def is_special(self) -> bool:
-        """(C_1..C_4) proportional to (1, 2, -1/8, -1/2), zero included."""
+        """(C_1..C_4) a multiple of the main data's (1, 2, -1/8, -1/2)."""
         c = self.values[1:]
-        lam = c[0] / SPECIAL_DIRECTION[0]
-        return all(ci == lam * di for ci, di in zip(c, SPECIAL_DIRECTION))
+        return all(ci == c[0] * di for ci, di in zip(c, MAIN_INITIAL_DATA.values[1:]))
 
     @property
     def hyperplane_value(self) -> Fraction:
@@ -390,6 +408,7 @@ def extend_modp_exhaustive(
     successful extension or None when no choice sequence reaches n_terms."""
     if p < 3:
         raise ValueError("p >= 3 required")
+    require_prime(p)
     d = spec.order
     if len(init) != d:
         raise ValueError(f"need exactly {d} initial values")
@@ -465,14 +484,12 @@ class RhsForms:
     r_tilde_coeffs: tuple[Fraction, Fraction, Fraction]
 
     def r_is_multiple_of_b(self) -> bool:
-        rows = [list(self.r_coeffs), [Fraction(c) for c in B_COEFFS]]
-        return rank_fraction(rows) <= 1
+        return rank_fraction([list(self.r_coeffs), [Fraction(c) for c in B_COEFFS]]) <= 1
 
 
 def rhs_forms(init: InitialData) -> RhsForms:
-    c0 = init.values[0]
-    r0, r1, r2 = (form_value(row, init.values[1:]) for row in R_TILDE_ROWS)
-    return RhsForms((-4 * c0, -16 * c0, r0, r1 - c0, r2 - c0), (r0, r1, r2))
+    r = tuple(MAIN_RECURRENCE.window_value(init.values, n) for n in range(-5, 0))
+    return RhsForms(r, tuple(form_value(row, init.values[1:]) for row in R_TILDE_ROWS))
 
 
 # -- denominator profile ---------------------------------------------------------
@@ -515,8 +532,5 @@ def denominator_profile(seq: Sequence[Fraction], d: int) -> DenominatorProfile:
 
 def common_denominator(init: InitialData) -> int:
     """A natural d for the denominator bound: lcm of the R-coefficient denominators."""
-    d = 1
-    for c in rhs_forms(init).r_coeffs:
-        d = math.lcm(d, c.denominator)
-    return d
+    return math.lcm(*(c.denominator for c in rhs_forms(init).r_coeffs))
 

@@ -27,11 +27,11 @@ from curveseq.curve import (
     s_series,
     two_adic_facts,
     verify_algebraic_identities,
-    verify_ode,
     xi_form,
     xi_quadrature,
     xi_s,
 )
+from curveseq.descent import main_operator
 from curveseq.exactnum import padic_valuation
 from curveseq.polyring import Polynomial, RationalFunction
 from curveseq.recurrence import (
@@ -117,14 +117,19 @@ def test_expand_at_origin_pole_detection():
 
 
 def test_verify_ode():
-    assert verify_ode(s_series(60)).is_zero()
-    assert verify_ode(TruncatedSeries([Fraction(0)] * 10, 10)).is_zero()
-    seq = extend_rational(MAIN_RECURRENCE, InitialData.of(0, 0, 0, 0, 1), 30)
-    res = verify_ode(TruncatedSeries(seq, 30))
-    # residual equals R(x) of the rhs forms
-    r = rhs_forms(InitialData.of(0, 0, 0, 0, 1)).r_coeffs
-    assert res.coeffs[:5] == list(r)
-    assert all(v == 0 for v in res.coeffs[5:])
+    # the ODE residual A f' - B f, read by the operator of descent
+    ode = main_operator()
+    assert ode.apply_series(s_series(60)).is_zero()
+    assert ode.apply_series(TruncatedSeries([Fraction(0)] * 10, 10)).is_zero()
+    rng = random.Random(119)
+    for init in [InitialData.of(0, 0, 0, 0, 1)] + [
+        InitialData.of(*(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(5))) for _ in range(10)
+    ]:
+        seq = extend_rational(MAIN_RECURRENCE, init, 30)
+        res = ode.apply_series(TruncatedSeries(seq, 30))
+        # residual equals R(x) of the rhs forms, C_0 included
+        assert res.coeffs[:5] == list(rhs_forms(init).r_coeffs)
+        assert all(v == 0 for v in res.coeffs[5:])
 
 
 def test_omega_regular_everywhere():

@@ -1,5 +1,6 @@
 """Lint guards: every name a module of the package imports is used there,
-every import sits at module level, every public function, class, method,
+every import sits at module level, only the operator translator builds a
+Recurrence, every public function, class, method,
 property or UPPER_CASE module constant is called (a constant: read) by the
 package or the benchmark, or is listed in TEST_ONLY with the route or claim
 it serves, every defaulted parameter of a public function or method is
@@ -50,7 +51,6 @@ TEST_ONLY = {
     "FOOTNOTE_RECURRENCE": "contrast fixture: a second recurrence for the recurrence kernels",
     # methods and properties only the tests call
     "PBasisDecomposition.recombine": "p-basis decomposition: sum u_i^p x^i gives back u",
-    "FirstOrderOperator.apply_series": "descent: the operator kills the reduced series of s",
     "ModPSolution.free_choices": "extend_modp: the value taken at each free index",
     "RhsForms.r_is_multiple_of_b": "R is a multiple of B(x) exactly for special data",
     "TruncatedSeries.agrees_with": "Dieudonne exponents: reconstruction against the series",
@@ -140,6 +140,47 @@ def test_guard_flags_a_function_local_import():
         "            import random\n"
     )
     assert function_local_imports(source) == ["f (line 3)", "g (line 8)"]
+
+
+def recurrences_built_outside_the_translator(source: str) -> list[str]:
+    """Calls of Recurrence(...) (a Name or an attribute) outside the body of
+    a function named operator_recurrence: every recurrence of the package
+    is derived from an operator through that one translator."""
+    tree = ast.parse(source)
+    allowed = set()
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) and func.name == "operator_recurrence":
+            allowed.update(id(node) for node in ast.walk(func))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and id(node) not in allowed:
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+            if name == "Recurrence":
+                found.append(f"line {node.lineno}")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_translator_builds_a_recurrence(path):
+    assert recurrences_built_outside_the_translator(path.read_text()) == []
+
+
+def test_guard_flags_a_recurrence_built_by_hand():
+    source = (
+        "from . import recurrence as rec\n"
+        "from .recurrence import Recurrence\n"
+        "def operator_recurrence(a1, a0, start=0):\n"
+        "    return Recurrence(((0, a0), (1, a1)))\n"
+        "PLANTED = Recurrence(((0, (1,)), (1, (1,))))\n"
+        "def helper():\n"
+        "    return rec.Recurrence(((0, (2,)), (1, (1,))))\n"
+        "class Holder:\n"
+        "    def operator_recurrence_like(self):\n"
+        "        return Recurrence(((0, (3,)), (1, (1,))))\n"
+        "isinstance(PLANTED, Recurrence)\n"
+    )
+    assert recurrences_built_outside_the_translator(source) == ["line 5", "line 7", "line 10"]
 
 
 def local_names(func: ast.AST) -> set[str]:

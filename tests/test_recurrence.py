@@ -6,11 +6,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, reject, settings, strategies as st
 
 from curveseq import recurrence
 from curveseq.cli import json_scalar
 from curveseq.curve import Q_COEFFS, q_polynomial
+from curveseq.descent import FirstOrderOperator
 from curveseq.exactnum import is_prime, padic_valuation, reduce_fraction_mod
 from curveseq.recurrence import (
     FOOTNOTE_RECURRENCE,
@@ -25,11 +26,14 @@ from curveseq.recurrence import (
     extend_modp,
     extend_rational,
     main_sequence,
+    operator_recurrence,
     poly_eval,
     rhs_forms,
     window_mod,
 )
 from curveseq.linalg import rank_fraction
+from curveseq.polyring import Polynomial
+from curveseq.series import TruncatedSeries
 
 
 def test_golden_values():
@@ -45,6 +49,105 @@ def test_hand_unrolled_oracle():
     assert 16 * c[5] + 16 * c[4] + 3 * c[3] + 7 * c[2] + 4 * c[1] + 0 * c[0] == 0
     n = 1
     assert 20 * c[6] + 24 * c[5] + 4 * c[4] + 11 * c[3] + 9 * c[2] + 2 * c[1] == 0
+
+
+# The tables as entered by hand before they were derived from Q: the literal
+# references that every derived table must equal.
+LITERAL_A = (0, 4, 8, 1, 4, 5, 2)
+LITERAL_B = (4, 16, 0, 1, 1)
+LITERAL_MAIN = ((0, (0, 2)), (1, (4, 5)), (2, (7, 4)), (3, (3, 1)), (4, (16, 8)), (5, (16, 4)))
+LITERAL_FOOTNOTE = ((0, (0, 1)), (1, (-3, -2)), (2, (2, 1)))
+LITERAL_R_TILDE = ((-8, 4, 0, 0), (1, 0, 8, 0), (3, 2, 8, 12))
+LITERAL_CONSTANT_BLOCK = (3, 2, 8, 12)
+LITERAL_T2_BLOCK = (-31, 18, -8, 12)
+LITERAL_HYPERPLANE = (1, 1, 0, 6)
+
+
+def test_derived_tables_equal_their_literal_references():
+    derived = {
+        "A": (recurrence.A_COEFFS, LITERAL_A),
+        "B": (recurrence.B_COEFFS, LITERAL_B),
+        "R~": (recurrence.R_TILDE_ROWS, LITERAL_R_TILDE),
+        "constant block": (recurrence.CONSTANT_BLOCK, LITERAL_CONSTANT_BLOCK),
+        "(1+2x)^-2 block": (recurrence.T2_BLOCK, LITERAL_T2_BLOCK),
+        "hyperplane": (recurrence.HYPERPLANE_FORM, LITERAL_HYPERPLANE),
+    }
+    for name, (got, want) in derived.items():
+        assert got == want, name
+        flat = [c for row in got for c in (row if isinstance(row, tuple) else (row,))]
+        assert all(type(c) is int for c in flat), name  # integral, not Fractions equal to ints
+    assert MAIN_RECURRENCE.shifts == LITERAL_MAIN
+    assert FOOTNOTE_RECURRENCE.shifts == LITERAL_FOOTNOTE
+
+
+def test_rhs_forms_match_the_literal_c0_formula():
+    # R off the recurrence below n = 0 against the hand formula
+    # (-4 C_0, -16 C_0, R~_0, R~_1 - C_0, R~_2 - C_0), R~ from the literal rows
+    rng = random.Random(22)
+    for _ in range(200):
+        c = [Fraction(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(5)]
+        r0, r1, r2 = (sum(a * v for a, v in zip(row, c[1:])) for row in LITERAL_R_TILDE)
+        forms = rhs_forms(InitialData.of(*c))
+        assert forms.r_coeffs == (-4 * c[0], -16 * c[0], r0, r1 - c[0], r2 - c[0])
+        assert forms.r_tilde_coeffs == (r0, r1, r2)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.lists(st.integers(-4, 4), min_size=1, max_size=4),
+    st.lists(st.integers(-4, 4), max_size=4),
+    st.integers(0, 2),
+    st.data(),
+)
+def test_operator_recurrence_solutions_are_killed_by_the_operator(a1, a0, start, data):
+    # G = sum g_m x^(m+start) from the translated recurrence: a1 G' + a0 G
+    # vanishes from the coefficient of the first recurrence index,
+    # x^(T+start-1), T = max(len(a1) - 1, len(a0)), on
+    try:
+        spec = operator_recurrence(a1, a0, start)
+    except ValueError as exc:  # no shift above 0 survives: no recurrence
+        assert "the largest >= 1" in str(exc)
+        reject()
+    n_terms = 14
+    assume(all(poly_eval(spec.leading_poly, n) for n in range(n_terms)))
+    fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+    init = data.draw(st.lists(fractions, min_size=spec.order, max_size=spec.order))
+    g = extend_rational(spec, init, n_terms)
+    series = TruncatedSeries([0] * start + g, start + n_terms)
+    image = FirstOrderOperator(Polynomial(a1), Polynomial(a0)).apply_series(series)
+    first = max(len(a1) - 1, len(a0)) + start - 1  # >= 0: the order is >= 1
+    assert all(c == 0 for c in image.coeffs[first:])
+    # and the recurrence's window values below n = 0 are the coefficients
+    # before it
+    for n in range(-spec.order, 0):
+        if first + n >= 0:
+            assert spec.window_value(g, n) == image.coeffs[first + n]
+
+
+def test_recurrence_refuses_shifts_its_routes_read_differently():
+    # a repeated offset: extend_rational summed both rows (c_1 = -3) while
+    # extend_modp and window_mod kept the last one (c_1 = 5 = -2 mod 7)
+    with pytest.raises(ValueError, match="distinct nonnegative offsets"):
+        Recurrence(((0, (1,)), (0, (2,)), (1, (1, 1))))
+    # a negative offset: extend_integral read window[-1], wrapping around,
+    # while _coefficient_table dropped the row
+    with pytest.raises(ValueError, match="distinct nonnegative offsets"):
+        Recurrence(((-1, (1,)), (0, (1,)), (1, (1,))))
+    # no offset above 0: order 0, which extend_rational and window_mod met
+    # with an IndexError
+    for shifts in ((), ((0, (1, 3)),)):
+        with pytest.raises(ValueError, match="distinct nonnegative offsets"):
+            Recurrence(shifts)
+
+
+def test_recurrence_equality_does_not_depend_on_shift_order():
+    shuffled = list(LITERAL_MAIN)
+    random.Random(5).shuffle(shuffled)
+    spec = Recurrence(tuple(shuffled))
+    assert spec == MAIN_RECURRENCE and hash(spec) == hash(MAIN_RECURRENCE)
+    assert spec.shifts == LITERAL_MAIN
+    assert spec.order == 5 and spec.leading_poly == (16, 4)
+    assert Recurrence(LITERAL_FOOTNOTE[::-1]) == FOOTNOTE_RECURRENCE
 
 
 def exp_x_over_1_minus_x(n: int) -> list[Fraction]:
@@ -439,10 +542,19 @@ def test_window_mod_not_p_integral_raises():
 
 
 def hasse_spec(f_coeffs):
-    """The recurrence of (F/F(0))^(-1/2) that cartier.hasse_window builds
-    from F's coefficients: shift d - j carries (f_j (2 - j), 2 f_j)."""
+    """The recurrence of (F/F(0))^(-1/2), entered by hand from F's
+    coefficients: shift d - j carries (f_j (2 - j), 2 f_j)."""
     d = len(f_coeffs) - 1
     return Recurrence(tuple((d - j, (f * (2 - j), 2 * f)) for j, f in enumerate(f_coeffs) if f))
+
+
+def test_hasse_spec_is_the_translated_operator():
+    # 2F h' + F' h = 0 through operator_recurrence, g_m = h_(m+1-d), against
+    # the literal spec: on Q, the reversed quartic and the reversed cubic
+    for f in (Q_COEFFS, Q_COEFFS[::-1], (1, 0, 1, 1)):
+        d = len(f) - 1
+        derivative = [j * c for j, c in enumerate(f)][1:]
+        assert operator_recurrence([2 * c for c in f], derivative, 1 - d) == hasse_spec(f), f
 
 
 #: order 4 from the quartic Q; order 3 from x^3 f(1/x), f = x^3 + x + 1 (no
@@ -512,6 +624,13 @@ def test_window_mod_checks_its_domain_before_any_array_work():
     # the message names p, not the working modulus p^(1 + e)
     with pytest.raises(ValueError, match="initial value -1/8 is not 2-integral"):
         window_mod(MAIN_RECURRENCE, MAIN_INITIAL_DATA, 2, 10)
+
+
+def test_extend_modp_exhaustive_refuses_a_composite_p():
+    # it used to fail inside pow with "base is not invertible"
+    for p in (9, 15):
+        with pytest.raises(ValueError, match=f"{p} is not prime"):
+            recurrence.extend_modp_exhaustive(MAIN_RECURRENCE, (0, 1, 2, 3, 4), p, 20)
 
 
 def random_unit_lead_spec(rng, d, p, steps):
