@@ -240,21 +240,18 @@ class LegendreHasseData:
 
 
 def _h_polynomials(p: int) -> list[Polynomial]:
-    """H_i(lambda) from (x-1)^m (x-lambda)^m = sum_i H_i(lambda) x^i."""
+    """H_i(lambda) from (x-1)^m (x-lambda)^m = sum_i H_i(lambda) x^i.
+
+    (x-lambda)^m puts C(m, e) (-lambda)^e at x^(m-e), so the lambda^e
+    coefficient of H_i is a_(i-m+e) C(m, e) (-1)^e, a_k that of x^k in (x-1)^m.
+    """
     m = (p - 1) // 2
-    # (x-1)^m: constants; (x-lambda)^m: x^(m-j) carries (-lambda)^j
-    a = [(math.comb(m, k) * (-1) ** (m - k)) % p for k in range(m + 1)]  # coeff of x^k
-    b = []  # b[j] = lambda-poly coefficient of x^j in (x-lambda)^m
-    for j in range(m + 1):
-        coeffs = [0] * (m - j) + [(math.comb(m, m - j) * (-1) ** (m - j)) % p]
-        b.append(Polynomial(coeffs, p))
-    out = [Polynomial([], p) for _ in range(2 * m + 1)]
-    for k, ak in enumerate(a):
-        if not ak:
-            continue
-        for j in range(m + 1):
-            out[k + j] = out[k + j] + b[j] * ak
-    return out
+    a = [math.comb(m, k) * (-1) ** (m - k) % p for k in range(m + 1)]
+    c = [math.comb(m, e) * (-1) ** e % p for e in range(m + 1)]
+    return [
+        Polynomial([a[i - m + e] * c[e] if 0 <= i - m + e <= m else 0 for e in range(m + 1)], p)
+        for i in range(2 * m + 1)
+    ]
 
 
 def legendre_hasse(lam0: int, p: int) -> LegendreHasseData:

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exactnum import divisors, is_p_integral, mobius, reduce_fraction_mod
+from .exactnum import divisors, is_p_integral, mobius, padic_valuation, reduce_fraction_mod
 
 _NUMPY_CUTOFF = 48
 
@@ -182,28 +182,18 @@ class TruncatedSeries:
         f0 = self.coeffs[0]
         if not f0:
             raise ZeroDivisionError("zero constant term")
-        n = self.precision
-        if self.modulus is not None:
-            m = self.modulus
-            g = [pow(f0, -1, m)]
-            # Newton iteration g <- g*(2 - f*g), doubling the known order
-            while len(g) < n:
-                k = min(2 * len(g), n)
-                fg = _convolve(self.coeffs[:k], g, k, m)
-                t = [(-v) % m for v in fg]
-                t[0] = (t[0] + 2) % m
-                g = _convolve(g, t, k, m)
-            return self._wrap(g, n)
-        inv0 = _domain_inverse(f0, None)
-        out = [inv0]
-        for k in range(1, n):
-            acc = self._zero()
-            for i in range(1, k + 1):
-                c = self.coeffs[i]
-                if c:
-                    acc = acc + c * out[k - i]
-            out.append(-inv0 * acc)
-        return self._wrap(out, n)
+        n, m = self.precision, self.modulus
+        g = [_domain_inverse(f0, m)]
+        # Newton iteration g <- g*(2 - f*g), doubling the known order; over Z/m
+        # fg is reduced and starts with 1, so |t_i| < m keeps _convolve's
+        # int64 guard valid
+        while len(g) < n:
+            k = min(2 * len(g), n)
+            fg = _convolve(self.coeffs[:k], g, k, m)
+            t = [-v for v in fg]
+            t[0] += 2
+            g = _convolve(g, t, k, m)
+        return self._wrap(g, n)
 
     def __truediv__(self, other):
         if isinstance(other, TruncatedSeries):
@@ -222,15 +212,16 @@ class TruncatedSeries:
             raise ValueError("root0^2 does not match the constant term")
         if not root0:
             raise ValueError("root0 must be a unit")
-        inv2r = _domain_inverse(root0 + root0, m)
-        out = [root0]
-        for k in range(1, self.precision):
-            acc = self._zero()
-            for i in range(1, k):
-                acc = acc + out[i] * out[k - i]
-            # reduce as we go, or the integers grow with k
-            out.append(_to_domain((self.coeffs[k] - acc) * inv2r, m))
-        return self._wrap(out, self.precision)
+        _domain_inverse(root0 + root0, m)  # 2 root0 must be a unit
+        half = _domain_inverse(2, m)
+        y = [root0]
+        # Newton iteration y <- (y + f/y)/2, doubling the known order
+        while len(y) < self.precision:
+            k = min(2 * len(y), self.precision)
+            y_k = self._wrap(y + [self._zero()] * (k - len(y)), k)
+            f_over_y = self.truncate(k) * y_k.inverse()
+            y = _to_domain_list([(a + b) * half for a, b in zip(y_k.coeffs, f_over_y.coeffs)], m)
+        return self._wrap(y, self.precision)
 
     def derivative(self) -> "TruncatedSeries":
         n, m = self.precision, self.modulus
@@ -452,15 +443,8 @@ def congruence_scan(
         k = 1
         while k * step <= n_max:
             a, b = c[k * step], c[k * p**r]
-            diff = a - b
-            if diff != 0:
-                v = 0
-                num = diff.numerator
-                while num % p == 0 and v < r + 1:
-                    num //= p
-                    v += 1
-                if v < r + 1:
-                    failures.append((k, r))
+            if padic_valuation(a - b, p) <= r:
+                failures.append((k, r))
             k += 1
     report = CongruenceReport(p, r_max, n_max, not failures, failures=tuple(failures))
     if reconstruct and report.ok:

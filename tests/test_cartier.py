@@ -393,6 +393,18 @@ def test_legendre_hasse_identities():
         legendre_hasse(1, 7)
 
 
+def test_h_table_is_its_definition():
+    # H_i(lambda_0) is the x^i coefficient of (x-1)^m (x-lambda_0)^m =
+    # (x^2 - (1+lambda_0) x + lambda_0)^m; deg H_i <= m < p, so the values
+    # at every lambda_0 in F_p pin the table
+    for p, lams in ((7, range(7)), (11, range(11)), (101, (2, 50, 100))):
+        m = (p - 1) // 2
+        h = cartier._h_polynomials(p)
+        for lam0 in lams:
+            power = Polynomial([lam0, -1 - lam0, 1], p) ** m
+            assert [hi(lam0) for hi in h] == [power[i] for i in range(2 * m + 1)], (p, lam0)
+
+
 def test_legendre_hasse_exhaustive_f13():
     for lam in range(2, 13):
         legendre_hasse(lam, 13)  # raises if (H_m, H_{m-1}) = (0, 0)

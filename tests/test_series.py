@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from curveseq.curve import s_series
-from curveseq.exactnum import generalized_binomial
+from curveseq.exactnum import QuadExt, generalized_binomial
 from curveseq.recurrence import main_sequence
 from curveseq.series import (
     DieudonneExponents,
@@ -84,6 +84,37 @@ def test_sqrt_rejects():
         TruncatedSeries([2, 1], 4).sqrt(Fraction(1))
     with pytest.raises(ValueError):
         TruncatedSeries([1, 1], 2, 2).sqrt(1)
+
+
+def _random_unit_series(domain: str, n: int, rng: random.Random) -> TruncatedSeries:
+    """A series with a unit constant term: over Q with denominators prime to
+    7 and 11 (so it reduces mod 7 and mod 121), or over F_p(sqrt 65), split
+    at p = 7 (every element has b = 0) and inert at p = 11."""
+    if domain.startswith("F_"):
+        p = int(domain[2:])
+        b = (lambda: 0) if p == 7 else (lambda: rng.randrange(p))
+        coeffs = [QuadExt(rng.randrange(1, p), 0, p, 65)]
+        coeffs += [QuadExt(rng.randrange(p), b(), p, 65) for _ in range(n - 1)]
+        return TruncatedSeries(coeffs, n)
+    coeffs = [Fraction(rng.choice([1, 2, 3]))]
+    coeffs += [Fraction(rng.randint(-3, 3), rng.choice([1, 2, 4, 5])) for _ in range(n - 1)]
+    return TruncatedSeries(coeffs, n, None if domain == "Q" else int(domain[2:]))
+
+
+@pytest.mark.parametrize("n", [5, 130])  # 130 > _NUMPY_CUTOFF: the numpy product runs
+@pytest.mark.parametrize("domain", ["Q", "Z/7", "Z/121", "F_7", "F_11"])
+def test_newton_sqrt_and_inverse_on_every_domain(domain, n):
+    g = _random_unit_series(domain, n, random.Random(n))
+    root, inv = (g * g).sqrt(g[0]), g.inverse()
+    assert root == g
+    one = inv * g
+    assert one[0] == 1 and not any(one.coeffs[1:])
+    if domain.startswith("Z/"):
+        over_q = _random_unit_series("Q", n, random.Random(n))
+        m = g.modulus
+        assert g == TruncatedSeries(over_q.coeffs, n, m)
+        assert root == TruncatedSeries((over_q * over_q).sqrt(over_q[0]).coeffs, n, m)
+        assert inv == TruncatedSeries(over_q.inverse().coeffs, n, m)
 
 
 def test_log_derivative_fermat_series():
