@@ -271,24 +271,27 @@ def differential_of(f: CurveFunction) -> CurveForm:
 
 @dataclass(frozen=True)
 class Place:
-    """A chart at a place: Laurent expansions of x and y in a local parameter."""
+    """A chart at a place: Laurent series of x, y and omega = dx/y (per d(parameter)) in a local parameter."""
 
     name: str
     x_series: LaurentSeries
     y_series: LaurentSeries
+    omega: LaurentSeries
 
 
 def chart(name: str, x: LaurentSeries, y0) -> Place:
     """The place where x = x(w) in the local parameter w, with y the square
     root of Q(x(w)) whose leading coefficient is y0.
 
-    Q(x(w)) has even order at every place charted this way (x regular with
-    Q(x(0)) != 0, or a simple pole of x), and y starts at half that order.
+    Q(x(w)) has even order 2k at every place charted this way (x regular with
+    Q(x(0)) != 0, or a simple pole of x).  Its one Newton series is 1/y, and
+    y = Q(x)/y and omega = x'(w)/y are products with it.
     """
     q = Polynomial(Q_COEFFS, x.modulus).eval_laurent(x).normalized()
     if q.offset % 2:
         raise ValueError(f"Q(x) has odd order {q.offset} at {name}")
-    return Place(name, x, LaurentSeries(q.offset // 2, q.series.sqrt(y0)))
+    k, r = q.offset // 2, q.series.inverse_sqrt(y0)
+    return Place(name, x, LaurentSeries(k, q.series * r), x.derivative() * LaurentSeries(-k, r))
 
 
 def origin_place(sign: int, precision: int, modulus: int | None = None) -> Place:
@@ -312,8 +315,8 @@ def expand_function(f: CurveFunction, place: Place) -> LaurentSeries:
 
 def expand_form(form: CurveForm, place: Place) -> LaurentSeries:
     """The coefficient series w with form = w * d(parameter) at the place,
-    known as far as the place's x and y series carry it."""
-    return expand_function(form.g, place) * place.x_series.derivative() / place.y_series
+    known as far as the place's x series and omega carry it."""
+    return expand_function(form.g, place) * place.omega
 
 
 def expand_to_bound(

@@ -90,8 +90,8 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check(other)
-        m = self.modulus
-        sums = [self[i] + other[i] for i in range(max(len(self.coeffs), len(other.coeffs)))]
+        m, (short, long) = self.modulus, sorted((self.coeffs, other.coeffs), key=len)
+        sums = [a + b for a, b in zip(short, long)] + long[len(short) :]
         return self._wrap(sums if m is None else [c % m for c in sums])
 
     __radd__ = __add__

@@ -315,34 +315,31 @@ def _forced_steps(spec: Recurrence, window: list[int], start: int, stop: int, q:
     return [int(v) * inv % q for v in w]
 
 
-def window_mod(
-    spec: Recurrence, init: InitialData | Sequence, p: int, n: int | Sequence[int]
-) -> tuple[int, ...] | list[tuple[int, ...]]:
+def window_mod(spec: Recurrence, init: InitialData | Sequence, p: int, n: int) -> tuple[int, ...]:
     """The window (c_n, ..., c_{n+d-1}) mod p of the rational solution with
-    the given initial data, as a tuple; for increasing indices n, one window
-    per index, read in one pass.
+    the given initial data, as a tuple.
 
     Works over Z/p^(1+e), where e is the sum of v_p(P_d(m)) over the steps
     m < n crossed.  Between steps with p | P_d(m) the window moves by step
     matrix products mod p^k (_forced_steps).  Such a step runs in scalar
     form: its accumulator must be divisible by p^v exactly, v = v_p(P_d(m));
     it is divided by p^v, and the modulus drops by p^v, so one digit is left
-    at the end.  The steps with p | P_d(m) are found from P_d mod p alone.
+    at the end, where the window is read.  The steps with p | P_d(m) are
+    found from P_d mod p alone.
     Raises ValueError when p is not prime (before any array is built) or when
     some c_k, k < n + d, is not p-integral (the message names p), and
     ZeroDivisionError when P_d vanishes at a step (as extend_integral does).
     Every call computes from scratch.
     """
     require_prime(p)
-    reads = [n] if isinstance(n, int) else list(n)
-    if not reads or reads[0] < 0 or any(a >= b for a, b in zip(reads, reads[1:])):
-        raise ValueError("window indices must be increasing and nonnegative")
+    if n < 0:
+        raise ValueError(f"negative window index {n}")
     values = [Fraction(v) for v in (init.values if isinstance(init, InitialData) else init)]
     d = spec.order
     if len(values) != d:
         raise ValueError(f"need exactly {d} initial values")
     lead = spec.leading_poly
-    lead_modp = _horner([lead], np.arange(reads[-1], dtype=_window_dtype(spec, p)) % p, p)[0]
+    lead_modp = _horner([lead], np.arange(n, dtype=_window_dtype(spec, p)) % p, p)[0]
     free = {}  # step m -> v_p(P_d(m)) > 0
     for m in np.flatnonzero(lead_modp == 0).tolist():
         exact = poly_eval(lead, m)
@@ -355,20 +352,17 @@ def window_mod(
         if v.denominator % p == 0:
             raise ValueError(f"initial value {v} is not {p}-integral")
     window = [reduce_fraction_mod(v, q) for v in values]
-    out, pos = [], 0
-    for t in sorted(free.keys() | set(reads)):
-        window, pos = _forced_steps(spec, window, pos, t, q, dtype), t
-        if t == reads[len(out)]:
-            out.append(tuple(w % p for w in window))
-        if t in free:
-            acc = sum(poly_eval(poly, t) * window[j] for j, poly in spec.shifts if j < d)
-            pv = p ** free[t]
-            if acc % pv:
-                raise ValueError(f"c_{t + d} of the solution is not {p}-integral")
-            q //= pv
-            new = -(acc // pv) * pow(poly_eval(lead, t) // pv, -1, q) % q
-            window, pos = [w % q for w in window[1:]] + [new], t + 1
-    return out[0] if isinstance(n, int) else out
+    pos = 0
+    for t in sorted(free):
+        window = _forced_steps(spec, window, pos, t, q, dtype)
+        acc = sum(poly_eval(poly, t) * window[j] for j, poly in spec.shifts if j < d)
+        pv = p ** free[t]
+        if acc % pv:
+            raise ValueError(f"c_{t + d} of the solution is not {p}-integral")
+        q //= pv
+        new = -(acc // pv) * pow(poly_eval(lead, t) // pv, -1, q) % q
+        window, pos = [w % q for w in window[1:]] + [new], t + 1
+    return tuple(_forced_steps(spec, window, pos, n, q, dtype))
 
 
 # -- mod-p extension -----------------------------------------------------------

@@ -200,8 +200,8 @@ class TruncatedSeries:
             return self * other.inverse()
         return self.scale(_domain_inverse(other, self.modulus))
 
-    def sqrt(self, root0) -> "TruncatedSeries":
-        """Square root with prescribed value at 0; needs root0^2 = f(0), char != 2."""
+    def inverse_sqrt(self, root0) -> "TruncatedSeries":
+        """1/y for the root y of f with y(0) = root0 (f/y is y); needs root0^2 = f(0), 2 root0 a unit."""
         if self.precision == 0:
             return self
         m = self.modulus
@@ -213,15 +213,15 @@ class TruncatedSeries:
         if not root0:
             raise ValueError("root0 must be a unit")
         _domain_inverse(root0 + root0, m)  # 2 root0 must be a unit
-        half = _domain_inverse(2, m)
-        y = [root0]
-        # Newton iteration y <- (y + f/y)/2, doubling the known order
-        while len(y) < self.precision:
-            k = min(2 * len(y), self.precision)
-            y_k = self._wrap(y + [self._zero()] * (k - len(y)), k)
-            f_over_y = self.truncate(k) * y_k.inverse()
-            y = _to_domain_list([(a + b) * half for a, b in zip(y_k.coeffs, f_over_y.coeffs)], m)
-        return self._wrap(y, self.precision)
+        r, half = [_domain_inverse(root0, m)], _domain_inverse(2, m)
+        # Newton iteration r <- r*(3 - f*r^2)/2, doubling the known order; as
+        # in inverse, f r^2 is reduced and starts with 1, so |t_i| < m
+        while len(r) < self.precision:
+            k = min(2 * len(r), self.precision)
+            t = [-v for v in _convolve(_convolve(self.coeffs[:k], r, k, m), r, k, m)]
+            t[0] += 3
+            r = _to_domain_list([v * half for v in _convolve(r, t, k, m)], m)
+        return self._wrap(r, self.precision)
 
     def derivative(self) -> "TruncatedSeries":
         n, m = self.precision, self.modulus

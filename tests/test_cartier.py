@@ -280,7 +280,7 @@ def test_hasse_recurrence_solves_two_over_root_q(monkeypatch):
     assert init == (0, 0, 0, 1)
     n = 200
     q = TruncatedSeries([Fraction(c) for c in Q_COEFFS], n)
-    h = q.sqrt(2).inverse().scale(2)
+    h = q.inverse_sqrt(2).scale(2)
     assert extend_rational(spec, init, n + 3) == [0, 0, 0] + h.coeffs
 
 
@@ -586,8 +586,8 @@ def test_half_pole_chart_is_the_root_of_q_above_minus_one_half():
         assert places[-1].y_series.coefficient(0) == -y0
         for place in places.values():
             assert place.x_series == LaurentSeries(0, TruncatedSeries([one * Fraction(-1, 2), one], n))
-            root = TruncatedSeries(shifted, n).sqrt(place.y_series.coefficient(0))
-            assert (place.y_series.offset, place.y_series.series) == (0, root)
+            f, y0 = TruncatedSeries(shifted, n), place.y_series.coefficient(0)
+            assert (place.y_series.offset, place.y_series.series) == (0, f * f.inverse_sqrt(y0))
 
 
 def test_infinity_chart_is_the_reversed_quartic():
@@ -598,4 +598,22 @@ def test_infinity_chart_is_the_reversed_quartic():
             for sign in (+1, -1):
                 place = infinity_place(sign, n, modulus)
                 assert place.name == ("inf+" if sign > 0 else "inf-")
-                assert (place.y_series.offset, place.y_series.series) == (-2, inner.sqrt(sign))
+                assert (place.y_series.offset, place.y_series.series) == (-2, inner * inner.inverse_sqrt(sign))
+
+
+def test_place_omega_is_dx_over_y():
+    # the chart's omega, a product with its one Newton series, against the
+    # division route x'(w)/y: same offset, coefficients and precision; at
+    # (0, +-2) and inf+- over Q, Z/7 and Z/101 (n = 60 > _NUMPY_CUTOFF), and
+    # above x = -1/2 at a split (7) and an inert (11) prime of F_p(sqrt 65)
+    places = [
+        make(sign, n, modulus)
+        for make in (origin_place, infinity_place)
+        for sign in (+1, -1)
+        for modulus in (None, 7, 101)
+        for n in (3, 60)
+    ]
+    places += [half_pole_place(p, sign, n) for p in (7, 11) for sign in (+1, -1) for n in (3, 60)]
+    for place in places:
+        ref = place.x_series.derivative() / place.y_series
+        assert (place.omega.offset, place.omega.series) == (ref.offset, ref.series), place.name

@@ -348,7 +348,7 @@ def _degenerate_zp2(p: int) -> tuple[bool, int]:
     """The Z/p^2 reference: c_{p+1} and c_{2p} from the order-5 recurrence
     (the last entries of its windows at p - 3 and 2p - 4); returns whether
     they agree, and c_{2p}."""
-    cp1, c2p = (w[-1] for w in window_mod(MAIN_RECURRENCE, MAIN_INITIAL_DATA, p, [p - 3, 2 * p - 4]))
+    cp1, c2p = (window_mod(MAIN_RECURRENCE, MAIN_INITIAL_DATA, p, n)[-1] for n in (p - 3, 2 * p - 4))
     return c2p == cp1, c2p
 
 

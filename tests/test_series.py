@@ -49,7 +49,8 @@ def test_inverse_against_long_division():
 
 def test_inverse_of_y_half():
     # 2/y = 1 - x^2/8 - x^3/4 - ...
-    y = TruncatedSeries([4, 0, 1, 2, 1], 8).sqrt(Fraction(2))
+    q = TruncatedSeries([4, 0, 1, 2, 1], 8)
+    y = q * q.inverse_sqrt(Fraction(2))
     inv = (y / 2).inverse()
     assert inv.coeffs[:4] == [Fraction(1), Fraction(0), Fraction(-1, 8), Fraction(-1, 4)]
     assert inv.coeffs == long_division_inverse(y / 2)
@@ -67,23 +68,40 @@ def test_inverse_rejects_zero_constant():
 
 def test_sqrt_square_roundtrip():
     q = TruncatedSeries([4, 0, 1, 2, 1], 30)
-    y = q.sqrt(Fraction(2))
+    y = q * q.inverse_sqrt(Fraction(2))
     assert (y * y) == q
     assert y.coeffs[:4] == [Fraction(2), Fraction(0), Fraction(1, 4), Fraction(1, 2)]
 
 
 def test_sqrt_perfect_square_and_sign():
     f = TruncatedSeries([1, 2, 1], 6)
-    assert f.sqrt(Fraction(1)).coeffs[:3] == [Fraction(1), Fraction(1), Fraction(0)]
+    assert (f * f.inverse_sqrt(Fraction(1))).coeffs[:3] == [Fraction(1), Fraction(1), Fraction(0)]
     g = TruncatedSeries([1, -2, 1], 6)
-    assert g.sqrt(Fraction(-1)).coeffs[:2] == [Fraction(-1), Fraction(1)]
+    assert (g * g.inverse_sqrt(Fraction(-1))).coeffs[:2] == [Fraction(-1), Fraction(1)]
 
 
 def test_sqrt_rejects():
-    with pytest.raises(ValueError):
-        TruncatedSeries([2, 1], 4).sqrt(Fraction(1))
-    with pytest.raises(ValueError):
-        TruncatedSeries([1, 1], 2, 2).sqrt(1)
+    def f(coeffs, modulus=None, p=None):
+        if p is not None:  # pairs (a, b) for a + b sqrt 65 in F_p(sqrt 65)
+            coeffs = [QuadExt(a, b, p, 65) for a, b in coeffs]
+        return TruncatedSeries(coeffs, 4, modulus)
+
+    for series, root0 in [
+        (f([2, 1]), Fraction(1)),  # root0^2 != f(0)
+        (f([0, 1]), Fraction(0)),  # a zero root0
+        (f([1, 1], 2), 1),  # characteristic 2
+        (f([2, 1], 7), 1),
+        (f([0, 1], 7), 0),
+        (f([0, 1], 7), 7),  # zero once reduced
+        (f([1, 1], 7), Fraction(1, 7)),  # not 7-integral
+        (f([0, 1], 9), 3),  # 3^2 = 0 = f(0), but 2 * 3 is no unit mod 9
+        (f([1, 1], 4), 1),  # 2 * 1 is no unit mod 4
+        (f([(2, 0), (1, 0)], p=7), QuadExt(1, 0, 7, 65)),  # split
+        (f([(0, 0), (1, 0)], p=11), QuadExt(0, 0, 11, 65)),  # inert, zero root0
+        (f([(65, 0), (1, 0)], p=11), QuadExt(0, 2, 11, 65)),  # (2 sqrt 65)^2 != 65
+    ]:
+        with pytest.raises(ValueError):
+            series.inverse_sqrt(root0)
 
 
 def _random_unit_series(domain: str, n: int, rng: random.Random) -> TruncatedSeries:
@@ -105,15 +123,16 @@ def _random_unit_series(domain: str, n: int, rng: random.Random) -> TruncatedSer
 @pytest.mark.parametrize("domain", ["Q", "Z/7", "Z/121", "F_7", "F_11"])
 def test_newton_sqrt_and_inverse_on_every_domain(domain, n):
     g = _random_unit_series(domain, n, random.Random(n))
-    root, inv = (g * g).sqrt(g[0]), g.inverse()
-    assert root == g
-    one = inv * g
-    assert one[0] == 1 and not any(one.coeffs[1:])
+    f = g * g
+    r, inv = f.inverse_sqrt(g[0]), g.inverse()
+    assert f * r == g and (f * r) * (f * r) == f
+    for one in (r * r * f, inv * g):
+        assert one[0] == 1 and not any(one.coeffs[1:])
     if domain.startswith("Z/"):
         over_q = _random_unit_series("Q", n, random.Random(n))
         m = g.modulus
         assert g == TruncatedSeries(over_q.coeffs, n, m)
-        assert root == TruncatedSeries((over_q * over_q).sqrt(over_q[0]).coeffs, n, m)
+        assert r == TruncatedSeries((over_q * over_q).inverse_sqrt(over_q[0]).coeffs, n, m)
         assert inv == TruncatedSeries(over_q.inverse().coeffs, n, m)
 
 
@@ -150,7 +169,7 @@ def test_log_derivative_additive_property(tail):
 @given(st.lists(small_fractions, min_size=4, max_size=10))
 def test_sqrt_squares_back_property(tail):
     f = TruncatedSeries([Fraction(1)] + tail)
-    r = f.sqrt(Fraction(1))
+    r = f * f.inverse_sqrt(Fraction(1))
     assert r * r == f
     assert f.inverse() * f == TruncatedSeries([Fraction(1)], f.precision)
 
@@ -166,7 +185,7 @@ def test_dieudonne_reconstruction_property(tail):
 def test_x_log_derivative_of_z_half_is_s_half():
     n = 40
     q = TruncatedSeries([4, 0, 1, 2, 1], n)
-    z = TruncatedSeries([0, 1, 1], n) + q.sqrt(Fraction(2))
+    z = TruncatedSeries([0, 1, 1], n) + q * q.inverse_sqrt(Fraction(2))
     c = main_sequence(n)
     assert (z / 2).x_log_derivative().coeffs == [v / 2 for v in c]
 
