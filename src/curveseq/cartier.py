@@ -1,9 +1,10 @@
 """The Cartier operator on series and on the reduced curve mod p.
 
 On a series field F_p((x)) the operator sends (sum u_n x^n) dx to
-(sum over n = -1 mod p of u_n x^((n+1)/p - 1)) dx; the p-th root on F_p
-coefficients is the identity.  A form is exact iff its image vanishes (C1)
-and logarithmically exact iff it is fixed (C2).  Both properties are decided
+(sum over n = -1 mod p of u_n^(1/p) x^((n+1)/p - 1)) dx; the p-th root is
+the identity on F_p and, on F_p(sqrt 65), the conjugation when 65 is a
+non-residue.  A form is exact iff its image vanishes (C1) and
+logarithmically exact iff it is fixed (C2).  Both properties are decided
 here through finitely many expansion coefficients, the number of which is
 controlled by the pole divisor of the form.
 """
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from fractions import Fraction
 from typing import Sequence
 
 from .curve import (
@@ -21,7 +22,6 @@ from .curve import (
     CurveForm,
     CurveFunction,
     Place,
-    chart,
     eta,
     expand_to_bound,
     infinity_place,
@@ -43,11 +43,20 @@ def cartier_series(g: TruncatedSeries, p: int) -> TruncatedSeries:
 
 
 def cartier_laurent(w: LaurentSeries, p: int) -> LaurentSeries:
-    """The same coefficient picking on a Laurent expansion w(t) dt."""
+    """C(w(t) dt): the same coefficient picking on a Laurent expansion, with
+    the p-th root of each picked coefficient.  That root is the identity on
+    F_p; on F_p(sqrt d) it is a + b sqrt d -> a + b d^((p-1)/2) sqrt d, the
+    conjugation when d is a non-residue."""
     f_min = -((-(w.offset + 1)) // p) - 1  # smallest f with p(f+1)-1 >= offset
     # exclusive bound: p(f+1)-1 < w.bound
-    coeffs = [w.coefficient(p * (f + 1) - 1) for f in range(f_min, w.bound // p)]
+    coeffs = [_pth_root(w.coefficient(p * (f + 1) - 1), p) for f in range(f_min, w.bound // p)]
     return LaurentSeries(f_min, TruncatedSeries(coeffs, len(coeffs), w.modulus))
+
+
+def _pth_root(c, p: int):
+    if isinstance(c, QuadExt):
+        return QuadExt(c.a, c.b * pow(c.d, (p - 1) // 2, p), p, c.d)
+    return c
 
 
 def require_good_prime(p: int) -> int:
@@ -95,13 +104,11 @@ def first_disagreement(claims: Sequence[tuple[CurveForm, CurveForm | None, int]]
     """
     require_good_prime(p)
     forms = list({id(f): f for claim in claims for f in claim[:2] if f is not None}.values())
-    if any(f.modulus != p for f in forms):
-        raise ValueError("form must be reduced mod p")
     budgets = [
         exactness_scan_bound(form) + (0 if target is None else pole_degree_bound(target))
         for form, target, _ in claims
     ]
-    _, expansions = expand_to_bound(forms, partial(origin_place, +1, modulus=p), p * (max(budgets) + 1))
+    expansions = expand_to_bound(forms, origin_place(+1, p), p * (max(budgets) + 1))
     w = {id(f): e for f, e in zip(forms, expansions)}
     out = []
     for (form, target, scalar), budget in zip(claims, budgets):
@@ -294,36 +301,27 @@ def legendre_hasse(lam0: int, p: int) -> LegendreHasseData:
 # -- residues and pole bounds ------------------------------------------------------
 
 
-def half_pole_place(p: int, sign: int, precision: int) -> Place:
+def half_pole_place(p: int, sign: int) -> Place:
     """A place above x = -1/2 on the reduced curve (where t = 1 + 2x vanishes);
     defined over F_p(sqrt(65)), which may be F_p or the quadratic extension."""
     require_good_prime(p)
     # y0 = sign sqrt(65)/4; it has b = 0 when 65 is a square mod p
-    x0 = QuadExt(-_domain_inverse(2, p), 0, p, 65)
     inv4 = _domain_inverse(4, p)
     root65 = sqrt_mod(65 % p, p)
     if root65 is not None:
         y0 = QuadExt(sign * root65 * inv4, 0, p, 65)
     else:
         y0 = QuadExt(0, sign * inv4, p, 65)
-    x = LaurentSeries(0, TruncatedSeries([x0, QuadExt(1, 0, p, 65)], precision))
-    return chart(f"t=0({'+' if sign > 0 else '-'})", x, y0)
+    return Place(f"t=0({'+' if sign > 0 else '-'})", Polynomial([Fraction(-1, 2), 1], p), Polynomial([1], p), y0)
 
 
 def residue_check(form: CurveForm, p: int) -> dict[str, object]:
     """Residues of the reduced form at the places above x = -1/2 and at both
     points at infinity."""
     require_good_prime(p)
-    if form.modulus != p:
-        raise ValueError("form must be reduced mod p")
     out = {}
-    for place_at in (
-        partial(half_pole_place, p, +1),
-        partial(half_pole_place, p, -1),
-        partial(infinity_place, +1, modulus=p),
-        partial(infinity_place, -1, modulus=p),
-    ):
-        place, [w] = expand_to_bound([form], place_at, 0)
+    for place in (half_pole_place(p, +1), half_pole_place(p, -1), infinity_place(+1, p), infinity_place(-1, p)):
+        [w] = expand_to_bound([form], place, 0)
         out[place.name] = w.residue()
     return out
 
@@ -350,15 +348,9 @@ def pole_bound_check(form: CurveForm, p: int) -> list[PoleBoundRow]:
     require_good_prime(p)
     budget = exactness_scan_bound(form)
     rows = []
-    for place_at in (
-        partial(origin_place, +1, modulus=p),
-        partial(origin_place, -1, modulus=p),
-        partial(infinity_place, +1, modulus=p),
-        partial(infinity_place, -1, modulus=p),
-        partial(half_pole_place, p, +1),
-        partial(half_pole_place, p, -1),
-    ):
-        place, [w] = expand_to_bound([form], place_at, p * (budget + 1))
+    places = [make(sign, p) for make in (origin_place, infinity_place) for sign in (+1, -1)]
+    for place in places + [half_pole_place(p, +1), half_pole_place(p, -1)]:
+        [w] = expand_to_bound([form], place, p * (budget + 1))
         v = w.valuation()
         vc = cartier_laurent(w, p).valuation()
         if v is None:

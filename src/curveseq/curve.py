@@ -4,8 +4,9 @@ Functions are represented as u + v*y with rational-function components, so
 the identities behind the main theorems are checked exactly, not to finite
 precision.  Series enter only through expansions at places of the curve:
 the rational points above x = 0, the two points at infinity, and the
-places above the zero of 1 + 2x (over F_p(sqrt(65))).  ``chart`` builds
-each of them from the series of x in its local parameter alone.
+places above the zero of 1 + 2x (over F_p(sqrt(65))).  Each place is an
+exact chart x = a(w)/b(w), and the one series an expansion needs is
+Q(x(w))^(-1/2).
 """
 
 from __future__ import annotations
@@ -13,10 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .exactnum import padic_valuation, prime_factors, reduce_fraction_mod
+from .exactnum import QuadExt, padic_valuation, prime_factors, reduce_fraction_mod
 from .polyring import Polynomial, RationalFunction, _to_ratfunc, resultant
 from .recurrence import (
     A_COEFFS,
@@ -271,86 +271,113 @@ def differential_of(f: CurveFunction) -> CurveForm:
 
 @dataclass(frozen=True)
 class Place:
-    """A chart at a place: Laurent series of x, y and omega = dx/y (per d(parameter)) in a local parameter."""
+    """A place as its exact chart: x = a(w)/b(w) in the local parameter w,
+    with a and b over the domain of the functions expanded there, and y the
+    square root of Q(x) for which b^2 y starts with y0, a square root of
+    the lead of H = b^4 Q(a/b).  y0 may lie in an extension of that domain
+    (F_p(sqrt 65) above x = -1/2).  H must have even order (x regular with
+    Q(x(0)) != 0, or a simple pole of x), as y is no series in w otherwise."""
 
     name: str
-    x_series: LaurentSeries
-    y_series: LaurentSeries
-    omega: LaurentSeries
+    a: Polynomial
+    b: Polynomial
+    y0: object
+
+    def __post_init__(self):
+        h = _homogenized(q_polynomial(self.a.modulus), self.a, self.b)
+        if _order(h) % 2:
+            raise ValueError(f"Q(x) has odd order {_order(h)} at {self.name}")
+        _chart_series(self, h.coeffs[_order(h) :], 1).inverse_sqrt(self.y0)  # y0^2 is H's lead
 
 
-def chart(name: str, x: LaurentSeries, y0) -> Place:
-    """The place where x = x(w) in the local parameter w, with y the square
-    root of Q(x(w)) whose leading coefficient is y0.
-
-    Q(x(w)) has even order 2k at every place charted this way (x regular with
-    Q(x(0)) != 0, or a simple pole of x).  Its one Newton series is 1/y, and
-    y = Q(x)/y and omega = x'(w)/y are products with it.
-    """
-    q = Polynomial(Q_COEFFS, x.modulus).eval_laurent(x).normalized()
-    if q.offset % 2:
-        raise ValueError(f"Q(x) has odd order {q.offset} at {name}")
-    k, r = q.offset // 2, q.series.inverse_sqrt(y0)
-    return Place(name, x, LaurentSeries(k, q.series * r), x.derivative() * LaurentSeries(-k, r))
-
-
-def origin_place(sign: int, precision: int, modulus: int | None = None) -> Place:
+def origin_place(sign: int, modulus: int | None = None) -> Place:
     """The rational point (0, +-2); local parameter x itself."""
-    return chart(f"(0,{2*sign})", LaurentSeries(1, TruncatedSeries([1], precision, modulus)), 2 * sign)
+    return Place(f"(0,{2*sign})", Polynomial([0, 1], modulus), Polynomial([1], modulus), 2 * sign)
 
 
-def infinity_place(sign: int, precision: int, modulus: int | None = None) -> Place:
+def infinity_place(sign: int, modulus: int | None = None) -> Place:
     """inf_+ or inf_-; local parameter u = 1/x, y = sign * u^-2 (1 + O(u))."""
-    return chart(f"inf{'+' if sign > 0 else '-'}", LaurentSeries(-1, TruncatedSeries([1], precision, modulus)), sign)
+    return Place(f"inf{'+' if sign > 0 else '-'}", Polynomial([1], modulus), Polynomial([0, 1], modulus), sign)
 
 
-def expand_function(f: CurveFunction, place: Place) -> LaurentSeries:
-    """Laurent expansion of f at the place, known as far as the place's
-    x and y series carry it."""
-    u = f.u.eval_laurent(place.x_series)
-    if f.v.is_zero():
-        return u
-    return u + f.v.eval_laurent(place.x_series) * place.y_series
+def _homogenized(f: Polynomial, a: Polynomial, b: Polynomial) -> Polynomial:
+    """b^deg(f) f(a/b), by Horner on the homogenized form."""
+    if f.is_zero():
+        return f
+    acc, bpow = Polynomial([f.leading()], f.modulus), Polynomial([1], f.modulus)
+    for c in reversed(f.coeffs[:-1]):
+        bpow = bpow * b
+        acc = acc * a + bpow * c
+    return acc
 
 
-def expand_form(form: CurveForm, place: Place) -> LaurentSeries:
-    """The coefficient series w with form = w * d(parameter) at the place,
-    known as far as the place's x series and omega carry it."""
-    return expand_function(form.g, place) * place.omega
+def _order(f: Polynomial) -> int:
+    """The exponent of the lowest term of a nonzero polynomial."""
+    return next(i for i, c in enumerate(f.coeffs) if c)
 
 
-def expand_to_bound(
-    items: Sequence[CurveForm | CurveFunction], place_at: Callable[[int], Place], bound: int
-) -> tuple[Place, list[LaurentSeries]]:
-    """The place ``place_at(n)`` and the expansions there of ``items`` (forms
-    or functions), each known at least below the exponent ``bound``.
+def _chart_series(place: Place, coeffs: list, n: int) -> TruncatedSeries:
+    """The first n of ``coeffs`` as a series over the scalars of y0."""
+    if isinstance(place.y0, QuadExt):
+        zero = place.y0 * 0
+        return TruncatedSeries([zero + c for c in coeffs[:n]], n)
+    return TruncatedSeries(coeffs[:n], n, place.a.modulus)
 
-    Series arithmetic records the exact precision each step leaves, and every
-    step moves it one for one with the chart's precision n once the leading
-    terms it divides by are seen.  So an expansion is known below n + c, with
-    c fixed by the item and the kind of place.  A polynomial of degree d
-    vanishes to order at most d at a chart, so a trial at n = d + 1 sees every
-    leading term and measures each c; n = bound - min(c) then serves all
-    items on one place.
+
+def _at_chart(f: RationalFunction, place: Place, factor: Polynomial, e: int) -> tuple[Polynomial, Polynomial]:
+    """f(a/b) * factor * b^e as a numerator and a denominator polynomial in
+    w, with no gcd taken."""
+    a, b = place.a, place.b
+    num, den = _homogenized(f.num, a, b) * factor, _homogenized(f.den, a, b)
+    e += f.den.degree - f.num.degree
+    return (num * b**e, den) if e >= 0 else (num, den * b ** (-e))
+
+
+def _expand(part: tuple[Polynomial, Polynomial], place: Place, bound: int, shift=0, root=None) -> LaurentSeries:
+    """num/den (times w^shift root) below the exponent ``bound``, from the
+    offset read off the two polynomials."""
+    num, den = part
+    n = 0 if num.is_zero() else bound - (_order(num) - _order(den) + shift)
+    if n <= 0:
+        return LaurentSeries(bound, _chart_series(place, [], 0))
+    w = _chart_series(place, num.coeffs[_order(num) :], n) / _chart_series(place, den.coeffs[_order(den) :], n)
+    return LaurentSeries(bound - n, w if root is None else w * root.truncate(n))
+
+
+def expand_to_bound(items: Sequence[CurveForm | CurveFunction], place: Place, bound: int) -> list[LaurentSeries]:
+    """The expansions at ``place`` of ``items`` over its domain (functions,
+    and forms as their coefficient of dw), each known exactly below the
+    exponent ``bound``.
+
+    With x = a/b, H = b^4 Q(a/b) and s = H^(-1/2) = 1/(b^2 y), every
+    expansion is E + R s with E and R exact ratios of polynomials in w:
+    u + v y is u(x) + v(x) H b^-2 s, and (u + v y) omega = (u + v y) x' dw/y
+    is v(x) D b^-2 + u(x) D s, D = a'b - ab' (y s = b^-2).  Offsets are read
+    off their exact valuations, and s's one Newton series, w^(-k) times a
+    power series, runs at the precision the tightest item needs.
     """
-    funcs = [item.g if isinstance(item, CurveForm) else item for item in items]
-    trial = 1 + max(r.degree for f in funcs for r in (f.u.num, f.u.den, f.v.num, f.v.den))
-
-    def expand_all(place: Place) -> list[LaurentSeries]:
-        return [
-            expand_form(item, place) if isinstance(item, CurveForm) else expand_function(item, place)
-            for item in items
-        ]
-
-    lag = min(w.bound for w in expand_all(place_at(trial))) - trial
-    place = place_at(max(trial, bound - lag))
-    return place, expand_all(place)
+    m = place.a.modulus
+    if any(item.modulus != m for item in items):
+        raise ValueError(f"items must live over the scalar domain of {place.name} (modulus {m})")
+    a, b = place.a, place.b
+    h, d, one = _homogenized(q_polynomial(m), a, b), a.derivative() * b - a * b.derivative(), Polynomial([1], m)
+    parts = [
+        (_at_chart(item.g.v, place, d, -2), _at_chart(item.g.u, place, d, 0))
+        if isinstance(item, CurveForm)
+        else (_at_chart(item.u, place, one, 0), _at_chart(item.v, place, h, -2))
+        for item in items
+    ]
+    k = _order(h) // 2
+    need = [bound - _order(num) + _order(den) + k for _, (num, den) in parts if not num.is_zero()]
+    root = _chart_series(place, h.coeffs[2 * k :], max(need + [0])).inverse_sqrt(place.y0)
+    return [_expand(e, place, bound) + _expand(r, place, bound, -k, root) for e, r in parts]
 
 
 def expand_at_origin(f: CurveFunction, n: int) -> TruncatedSeries:
     """Taylor expansion at the point (0, 2) through x^(n-1); a pole there is
     an error."""
-    place, [ls] = expand_to_bound([f], partial(origin_place, +1, modulus=f.modulus), n)
+    place = origin_place(+1, f.modulus)
+    [ls] = expand_to_bound([f], place, n)
     v = ls.valuation()
     if v is not None and v < 0:
         raise PoleAtPlaceError(place.name, -v)
@@ -608,7 +635,7 @@ def xi_quadrature(init: InitialData, n: int) -> XiQuadrature:
     hyper_zero = init.hyperplane_value == 0
 
     df = f.derivative()
-    _, [w] = expand_to_bound([form], partial(origin_place, +1), df.precision)
+    [w] = expand_to_bound([form], origin_place(+1), df.precision)
     matches = all(df[k] == w.coefficient(k) for k in range(df.precision))
 
     decomposition = None

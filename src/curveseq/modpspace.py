@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import partial
 from itertools import product
 from typing import Sequence
 
@@ -298,7 +297,7 @@ def xi_obstruction_matrix(p: int) -> list[list[int]]:
     require_vp_prime(p)
     units = [xi_form([int(i == j) for j in range(4)], p) for i in range(4)]
     rows = max(exactness_scan_bound(u) for u in units) + 1
-    _, cols = expand_to_bound(units, partial(origin_place, +1, modulus=p), rows * p)
+    cols = expand_to_bound(units, origin_place(+1, p), rows * p)
     return [[w.coefficient(m * p - 1) for w in cols] for m in range(1, rows + 1)]
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .series import LaurentSeries, TruncatedSeries, _convolve, _domain_inverse, _to_domain, _to_domain_list
+from .series import _convolve, _domain_inverse, _to_domain, _to_domain_list
 
 
 class Polynomial:
@@ -185,17 +185,6 @@ class Polynomial:
             return self._zero() if not hasattr(x, "__mul__") else x * 0
         return acc
 
-    def eval_laurent(self, x: LaurentSeries) -> LaurentSeries:
-        """Evaluate at a Laurent series by Horner.  The value is known as far
-        as the powers of x are; a constant is known through the precision of
-        x's coefficient series."""
-        if self.degree < 1:
-            return LaurentSeries(0, TruncatedSeries(self.coeffs, x.series.precision, x.modulus))
-        acc = x * self.coeffs[-1] + self.coeffs[-2]
-        for c in reversed(self.coeffs[:-2]):
-            acc = acc * x + c
-        return acc
-
     def reduce_mod(self, p: int) -> "Polynomial":
         if self.modulus is not None:
             raise ValueError("already modular")
@@ -319,10 +308,6 @@ class RationalFunction:
 
     def __call__(self, x):
         return self.num(x) / self.den(x)
-
-    def eval_laurent(self, x: LaurentSeries) -> LaurentSeries:
-        """num(x) / den(x), known as far as both are."""
-        return self.num.eval_laurent(x) / self.den.eval_laurent(x)
 
     def reduce_mod(self, p: int) -> "RationalFunction":
         return RationalFunction(self.num.reduce_mod(p), self.den.reduce_mod(p))

@@ -28,20 +28,33 @@ _NUMPY_CUTOFF = 48
 
 def _convolve(a: list, b: list, n_out: int, modulus: int | None) -> list:
     """The first ``n_out`` coefficients of the product of two coefficient
-    lists: reduced mod ``modulus``, or exact scalars when it is None."""
+    lists: reduced mod ``modulus``, or exact scalars when it is None.
+
+    Trailing zeros (a series pads to its precision) and entries at or past
+    ``n_out`` cannot reach the result, so both operands drop them first."""
+    zero = _zero_like(a, modulus)  # before trimming: a QuadExt zero carries p and d
+    a, b = _trim(a, n_out), _trim(b, n_out)
     if modulus is not None and len(a) >= _NUMPY_CUTOFF and len(b) >= _NUMPY_CUTOFF:
         # exact in int64: coefficients < m, sums bounded by len * m^2
         if min(len(a), len(b)) * modulus * modulus < 2**62:
-            c = np.convolve(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
-            return (c[:n_out] % modulus).tolist()
-    out = [_zero_like(a, modulus)] * n_out
-    for i, ai in enumerate(a[:n_out]):
+            c = (np.convolve(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))[:n_out] % modulus).tolist()
+            return c + [0] * (n_out - len(c))
+    out = [zero] * n_out
+    for i, ai in enumerate(a):
         if not ai:
             continue
         for j, bj in enumerate(b[: n_out - i]):
             if bj:
                 out[i + j] = out[i + j] + ai * bj
     return out if modulus is None else [c % modulus for c in out]
+
+
+def _trim(c: list, n: int) -> list:
+    """c below index n, less its trailing zeros."""
+    k = max(0, min(len(c), n))
+    while k and not c[k - 1]:
+        k -= 1
+    return c[:k]
 
 
 class TruncatedSeries:
@@ -531,23 +544,15 @@ class LaurentSeries:
         return off, a, b
 
     def __add__(self, other):
-        if isinstance(other, LaurentSeries):
-            off, a, b = self._align(other)
-            return LaurentSeries(off, a + b)
-        # exactly-known scalar; it sits at x^0, beyond a bound <= 0
-        if self.bound <= 0:
-            return self
-        if self.offset > 0:
-            return LaurentSeries(0, self.series.shift(self.offset)) + other
-        s = self.series
-        coeffs = list(s.coeffs)
-        coeffs[-self.offset] = _to_domain(coeffs[-self.offset] + other, s.modulus)
-        return LaurentSeries(self.offset, s._wrap(coeffs, s.precision))
-
-    __radd__ = __add__
+        if not isinstance(other, LaurentSeries):
+            return NotImplemented
+        off, a, b = self._align(other)
+        return LaurentSeries(off, a + b)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, LaurentSeries) else -1 * other)
+        if not isinstance(other, LaurentSeries):
+            return NotImplemented
+        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, LaurentSeries):
@@ -555,17 +560,6 @@ class LaurentSeries:
         return LaurentSeries(self.offset, self.series.scale(other))
 
     __rmul__ = __mul__
-
-    def inverse(self) -> "LaurentSeries":
-        norm = self.normalized()
-        if norm.series.precision == 0 or not norm.series.coeffs[0]:
-            raise ZeroDivisionError("cannot invert: zero to working precision")
-        return LaurentSeries(-norm.offset, norm.series.inverse())
-
-    def __truediv__(self, other):
-        if isinstance(other, LaurentSeries):
-            return self * other.inverse()
-        return self * _domain_inverse(other, self.modulus)
 
     def derivative(self) -> "LaurentSeries":
         s, m = self.series, self.modulus

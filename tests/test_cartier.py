@@ -28,8 +28,6 @@ from curveseq.curve import (
     CurveForm,
     CurveFunction,
     eta,
-    expand_form,
-    expand_function,
     expand_to_bound,
     fn_s,
     fn_y,
@@ -194,7 +192,7 @@ def series_route_refutes(p, invariants):
     coefficients: cartier_series on the first 61p + 1 coefficients of the
     (0, 2)-expansions, a fixed length and no pole budget."""
     n = p * (SERIES_ROUTE_COEFFS + 1) + 1
-    _, expansions = expand_to_bound([omega(p), eta(p)], partial(origin_place, +1, modulus=p), n)
+    expansions = expand_to_bound([omega(p), eta(p)], origin_place(+1, p), n)
     w_omega, w_eta = (TruncatedSeries([w.coefficient(k) for k in range(n)], n, p) for w in expansions)
     images = {"omega": cartier_series(w_omega, p), "eta": cartier_series(w_eta, p)}
     out = []
@@ -459,25 +457,45 @@ def test_pole_bound_image_decided_through_the_budget():
     assert all(r.v_image == 1 and r.ok for r in origin_rows)
 
 
-def test_expansion_bound_moves_with_the_chart_precision():
-    # each expansion is known below n + c with c independent of the chart's
-    # precision n, so the one trial of expand_to_bound lands on the bound
+def test_every_expansion_lands_on_the_requested_bound():
+    # offsets are read off exact valuations, so every expansion is known
+    # exactly below the bound asked for: alone or among other items, at a
+    # pole, a zero or a regular point, and for a bound below the valuation
     p = 11
     items = [omega(p), eta(p), xi_form((1, 2, 3, 4), p), x_shift_form(3, p), fn_s(p), fn_y(p)]
-    charts = [
-        partial(origin_place, -1, modulus=p),
-        partial(infinity_place, +1, modulus=p),
-        partial(half_pole_place, p, +1),
-    ]
-    for place_at in charts:
-        for item in items:
-            expand = expand_form if isinstance(item, CurveForm) else expand_function
-            assert len({expand(item, place_at(n)).bound - n for n in (20, 40, 80)}) == 1
-            _, [w] = expand_to_bound([item], place_at, 45)
-            assert w.bound == 45
-        # several items share one place, and the tightest lands on the bound
-        _, ws = expand_to_bound(items, place_at, 45)
-        assert min(w.bound for w in ws) == 45
+    places = [origin_place(-1, p), infinity_place(+1, p), half_pole_place(p, +1)]
+    for place in places:
+        for bound in (-5, 0, 1, 45, 3 * p):
+            for item in items:
+                [w] = expand_to_bound([item], place, bound)
+                assert w.bound == bound
+            assert [w.bound for w in expand_to_bound(items, place, bound)] == [bound] * len(items)
+
+
+def test_expansion_refuses_a_form_over_another_domain():
+    # one domain guard, in expand_to_bound: a form over Q or over another
+    # prime is refused by every caller, not expanded and reported ok
+    p = 7
+    for form in (xi_form((1, 2, 3, 4), 11), xi_form((1, 2, 3, 4))):
+        for check in (exactness_test, log_exactness_test, residue_check, pole_bound_check):
+            with pytest.raises(ValueError, match="must live over the scalar domain"):
+                check(form, p)
+
+
+@pytest.mark.parametrize("p", [7, 11, 23])
+def test_cartier_is_semilinear_over_the_half_pole_field(p):
+    # C(c^p w) = c C(w) for c = sqrt 65: the p-th root of a coefficient is
+    # the conjugation where 65 is a non-residue (11, 23) and the identity
+    # where it is a square (7)
+    [w] = expand_to_bound([xi_form((1, 2, 3, 4), p)], half_pole_place(p, +1), 6 * p)
+    c = QuadExt(0, 1, p, 65)
+    cp = c
+    for _ in range(p - 1):
+        cp = cp * c
+    lhs, rhs = cartier_laurent(w * cp, p), cartier_laurent(w, p) * c
+    assert lhs.bound == rhs.bound == 6
+    assert any(lhs.coefficient(e) != 0 for e in range(lhs.offset, 6))
+    assert all(lhs.coefficient(e) == rhs.coefficient(e) for e in range(min(lhs.offset, rhs.offset), 6))
 
 
 def test_pole_bound_v_minus_p():
@@ -559,7 +577,7 @@ def test_no_stronger_periodicity():
     # c_i dx/(1-x) has a pole there; check regularity of the image
     for i in (1, 2, 4):
         form = x_shift_form(i, p)
-        w = expand_form(form, origin_place(+1, 16 * p, p))
+        [w] = expand_to_bound([form], origin_place(+1, p), 16 * p)
         img = cartier_laurent(w, p)
         # image = sum c_{pn+i} x^(n-1) dx: a rational function regular at 1;
         # its first coefficients match the sequence directly
@@ -580,14 +598,15 @@ def test_half_pole_chart_is_the_root_of_q_above_minus_one_half():
     for p, split in ((7, True), (11, False)):
         one = QuadExt(1, 0, p, 65)
         shifted = [one * c for c in (Fraction(65, 16), 0, Fraction(-1, 2), 0, 1)]
-        places = {sign: half_pole_place(p, sign, n) for sign in (+1, -1)}
-        y0 = places[+1].y_series.coefficient(0)
+        places = {sign: half_pole_place(p, sign) for sign in (+1, -1)}
+        ys = {sign: expand_to_bound([fn_y(p)], place, n)[0] for sign, place in places.items()}
+        y0 = ys[+1].coefficient(0)
         assert y0 * y0 == one * Fraction(65, 16) and (y0.b == 0) == split
-        assert places[-1].y_series.coefficient(0) == -y0
-        for place in places.values():
-            assert place.x_series == LaurentSeries(0, TruncatedSeries([one * Fraction(-1, 2), one], n))
-            f, y0 = TruncatedSeries(shifted, n), place.y_series.coefficient(0)
-            assert (place.y_series.offset, place.y_series.series) == (0, f * f.inverse_sqrt(y0))
+        assert ys[-1].coefficient(0) == -y0
+        for sign, place in places.items():
+            assert (place.a, place.b) == (Polynomial([Fraction(-1, 2), 1], p), Polynomial([1], p))
+            f, y0 = TruncatedSeries(shifted, n), ys[sign].coefficient(0)
+            assert (ys[sign].offset, ys[sign].series) == (0, f * f.inverse_sqrt(y0))
 
 
 def test_infinity_chart_is_the_reversed_quartic():
@@ -596,24 +615,31 @@ def test_infinity_chart_is_the_reversed_quartic():
         for n in (1, 2, 5, 40):
             inner = TruncatedSeries([1, 2, 1, 0, 4], n, modulus)
             for sign in (+1, -1):
-                place = infinity_place(sign, n, modulus)
+                place = infinity_place(sign, modulus)
                 assert place.name == ("inf+" if sign > 0 else "inf-")
-                assert (place.y_series.offset, place.y_series.series) == (-2, inner * inner.inverse_sqrt(sign))
+                [y] = expand_to_bound([fn_y(modulus)], place, n - 2)
+                assert (y.offset, y.series) == (-2, inner * inner.inverse_sqrt(sign))
 
 
 def test_place_omega_is_dx_over_y():
-    # the chart's omega, a product with its one Newton series, against the
-    # division route x'(w)/y: same offset, coefficients and precision; at
+    # omega, a product with the chart's one Newton series, against the
+    # division route x'(w)/y: the same coefficients below the bound; at
     # (0, +-2) and inf+- over Q, Z/7 and Z/101 (n = 60 > _NUMPY_CUTOFF), and
     # above x = -1/2 at a split (7) and an inert (11) prime of F_p(sqrt 65)
     places = [
-        make(sign, n, modulus)
+        make(sign, modulus)
         for make in (origin_place, infinity_place)
         for sign in (+1, -1)
         for modulus in (None, 7, 101)
-        for n in (3, 60)
     ]
-    places += [half_pole_place(p, sign, n) for p in (7, 11) for sign in (+1, -1) for n in (3, 60)]
+    places += [half_pole_place(p, sign) for p in (7, 11) for sign in (+1, -1)]
     for place in places:
-        ref = place.x_series.derivative() / place.y_series
-        assert (place.omega.offset, place.omega.series) == (ref.offset, ref.series), place.name
+        m = place.a.modulus
+        x_fn = CurveFunction.rational(Polynomial([0, 1], m), m)
+        for n in (3, 60):
+            x, y, w = expand_to_bound([x_fn, fn_y(m), omega(m)], place, n)
+            yn = y.normalized()
+            ref = x.derivative() * LaurentSeries(-yn.offset, yn.series.inverse())
+            assert w.bound == n and ref.bound >= n - 1
+            known = range(min(w.offset, ref.offset), min(n, ref.bound))
+            assert [w.coefficient(e) for e in known] == [ref.coefficient(e) for e in known], place.name

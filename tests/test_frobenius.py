@@ -15,6 +15,7 @@ from curveseq.frobenius import (
     point_count,
     supersingular_scan,
 )
+from curveseq.series import LaurentSeries, TruncatedSeries
 
 ROUTE_CURVES = [(0, 1), (2, 3), (-1, 5)]
 
@@ -54,6 +55,11 @@ def test_hasse_bound_holds_everywhere():
                 assert td.trace**2 <= 4 * p
 
 
+def plus_constant(w: LaurentSeries, c) -> LaurentSeries:
+    """w + c, the constant known as far as w is."""
+    return w + LaurentSeries(0, TruncatedSeries([c], max(w.bound, 0), w.modulus))
+
+
 def test_origin_expansion_invariants():
     e = origin_expansion(0, 1, 14)
     assert e.c(1) == 1
@@ -61,12 +67,12 @@ def test_origin_expansion_invariants():
     assert e.y.offset == -3 and e.y.series.coeffs[0] == -1
     # x, y have integer coefficients up to t^10 for (0, 1)
     assert all(c.denominator == 1 for c in e.x.series.coeffs[:13])
-    # y = -x/t exactly: compare Laurent coefficients
-    ratio = e.x * e.y.inverse()
-    assert ratio.offset == 1 and ratio.series.coeffs[0] == -1
+    # y = -x/t exactly: compare Laurent coefficients of -t y and x
+    minus_t = LaurentSeries(1, TruncatedSeries([-1], e.y.series.precision))
+    assert e.y * minus_t == e.x
     # y^2 = x^3 + 1
     lhs = e.y * e.y
-    rhs = e.x * e.x * e.x + 1
+    rhs = plus_constant(e.x * e.x * e.x, 1)
     assert lhs == rhs
 
 
@@ -76,7 +82,7 @@ def test_origin_expansion_random_curve_equation():
         a, b = rng.randint(-3, 3), rng.randint(1, 4)
         e = origin_expansion(a, b, 12)
         lhs = e.y * e.y
-        rhs = e.x * e.x * e.x + a * e.x + b
+        rhs = plus_constant(e.x * e.x * e.x + a * e.x, b)
         assert lhs == rhs
 
 
@@ -87,7 +93,7 @@ def test_origin_expansion_odd_length(a, b, n_terms):
     e = origin_expansion(a, b, n_terms)
     assert e.x.series.precision == n_terms
     assert e.precision == e.omega.precision == n_terms - 1
-    assert e.y * e.y == e.x * e.x * e.x + a * e.x + b
+    assert e.y * e.y == plus_constant(e.x * e.x * e.x + a * e.x, b)
     assert all(e.c(n) == 0 for n in range(2, n_terms, 2))
     m = origin_expansion(a, b, n_terms, modulus=7**3)
     assert m.precision == n_terms - 1

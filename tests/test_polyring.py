@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from curveseq.exactnum import is_prime
 from curveseq.polyring import Polynomial, RationalFunction, resultant
-from curveseq.series import LaurentSeries, TruncatedSeries
+from curveseq.series import TruncatedSeries
 
 
 def test_polynomial_basics():
@@ -151,17 +151,6 @@ def test_rational_function_field_ops():
     )
 
 
-def test_eval_laurent():
-    f = Polynomial([1, 0, 1])  # 1 + x^2
-    xl = LaurentSeries(-1, TruncatedSeries([1], 8))  # x = 1/u
-    val = f.eval_laurent(xl)
-    assert val.coefficient(-2) == 1 and val.coefficient(0) == 1
-    r = RationalFunction(Polynomial([1]), Polynomial([1, -1]))  # 1/(1-x)
-    series_x = LaurentSeries(1, TruncatedSeries([1], 8))
-    expansion = r.eval_laurent(series_x)
-    assert [expansion.coefficient(k) for k in range(5)] == [Fraction(1)] * 5
-
-
 def test_reduce_mod():
     r = RationalFunction(Polynomial([Fraction(1, 2), 1]), Polynomial([3, 1]))
     rm = r.reduce_mod(7)
@@ -200,18 +189,3 @@ def test_polynomial_operations_stay_reduced(m):
     for got, want in pairs:
         assert all(isinstance(c, int) and 0 <= c < m for c in got.coeffs)
         assert got == want.reduce_mod(m)
-
-
-def test_eval_laurent_with_a_constant_beyond_the_bound():
-    # x = u^-1 + O(u^0): its bound 0 leaves the x^0 slot unknown, so adding a
-    # constant (as Horner does) keeps the series; it used to index past it
-    x = LaurentSeries(-1, TruncatedSeries([1], 1, 7))
-    assert Polynomial([1, 1], 7).eval_laurent(x) == x
-    for modulus in (None, 7):
-        for offset, precision in ((-1, 1), (-3, 2), (-2, 0)):
-            s = LaurentSeries(offset, TruncatedSeries([1, 2][:precision], precision, modulus))
-            total = s + 5
-            assert (total.offset, total.series) == (offset, s.series)
-        # a bound of 1 knows x^0, and the constant lands there
-        total = LaurentSeries(-1, TruncatedSeries([1, 2], 2, modulus)) + 5
-        assert total.series.coeffs == TruncatedSeries([1, 7], 2, modulus).coeffs
