@@ -597,9 +597,15 @@ def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespa
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parse(build_parser(), sys.argv[1:] if argv is None else argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parse(build_parser(), argv)
     try:
-        rep: Report = args.handler(args)
+        try:
+            rep: Report = args.handler(args)
+        except AssertionError as exc:
+            # a kernel self-check refuted a claim: one failed check, the message its witness
+            rep = Report(args.command, {"argv": list(argv)})
+            rep.add("kernel self-check", False, str(exc), {"refutation": str(exc)})
         _print_report(rep)
         sys.stdout.flush()
     except BrokenPipeError:

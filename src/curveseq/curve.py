@@ -87,11 +87,8 @@ class CurveFunction:
         zero = RationalFunction(Polynomial([], v.modulus))
         return cls(zero, v)
 
-    def is_zero(self) -> bool:
-        return self.u.is_zero() and self.v.is_zero()
-
     def __bool__(self):
-        return not self.is_zero()
+        return not (self.u.is_zero() and self.v.is_zero())
 
     def __eq__(self, other):
         if isinstance(other, CurveFunction):
@@ -130,9 +127,6 @@ class CurveFunction:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return -(self - other)
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -143,24 +137,6 @@ class CurveFunction:
         return CurveFunction(u, v)
 
     __rmul__ = __mul__
-
-    def inverse(self) -> "CurveFunction":
-        q = RationalFunction(q_polynomial(self.modulus))
-        norm = self.u * self.u - self.v * self.v * q
-        if norm.is_zero():
-            if self.is_zero():
-                raise ZeroDivisionError("inverse of zero")
-            raise ZeroDivisionError("zero norm (Q must remain a non-square)")
-        return CurveFunction(self.u / norm, -self.v / norm)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
 
     def derivative(self) -> "CurveFunction":
         """d/dx with y' = Q'(x)/(2y) rewritten as Q'(x) y / (2Q)."""
@@ -221,30 +197,6 @@ class CurveForm:
 
     def __repr__(self):
         return f"({self.g!r}) * omega"
-
-    def __add__(self, other):
-        if not isinstance(other, CurveForm):
-            return NotImplemented
-        return CurveForm(self.g + other.g)
-
-    def __sub__(self, other):
-        if not isinstance(other, CurveForm):
-            return NotImplemented
-        return CurveForm(self.g - other.g)
-
-    def __neg__(self):
-        return CurveForm(-self.g)
-
-    def __mul__(self, other):
-        # scaling by a function of the field
-        if isinstance(other, CurveForm):
-            raise TypeError("cannot multiply two forms")
-        return CurveForm(self.g * other)
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return self.g.is_zero()
 
 
 def omega(modulus: int | None = None) -> CurveForm:

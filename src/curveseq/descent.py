@@ -24,62 +24,13 @@ from dataclasses import dataclass
 from .cartier import require_good_prime
 from .exactnum import require_prime
 from .linalg import kernel_mod, solve_affine_mod
-from .polyring import Polynomial, RationalFunction
+from .polyring import Polynomial
 from .recurrence import A_COEFFS, B_COEFFS
 from .series import TruncatedSeries
 
 
 class DescentError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class PBasisDecomposition:
-    """u = sum_i components[i]^p x^i with components in F_p(x)."""
-
-    p: int
-    components: tuple[RationalFunction, ...]
-
-    def recombine(self) -> RationalFunction:
-        total = None
-        for i, comp in enumerate(self.components):
-            num = frobenius_power(comp.num, self.p)
-            den = frobenius_power(comp.den, self.p)
-            term = RationalFunction(num * Polynomial([0] * i + [1], self.p), den)
-            total = term if total is None else total + term
-        return total
-
-
-def frobenius_power(poly: Polynomial, p: int) -> Polynomial:
-    """poly^p over F_p: coefficients are fixed, exponents multiply by p."""
-    out = [0] * (p * poly.degree + 1) if not poly.is_zero() else []
-    for q, c in enumerate(poly.coeffs):
-        out[p * q] = c
-    return Polynomial(out, p)
-
-
-def poly_components(poly: Polynomial, p: int) -> list[Polynomial]:
-    """The p polynomials u_i with poly = sum u_i^p x^i (coefficient regrouping)."""
-    comps = [[] for _ in range(p)]
-    for n, c in enumerate(poly.coeffs):
-        q, i = divmod(n, p)
-        while len(comps[i]) <= q:
-            comps[i].append(0)
-        comps[i][q] = c
-    return [Polynomial(cs, p) for cs in comps]
-
-
-def p_decompose(u: RationalFunction | Polynomial, p: int) -> PBasisDecomposition:
-    """Unique p-basis decomposition of a rational function over F_p."""
-    require_prime(p)
-    if isinstance(u, Polynomial):
-        u = RationalFunction(u)
-    if u.modulus != p:
-        raise ValueError("u must be defined over F_p")
-    # u = n/d = (n d^(p-1)) / d^p; the numerator decomposes coefficientwise
-    n_star = u.num * u.den ** (p - 1)
-    comps = [RationalFunction(c, u.den) for c in poly_components(n_star, p)]
-    return PBasisDecomposition(p, tuple(comps))
 
 
 @dataclass(frozen=True)
@@ -106,20 +57,6 @@ class FirstOrderOperator:
 def main_operator(p: int | None = None) -> FirstOrderOperator:
     """A(x) d/dx - B(x), the operator annihilating the main generating function."""
     return FirstOrderOperator(Polynomial(A_COEFFS, p), -1 * Polynomial(B_COEFFS, p))
-
-
-def clear_denominator(
-    op: FirstOrderOperator, rhs: Polynomial, den: Polynomial
-) -> tuple[FirstOrderOperator, Polynomial]:
-    """Substitute phi = psi / den and clear: solutions with a declared
-    denominator (powers of x, 1 + 2x, Q, ...) become polynomial searches.
-
-    Gamma(psi/den) = u is equivalent to
-    (a1 den) psi' + (a0 den - a1 den') psi = u den^2.
-    """
-    a1 = op.a1 * den
-    a0 = op.a0 * den - op.a1 * den.derivative()
-    return FirstOrderOperator(a1, a0), rhs * den * den
 
 
 def polynomial_solution_search(p: int, degree_bound: int) -> Polynomial | None:
@@ -163,7 +100,6 @@ def _nullspace(op: FirstOrderOperator, degree_bound: int, p: int) -> list[list[i
 @dataclass
 class DescentResult:
     phi: Polynomial
-    components: tuple[Polynomial, ...]
     agreement: int  # series coefficients matched by phi
 
 
@@ -206,4 +142,4 @@ def descend_series_solution(
             agreement += 1
         else:
             break
-    return DescentResult(phi, tuple(poly_components(phi, p)), agreement)
+    return DescentResult(phi, agreement)

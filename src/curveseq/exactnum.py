@@ -240,15 +240,6 @@ class QuadExt:
     def __neg__(self):
         return QuadExt(-self.a, -self.b, self.p, self.d)
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return QuadExt(self.a - other.a, self.b - other.b, self.p, self.d)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
@@ -265,15 +256,6 @@ class QuadExt:
             raise ZeroDivisionError("non-unit in quadratic extension")
         ninv = pow(norm, -1, self.p)
         return QuadExt(self.a * ninv, -self.b * ninv, self.p, self.d)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
 
     def __eq__(self, other):
         other = self._coerce(other)

@@ -82,10 +82,6 @@ class OriginExpansion:
             raise IndexError("coefficients start at c_1")
         return self.omega[n - 1]
 
-    @property
-    def precision(self) -> int:
-        return self.omega.precision
-
 
 def origin_expansion(a, b, n_terms: int, modulus: int | None = None) -> OriginExpansion:
     """Solve x = t^-2 u(t) with u(0) = 1 from y^2 = x^3 + ax + b, y = -x/t.

@@ -280,9 +280,6 @@ class RationalFunction:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return -(self - other)
-
     def __mul__(self, other):
         other = _to_ratfunc(other, self.modulus)
         if other is None:
@@ -299,15 +296,9 @@ class RationalFunction:
             raise ZeroDivisionError("division by zero rational function")
         return RationalFunction(self.num * other.den, self.den * other.num)
 
-    def __rtruediv__(self, other):
-        return _to_ratfunc(other, self.modulus) / self
-
     def derivative(self) -> "RationalFunction":
         n, d = self.num, self.den
         return RationalFunction(n.derivative() * d - n * d.derivative(), d * d)
-
-    def __call__(self, x):
-        return self.num(x) / self.den(x)
 
     def reduce_mod(self, p: int) -> "RationalFunction":
         return RationalFunction(self.num.reduce_mod(p), self.den.reduce_mod(p))

@@ -98,9 +98,6 @@ class TruncatedSeries:
             raise IndexError(f"coefficient x^{n} beyond precision {self.precision}")
         return self.coeffs[n]
 
-    def __iter__(self):
-        return iter(self.coeffs)
-
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented

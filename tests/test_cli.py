@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import curveseq
-from curveseq import cartier, frobenius
+from curveseq import cartier, frobenius, modpspace
 from curveseq.cartier import legendre_hasse
 from curveseq.cli import main, report_from_json
 
@@ -284,6 +284,22 @@ def test_frobenius_routes_must_agree(monkeypatch, tmp_path, capsys):
     (check,) = [c for c in json.loads(path.read_text())["checks"] if c["name"].startswith("v_p(c_(p^2)) = 1")]
     assert check["status"] == "fail"
     assert [w["p"] for w in check["witness"]["routes_disagree"]] == [5, 11, 17]
+
+
+def test_refuting_self_check_is_a_failure_with_a_witness(monkeypatch, tmp_path, capsys):
+    # a tail vector off the closed form trips compute_vp's self-check: the
+    # run reports the refutation (exit 1, witness in the report), no traceback
+    monkeypatch.setattr(modpspace, "tail_vector_mod", lambda p: (1, 0, 0, 0))
+    path = tmp_path / "modp.json"
+    code = main(["modp-space", "--p", "7", "--json", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    assert "[FAIL] kernel self-check" in captured.out
+    report = json.loads(path.read_text())
+    assert report["params"] == {"argv": ["modp-space", "--p", "7", "--json", str(path)]}
+    (check,) = report["checks"]
+    assert check["status"] == "fail"
+    assert check["witness"] == {"refutation": "basis vector (1, 0, 0, 0) escapes the closed form at p = 7"}
 
 
 def test_frobenius_vp_limit_bounds_the_cross_check_only(tmp_path, capsys):

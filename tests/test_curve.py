@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from curveseq.curve import (
+    CurveForm,
     CurveFunction,
     PoleAtPlaceError,
     b_coefficient,
@@ -65,7 +66,12 @@ def test_function_field_arithmetic():
         RationalFunction(Polynomial([0, 0, 4, 16, 16]), q_polynomial())
     )
     z = fn_z()
-    assert z * z.inverse() == CurveFunction.rational(Polynomial([1]))
+    # z (x^2 + x - y) = -4, so 1/z = (y - x^2 - x)/4
+    z_inverse = CurveFunction(
+        RationalFunction(Polynomial([0, Fraction(-1, 4), Fraction(-1, 4)])),
+        RationalFunction(Polynomial([Fraction(1, 4)])),
+    )
+    assert z * z_inverse == CurveFunction.rational(Polynomial([1]))
     # d(z)/z expansion equals s/(2x) as functions: 2 dz = z xi
     assert (differential_of(z).g * 2) == (z * xi_s().g)
 
@@ -214,7 +220,7 @@ def test_l_integrality_and_sharpness():
 def test_xi_quadrature_special():
     res = xi_quadrature(MAIN_INITIAL_DATA, 40)
     assert res.f_series.coeffs[0] == 1 and all(v == 0 for v in res.f_series.coeffs[1:])
-    assert res.form.is_zero()
+    assert res.form == CurveForm(CurveFunction.rational(0))
     assert res.k1 == 0 and res.k2 == 0
     assert res.hyperplane_zero and res.derivative_matches and res.decomposition_exact
 
@@ -309,7 +315,7 @@ def test_expansion_is_multiplicative(modulus):
                 ef, eg, efg = expand_to_bound([f, g, f * g], place, 16)
                 assert agree(efg, ef * eg), place.name
             for form in forms:
-                ef, eform, eprod = expand_to_bound([f, form, form * f], place, 16)
+                ef, eform, eprod = expand_to_bound([f, form, CurveForm(form.g * f)], place, 16)
                 assert agree(eprod, ef * eform), place.name
 
 

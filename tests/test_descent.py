@@ -8,17 +8,13 @@ from curveseq.descent import (
     DescentError,
     FirstOrderOperator,
     _nullspace,
-    clear_denominator,
     descend_series_solution,
-    frobenius_power,
     main_operator,
-    p_decompose,
-    poly_components,
     polynomial_solution_search,
     solution_space_dimension,
 )
 from curveseq.exactnum import is_prime
-from curveseq.polyring import Polynomial, RationalFunction
+from curveseq.polyring import Polynomial
 from curveseq.series import TruncatedSeries
 
 GOOD_PRIMES = [p for p in range(3, 32) if is_prime(p) and p not in BAD_PRIMES]
@@ -27,40 +23,6 @@ GOOD_PRIMES = [p for p in range(3, 32) if is_prime(p) and p not in BAD_PRIMES]
 def known_polynomial_solution(p: int) -> Polynomial:
     """x(2x+1) Q(x)^((p-1)/2) over F_p, of degree 2p."""
     return Polynomial([0, 1, 2], p) * Polynomial([4, 0, 1, 2, 1], p) ** ((p - 1) // 2)
-
-
-def test_p_decompose_monomial():
-    d = p_decompose(Polynomial([0, 0, 0, 0, 0, 1], 3), 3)  # x^5 = (x)^3 x^2
-    assert d.components[2] == RationalFunction(Polynomial([0, 1], 3))
-    assert d.components[0].is_zero() and d.components[1].is_zero()
-
-
-def test_p_decompose_constant():
-    d = p_decompose(Polynomial([2], 5), 5)
-    assert d.components[0] == RationalFunction(Polynomial([2], 5))
-    assert d.recombine() == RationalFunction(Polynomial([2], 5))
-
-
-def test_p_decompose_rational_roundtrip_random():
-    rng = random.Random(6)
-    for p in (3, 5, 7):
-        for _ in range(67):
-            num = Polynomial([rng.randrange(p) for _ in range(5)], p)
-            den = Polynomial([rng.randrange(p) for _ in range(3)] + [1], p)
-            if num.is_zero():
-                num = Polynomial([1], p)
-            u = RationalFunction(num, den)
-            assert p_decompose(u, p).recombine() == u
-
-
-def test_poly_components_recombine():
-    p = 5
-    poly = Polynomial(list(range(1, 14)), p)
-    comps = poly_components(poly, p)
-    total = Polynomial([], p)
-    for i, c in enumerate(comps):
-        total = total + frobenius_power(c, p) * Polynomial([0] * i + [1], p)
-    assert total == poly
 
 
 def test_polynomial_solution_search():
@@ -120,14 +82,17 @@ def test_descend_recovers_curve_polynomial():
 
 def test_descend_with_declared_denominator():
     # Gamma = (1-x)^2 d/dx, u = 1: the series solution 1 + x + x^2 + ... is the
-    # rational function 1/(1-x); searching psi = phi (1-x) finds psi = 1
+    # rational function 1/(1-x); searching psi = phi (1-x) finds psi = 1.
+    # phi = psi/den turns Gamma(phi) = u into
+    # (a1 den) psi' + (a0 den - a1 den') psi = u den^2
     p = 5
     den = Polynomial([1, -1], p)
     op = FirstOrderOperator(den * den, Polynomial([], p))
     rhs = Polynomial([1], p)
     geometric = TruncatedSeries([1] * 12, 12, p)
     assert op.apply_series(geometric) == TruncatedSeries([1], 11, p)
-    op2, rhs2 = clear_denominator(op, rhs, den)
+    op2 = FirstOrderOperator(op.a1 * den, op.a0 * den - op.a1 * den.derivative())
+    rhs2 = rhs * den * den
     psi_series = geometric * TruncatedSeries(den.coeffs, 12, p)  # = 1
     res = descend_series_solution(op2, rhs2, psi_series, p, 6)
     assert res.phi == Polynomial([1], p)
@@ -183,9 +148,5 @@ def test_descend_matches_exhaustive_search_over_f3():
         assert res.phi.degree <= bound
         assert op.apply_poly(res.phi) == rhs
         assert all(res.phi[n] == series.coeffs[n] for n in range(pins))
-        total = Polynomial([], p)
-        for i, c in enumerate(res.components):
-            total = total + frobenius_power(c, p) * Polynomial([0] * i + [1], p)
-        assert len(res.components) == p and total == res.phi
         solved += 1
     assert raised >= 10 and solved >= 10

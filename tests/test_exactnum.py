@@ -193,6 +193,6 @@ def test_quadext_field_ops():
     y = QuadExt(5, 1, 11, 65)
     assert x + y == QuadExt(7, 4, 11, 65)
     assert x * y == QuadExt((2 * 5 + 65 * 3) % 11, (2 + 15) % 11, 11, 65)
-    assert (x / y) * y == x
+    assert (x * y.inverse()) * y == x
     assert x * x.inverse() == QuadExt(1, 0, 11, 65)
     assert bool(QuadExt(0, 0, 11, 65)) is False

@@ -1,61 +1,164 @@
 """Lint guards: every name a module of the package imports is used there,
 every import sits at module level, only the operator translator builds a
-Recurrence, every public function, class, method,
-property or UPPER_CASE module constant is called (a constant: read) by the
-package or the benchmark, or is listed in TEST_ONLY with the route or claim
-it serves, every defaulted parameter of a public function or method is
-passed by some call, and every call the benchmark makes into the package
-binds to the current signature.
+Recurrence, every public class and UPPER_CASE module constant is named (a
+constant: read) by the package or the benchmark, every function and method
+of the package is reached at run time, every defaulted parameter of a public
+function or method is passed by some call, and every call the benchmark
+makes into the package binds to the current signature.
 
-No linter is a dependency of the project, so the check walks the syntax
-tree with the standard library.
+"Reached" is decided by running the program in one child process with
+``sys.setprofile`` set before the package is imported: every README CLI
+example, one small pass of each benchmark workload, and the one call that
+each TEST_ONLY entry gives.  A function or method counts as reached when that
+run enters its code object, named by module and ``co_qualname``, so two
+classes' methods of the same name are told apart; what no run enters must be
+listed as a test reference or a failure path, with its reason.
+
+No linter is a dependency of the project, so the checks walk the syntax
+tree and the code objects with the standard library.
 """
 
 import ast
+import contextlib
 import importlib
 import inspect
+import io
+import json
+import shlex
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "curveseq"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "curveseq"
 MODULES = sorted(PACKAGE.glob("*.py"))
-BENCHMARK = sorted((PACKAGE.parents[1] / "perfbench").rglob("*.py"))
+BENCHMARK = sorted((ROOT / "perfbench").rglob("*.py"))
 TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
-#: The public names (functions, classes, methods or properties as
-#: ``Class.name``, and UPPER_CASE module constants) that no module of the
-#: package and no benchmark file calls or reads, each with the route or
-#: claim it serves; the tests use them.
+#: The UPPER_CASE module constants that no module of the package and no
+#: benchmark file reads, each with the claim it serves; the tests read them.
+UNREAD_CONSTANTS = {
+    "FOOTNOTE_RECURRENCE": "contrast fixture: a second recurrence for the recurrence kernels",
+}
+
+#: The functions and methods (module.co_qualname) that neither a README
+#: example nor a benchmark pass enters, each with the route or claim it
+#: serves and the smallest call, a Python expression over the package's
+#: modules, that enters it.
 TEST_ONLY = {
     # independent oracles and routes
-    "vp_bruteforce_literal": "V_p oracle: plain enumeration against vp_bruteforce_mask",
-    "extend_modp_exhaustive": "V_p oracle: every combination of free choices",
-    "dieudonne_exponents_peeling": "Dieudonne exponents: factor peeling against the Moebius formula",
-    "xi_obstruction_matrix": "V_p: the series route through the xi forms",
-    "cartier_series": "the Cartier operator on F_p[[x]]: the series reference route",
+    "modpspace.vp_bruteforce_literal": (
+        "V_p oracle: plain enumeration against vp_bruteforce_mask",
+        "modpspace.vp_bruteforce_literal(3, 1)",
+    ),
+    "recurrence.extend_modp_exhaustive": (
+        "V_p oracle: every combination of free choices",
+        "recurrence.extend_modp_exhaustive(recurrence.MAIN_RECURRENCE, (0, 1, 2, 0, 3), 7, 10)",
+    ),
+    "series.dieudonne_exponents_peeling": (
+        "Dieudonne exponents: factor peeling against the Moebius formula",
+        "series.dieudonne_exponents_peeling(series.TruncatedSeries([1, 1], 2), 1)",
+    ),
+    "modpspace.xi_obstruction_matrix": (
+        "V_p: the series route through the xi forms",
+        "modpspace.xi_obstruction_matrix(7)",
+    ),
+    "cartier.cartier_series": (
+        "the Cartier operator on F_p[[x]]: the series reference route",
+        "cartier.cartier_series(series.TruncatedSeries([0, 0, 1], 3, 3), 3)",
+    ),
     # routes of the acceptance criteria
-    "dieudonne_exponents": "criterion 14: Dieudonne exponents round trip",
-    "xi_quadrature": "criterion 06: the ODE solved by quadrature",
-    "polynomial_solution_search": "criterion 13: the degree-2p polynomial solution",
-    "solution_space_dimension": "criterion 13: a one-dimensional solution space",
-    # claims and references only the tests check
-    "pole_bound_check": "pole bounds of the Cartier image",
-    "residue_check": "residues of the xi forms",
-    "reduce_form": "reference for the F_p reading of xi_form",
-    "x_shift_form": "C(2x^(-i) t omega) reads c_(pn+i)",
-    "expand_at_origin": "Taylor expansion of s at (0, 2) against the recurrence",
-    "p_decompose": "p-basis decomposition over F_p(x)",
-    "clear_denominator": "descent with a declared denominator",
-    "generalized_binomial": "reference for the binomials of _mul_one_minus_xm_power",
-    "FOOTNOTE_RECURRENCE": "contrast fixture: a second recurrence for the recurrence kernels",
-    # methods and properties only the tests call
-    "PBasisDecomposition.recombine": "p-basis decomposition: sum u_i^p x^i gives back u",
-    "ModPSolution.free_choices": "extend_modp: the value taken at each free index",
-    "RhsForms.r_is_multiple_of_b": "R is a multiple of B(x) exactly for special data",
-    "TruncatedSeries.agrees_with": "Dieudonne exponents: reconstruction against the series",
-    "DieudonneExponents.reconstruct": "criterion 14: Dieudonne exponents round trip",
+    "series.dieudonne_exponents": (
+        "criterion 14: Dieudonne exponents by the Moebius formula",
+        "series.dieudonne_exponents(series.TruncatedSeries([1, 1], 2), 1)",
+    ),
+    "series.DieudonneExponents.reconstruct": (
+        "criterion 14: Dieudonne exponents round trip",
+        "series.dieudonne_exponents(series.TruncatedSeries([1, 1], 2), 1).reconstruct()",
+    ),
+    "curve.xi_quadrature": (
+        "criterion 06: the ODE solved by quadrature",
+        "curve.xi_quadrature(recurrence.MAIN_INITIAL_DATA, 4)",
+    ),
+    "descent.polynomial_solution_search": (
+        "criterion 13: the degree-2p polynomial solution",
+        "descent.polynomial_solution_search(7, 14)",
+    ),
+    "descent.solution_space_dimension": (
+        "criterion 13: a one-dimensional solution space",
+        "descent.solution_space_dimension(7, 14)",
+    ),
+    # claims only the tests check
+    "cartier.pole_bound_check": (
+        "pole bounds of the Cartier image, at places over F_p(sqrt 65) too",
+        "cartier.pole_bound_check(curve.omega(7), 7)",
+    ),
+    "cartier.residue_check": (
+        "residues of the xi forms",
+        "cartier.residue_check(curve.omega(7), 7)",
+    ),
+    "cartier.x_shift_form": (
+        "C(2x^(-i) t omega) reads c_(pn+i)",
+        "cartier.x_shift_form(1, 7)",
+    ),
+    "curve.expand_at_origin": (
+        "Taylor expansion of s at (0, 2) against the recurrence",
+        "curve.expand_at_origin(curve.fn_s(), 4)",
+    ),
+    "cli.Report.skip": (
+        "a check the arguments leave out or that examines nothing reports skip, not pass",
+        "cli.Report('seq', {}).skip('golden-c5')",
+    ),
+    "recurrence.RhsForms.r_is_multiple_of_b": (
+        "R is a multiple of B(x) exactly for special data",
+        "recurrence.rhs_forms(recurrence.MAIN_INITIAL_DATA).r_is_multiple_of_b()",
+    ),
+    "recurrence.ModPSolution.ok": (
+        "extend_modp: a run holds iff no residual is nonzero",
+        "recurrence.extend_modp(recurrence.MAIN_RECURRENCE, (0, 1, 2, 0, 3), 7, 10).ok",
+    ),
+    "recurrence.ModPSolution.free_choices": (
+        "extend_modp: the value taken at each free index",
+        "recurrence.extend_modp(recurrence.MAIN_RECURRENCE, (0, 1, 2, 0, 3), 7, 10).free_choices",
+    ),
+    "series.TruncatedSeries.agrees_with": (
+        "Dieudonne exponents: reconstruction against the series",
+        "series.TruncatedSeries([1], 1).agrees_with(series.TruncatedSeries([1], 1), 1)",
+    ),
+    "series.DieudonneExponents.__getitem__": (
+        "Dieudonne exponents: a_m read by its index",
+        "series.dieudonne_exponents(series.TruncatedSeries([1, 1], 2), 1)[1]",
+    ),
 }
+
+#: The functions and methods no run enters, kept as the reference a test
+#: checks another behaviour against, each with that use.
+REFERENCES = {
+    "cartier.reduce_form": "test_cartier: the F_p reading of xi_form against the reduced Q form",
+    "polyring.Polynomial.reduce_mod": "reduce_form's reduction of a numerator or denominator",
+    "polyring.RationalFunction.reduce_mod": "reduce_form's reduction of a component",
+    "exactnum.generalized_binomial": "test_series: the binomials of _mul_one_minus_xm_power",
+    # the Laurent arithmetic test_curve, test_frobenius and test_cartier check expansions with
+    "series.LaurentSeries.__mul__": "products of chart and origin expansions",
+    "series.LaurentSeries.__neg__": "differences of expansions",
+    "series.LaurentSeries.__sub__": "differences of expansions",
+    "series.LaurentSeries.derivative": "x'(w) of a chart against the expansion of omega",
+    "series.LaurentSeries.normalized": "equality of expansions",
+    "series.LaurentSeries.is_zero": "equality of expansions",
+}
+
+#: The functions and methods entered only when a check fails, is skipped or
+#: refuses its input, each with that path.
+FAILURE_PATHS = {
+    "curve.PoleAtPlaceError.__init__": "expand_at_origin of a function with a pole at (0, 2)",
+    "series.CongruenceReport.first_failure": "curveseq congruence: the witness of a refuted congruence",
+}
+
+#: Value-type dunders: they are no claim's route, so no run must enter them.
+EXEMPT = ("__eq__", "__hash__", "__repr__", "__setattr__", "__bool__")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -197,31 +300,23 @@ def _is_constant(name: str) -> bool:
 
 
 def uncalled_public_names(defining: list[str], calling: list[str]) -> set[str]:
-    """Public module-level functions and classes of the ``defining`` sources,
-    the public methods and properties of their classes (as ``Class.name``),
-    and their UPPER_CASE module constants, that no ``calling`` source names.
-    A function or class is named as a Name or an attribute, a method or
-    property as an attribute, and a constant only where a Name or an
+    """Public module-level classes of the ``defining`` sources, and their
+    UPPER_CASE module constants, that no ``calling`` source names.  A class
+    is named as a Name or an attribute, a constant only where a Name or an
     attribute loads it: the assignment that defines it does not read it.  A
-    Name that an enclosing function binds is a local variable, not a
-    caller."""
-    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
-    defined = {}  # reported name -> the name a caller writes
-    constants = set()
+    Name that an enclosing function binds is a local variable, not a caller.
+    Functions and methods are left to the reach guard below."""
+    defined, constants = set(), set()
     for source in defining:
         for node in ast.parse(source).body:
-            if isinstance(node, functions + (ast.ClassDef,)) and not node.name.startswith("_"):
-                defined[node.name] = node.name
-            if isinstance(node, ast.ClassDef):
-                for item in node.body:
-                    if isinstance(item, functions) and not item.name.startswith("_"):
-                        defined[f"{node.name}.{item.name}"] = item.name
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                defined.add(node.name)
             targets = node.targets if isinstance(node, ast.Assign) else [node.target] if isinstance(node, ast.AnnAssign) else []
             for target in targets:
                 for name in ast.walk(target):
                     if isinstance(name, ast.Name) and _is_constant(name.id):
                         constants.add(name.id)
-    names, attributes, loaded = set(), set(), set()
+    named, loaded = set(), set()
     for source in calling:
         stack = [(ast.parse(source), frozenset())]
         while stack:
@@ -229,84 +324,60 @@ def uncalled_public_names(defining: list[str], calling: list[str]) -> set[str]:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 bound = bound | local_names(node)
             if isinstance(node, ast.Name) and node.id not in bound:
-                names.add(node.id)
+                named.add(node.id)
                 if isinstance(node.ctx, ast.Load):
                     loaded.add(node.id)
             elif isinstance(node, ast.Attribute):
-                attributes.add(node.attr)
+                named.add(node.attr)
                 if isinstance(node.ctx, ast.Load):
                     loaded.add(node.attr)
             stack.extend((child, bound) for child in ast.iter_child_nodes(node))
-    uncalled = {
-        name
-        for name, written in defined.items()
-        if written not in attributes and ("." in name or written not in names)
-    }
-    return uncalled | (constants - loaded)
+    return (defined - named) | (constants - loaded)
 
 
 def test_every_public_name_has_a_caller():
     package = [path.read_text() for path in MODULES]
     benchmark = [path.read_text() for path in BENCHMARK]
     assert benchmark
-    # exact: a name that gained a caller or was deleted leaves the table too
-    assert uncalled_public_names(package, package + benchmark) == set(TEST_ONLY)
+    # exact: a constant that gained a reader or was deleted leaves the table too
+    assert uncalled_public_names(package, package + benchmark) == set(UNREAD_CONSTANTS)
 
 
 def test_guard_flags_an_uncalled_public_name():
     package = (
         "def used():\n"
-        "    return _private()\n"
-        "def planted():\n"
-        "    return 1\n"
-        "def _private():\n"
-        "    return 2\n"
+        "    return Shape()\n"
         "class Shape:\n"
         "    def method(self):\n"
-        "        return used()\n"
-    )
-    benchmark = "import m\nm.Shape().method()\n"
-    assert uncalled_public_names([package], [package, benchmark]) == {"planted"}
-    assert uncalled_public_names([package], [package]) == {"planted", "Shape", "Shape.method"}
-
-
-def test_guard_flags_an_uncalled_public_method():
-    # a method or property is called only through an attribute: a function
-    # of the same name called as a Name does not call it
-    package = (
-        "class Shape:\n"
-        "    @property\n"
-        "    def area(self):\n"
-        "        return self._side() ** 2\n"
-        "    def _side(self):\n"
         "        return 1\n"
-        "    def planted(self):\n"
-        "        return 2\n"
-        "    def scaled(self):\n"
-        "        return 3\n"
-        "def scaled():\n"
-        "    return Shape().area\n"
-        "x = scaled()\n"
+        "class Planted:\n"
+        "    pass\n"
+        "class _Private:\n"
+        "    pass\n"
+        "class Benchmarked:\n"
+        "    pass\n"
     )
-    assert uncalled_public_names([package], [package]) == {"Shape.planted", "Shape.scaled"}
+    benchmark = "import m\nm.Benchmarked()\n"
+    assert uncalled_public_names([package], [package, benchmark]) == {"Planted"}
+    assert uncalled_public_names([package], [package]) == {"Planted", "Benchmarked"}
 
 
 def test_guard_flags_a_public_name_shadowed_by_a_local():
     # an argument or an assignment target of the same name is no caller
     package = (
-        "def planted():\n"
-        "    return 1\n"
-        "def takes(planted):\n"
-        "    return planted + 1\n"
+        "class Planted:\n"
+        "    pass\n"
+        "def takes(Planted):\n"
+        "    return Planted\n"
         "def assigns():\n"
-        "    planted = 2\n"
-        "    return [planted for _ in range(planted)]\n"
-        "def called():\n"
-        "    return 3\n"
-        "def caller(planted):\n"
-        "    return lambda: called() + planted\n"
+        "    Planted = 2\n"
+        "    return [Planted for _ in range(Planted)]\n"
+        "class Called:\n"
+        "    pass\n"
+        "def caller(Planted):\n"
+        "    return lambda: (Called(), Planted)\n"
     )
-    assert uncalled_public_names([package], [package]) == {"planted", "caller", "takes", "assigns"}
+    assert uncalled_public_names([package], [package]) == {"Planted"}
 
 
 def test_guard_flags_an_unread_public_constant():
@@ -325,6 +396,176 @@ def test_guard_flags_an_unread_public_constant():
     benchmark = "import m\nm.PLANTED = (3,)\nprint(m.USED_BY_BENCHMARK)\n"
     assert uncalled_public_names([package], [package, benchmark]) == {"PLANTED", "PAIR_B"}
     assert uncalled_public_names([package], [package]) == {"PLANTED", "PAIR_B", "USED_BY_BENCHMARK"}
+
+
+_COMPREHENSIONS = ("<listcomp>", "<setcomp>", "<dictcomp>", "<genexpr>")
+
+
+def package_functions(sources: dict[str, str]) -> set[str]:
+    """module.co_qualname of every function, method, lambda and nested
+    function that ``sources`` (module name -> source) define.  A
+    comprehension is part of the function it sits in; a class body or a
+    module body is no function."""
+    found = set()
+    stack = [(module, compile(source, module, "exec")) for module, source in sources.items()]
+    while stack:
+        module, code = stack.pop()
+        for const in code.co_consts:
+            if inspect.iscode(const):
+                if const.co_flags & inspect.CO_OPTIMIZED and const.co_name not in _COMPREHENSIONS:
+                    found.add(f"{module}.{const.co_qualname}")
+                stack.append((module, const))
+    return found
+
+
+def reach_findings(functions: set[str], entered: set[str], routes: dict[str, set[str]], listed: set[str]) -> list[str]:
+    """The reach guard's decision: one line per fault, sorted.
+
+    ``functions`` are the package's functions (package_functions),
+    ``entered`` those the program's run entered, ``routes`` what each
+    TEST_ONLY call entered, by entry, and ``listed`` the names kept as test
+    references or failure paths.  A function is reached when the program or
+    a route's call enters it.  The faults: a function neither reached nor
+    listed (the EXEMPT dunders aside), a route whose call does not enter its
+    own function, an entry that names no function, and an entry for a
+    function that is reached without it."""
+    reached = entered.union(*routes.values())
+    table = set(routes) | listed
+    out = [
+        f"{name}: never entered and not listed"
+        for name in functions - reached - table
+        if name.rsplit(".", 1)[-1] not in EXEMPT
+    ]
+    out += [f"{name}: its call does not enter it" for name in set(routes) & functions if name not in routes[name]]
+    out += [f"{name}: stale entry, no such function" for name in table - functions]
+    out += [f"{name}: reached, needs no entry" for name in (set(routes) & entered) | (listed & reached)]
+    return sorted(out)
+
+
+def readme_examples() -> list[list[str]]:
+    """The arguments of every CLI example in the README, less any --json."""
+    block = (ROOT / "README.md").read_text().split("## CLI", 1)[1].split("```")[1]
+    examples = []
+    for line in block.splitlines():
+        words = shlex.split(line.split("#")[0])
+        if words[:1] == ["curveseq"]:
+            if "--json" in words:
+                i = words.index("--json")
+                del words[i : i + 2]
+            examples.append(words[1:])
+    return examples
+
+
+def reach_run(out: Path):
+    """The guard's child process: with the profile set before the package
+    is imported, run every README example (with --json), one small pass of
+    each benchmark workload and every TEST_ONLY call, and write to ``out``
+    the package functions each entered; reports go next to ``out``."""
+    seen = [set()]
+
+    def record(frame, event, arg):
+        if event == "call":
+            seen[-1].add(frame.f_code)
+
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    sys.setprofile(record)
+    cli = importlib.import_module("curveseq.cli")
+    assert Path(cli.__file__).parent == PACKAGE, cli.__file__
+    workloads = importlib.import_module("workloads")
+    tmp = out.parent
+    examples = readme_examples()
+    assert ["all", "--seed", "7"] in examples, examples
+    for argv in examples:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main([*argv, "--json", str(tmp / "report.json")]) == 0, argv
+    checks = workloads.Checks()
+    small = (
+        workloads.Suite(0, tmp),
+        workloads.Sporadic(0, tmp, ladder_top=50),
+        workloads.Modp(0, tmp, vp_primes=(7,), supersingular_pmax=20, asd_primes=(5,),
+                       extend_primes=(7,), descent_primes=(7,)),
+    )
+    for wl in small:
+        wl.run_pass(checks)
+    assert checks.attempted and not checks.failed, checks.failures
+    modules = {path.stem: importlib.import_module(f"curveseq.{path.stem}") for path in MODULES if path.stem != "__init__"}
+    for _, call in TEST_ONLY.values():
+        seen.append(set())
+        eval(call, dict(modules))
+    sys.setprofile(None)
+
+    def names(codes):
+        return sorted({f"{Path(c.co_filename).stem}.{c.co_qualname}" for c in codes if Path(c.co_filename).parent == PACKAGE})
+
+    routes = {name: names(codes) for name, codes in zip(TEST_ONLY, seen[1:])}
+    out.write_text(json.dumps({"entered": names(seen[0]), "routes": routes}))
+
+
+def test_every_function_is_reached(tmp_path):
+    out = tmp_path / "reach.json"
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, __file__, str(out)], cwd=tmp_path, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    print(f"reach guard child: {time.perf_counter() - start:.2f} s")
+    run = json.loads(out.read_text())
+    functions = package_functions({path.stem: path.read_text() for path in MODULES})
+    routes = {name: set(entered) for name, entered in run["routes"].items()}
+    # exact: an entry whose function gained a caller or was deleted leaves the table too
+    assert reach_findings(functions, set(run["entered"]), routes, set(REFERENCES) | set(FAILURE_PATHS)) == []
+
+
+def test_reach_guard_names_every_function_by_its_qualified_name():
+    source = (
+        "def f():\n"
+        "    def inner():\n"
+        "        return [x for x in ()]\n"
+        "    return inner, lambda: 0\n"
+        "class C:\n"
+        "    @property\n"
+        "    def area(self):\n"
+        "        return sum(x for x in ())\n"
+    )
+    assert package_functions({"m": source}) == {"m.f", "m.f.<locals>.inner", "m.f.<locals>.<lambda>", "m.C.area"}
+
+
+def test_guard_flags_an_uncalled_public_method():
+    # two classes with a method of the same name: entering one does not reach the other
+    source = (
+        "class A:\n"
+        "    def area(self):\n"
+        "        return 1\n"
+        "class B:\n"
+        "    def area(self):\n"
+        "        return 2\n"
+        "    def __repr__(self):\n"
+        "        return 'B'\n"
+    )
+    functions = package_functions({"m": source})
+    assert reach_findings(functions, {"m.A.area"}, {}, set()) == ["m.B.area: never entered and not listed"]
+    assert reach_findings(functions, {"m.A.area"}, {}, {"m.B.area"}) == []
+    assert reach_findings(functions, {"m.A.area"}, {"m.B.area": {"m.B.area"}}, set()) == []
+
+
+def test_reach_guard_flags_a_stale_entry():
+    functions = {"m.f"}
+    assert reach_findings(functions, {"m.f"}, {"m.retired": set()}, set()) == ["m.retired: stale entry, no such function"]
+    assert reach_findings(functions, {"m.f"}, {}, {"m.retired"}) == ["m.retired: stale entry, no such function"]
+
+
+def test_reach_guard_flags_a_route_that_misses_its_function():
+    functions = {"m.f", "m.g"}
+    # f's call enters g only: f is in the table, so only the route is at fault
+    assert reach_findings(functions, set(), {"m.f": {"m.g"}, "m.g": {"m.g"}}, set()) == ["m.f: its call does not enter it"]
+
+
+def test_reach_guard_flags_an_entry_that_needs_none():
+    functions = {"m.f", "m.g", "m.h"}
+    routes = {"m.f": {"m.f", "m.h"}}
+    # f is entered by the program, h by f's call: neither needs its entry
+    assert reach_findings(functions, {"m.f", "m.g"}, routes, {"m.h"}) == [
+        "m.f: reached, needs no entry",
+        "m.h: reached, needs no entry",
+    ]
 
 
 def defaulted_parameters(defining: list[str]) -> dict[str, list[tuple[str, str, int | None]]]:
@@ -493,3 +734,7 @@ def test_guard_flags_a_call_that_does_not_bind():
         "curveseq.modpspace.union_check (line 8)",
         "curveseq.modpspace.retired_helper (line 9)",
     ]
+
+
+if __name__ == "__main__":
+    reach_run(Path(sys.argv[1]))

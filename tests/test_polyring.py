@@ -141,12 +141,13 @@ def test_rational_function_reduction():
 
 def test_rational_function_field_ops():
     x = RationalFunction(Polynomial([0, 1]))
-    one_over_x = 1 / x
+    one = RationalFunction(Polynomial([1]))
+    one_over_x = one / x
     assert x * one_over_x == 1
     assert (x + one_over_x) - one_over_x == x
     d = (x * x).derivative()
     assert d == RationalFunction(Polynomial([0, 2]))
-    assert (1 / (1 - x)).derivative() == RationalFunction(
+    assert (one / (-x + 1)).derivative() == RationalFunction(
         Polynomial([1]), Polynomial([1, -2, 1])
     )
 
