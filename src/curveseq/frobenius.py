@@ -9,8 +9,10 @@ the Atkin-Swinnerton-Dyer congruences
 with f_p the trace of Frobenius; when f_p = 0 the sequence first loses
 p-integrality upon integration at the t^(p^2) term.
 
-The curve equation has only even powers of t, so c_n = 0 for even n and the
-expansion is computed in s = t^2 at half the length.  Honda's formula
+The curve equation involves t only through t^(2g), g = gcd of the
+t^2-exponents of its nonzero terms (g = 3 for A = 0, 2 for B = 0, else 1), so
+c_n = 0 unless n = 1 mod 2g, and the expansion is computed in r = t^(2g) at
+1/(2g) of the length.  Honda's formula
 
     c_n = [x^(n-1)] (x^3 + Ax + B)^((n-1)/2)
 
@@ -21,6 +23,7 @@ residue against the expansion.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -86,43 +89,51 @@ class OriginExpansion:
 def origin_expansion(a, b, n_terms: int, modulus: int | None = None) -> OriginExpansion:
     """Solve x = t^-2 u(t) with u(0) = 1 from y^2 = x^3 + ax + b, y = -x/t.
 
-    u satisfies u^3 - u^2 + a u t^4 + b t^6 = 0, which has only even powers
-    of t, so u(t) = v(t^2) with v^3 - v^2 + a v s^2 + b s^3 = 0.  v is
-    computed by Newton iteration at half the length, and then
-    omega/dt = 1 - t u'/(2u) = 1 - s v'(s)/v(s) at s = t^2: c_n = 0 for
-    even n.  All coefficients lie in Z[a, b].
+    u satisfies u^3 - u^2 + a u t^4 + b t^6 = 0, which involves t only
+    through r = t^(2g), g = gcd of the t^2-exponents 2 (if a != 0) and
+    3 (if b != 0), so u(t) = v(r) with v^3 - v^2 + a v r^(2/g) + b r^(3/g)
+    = 0.  v is computed by Newton iteration at 1/(2g) of the length, and
+    then omega/dt = 1 - t u'/(2u) = 1 - g r v'(r)/v(r): c_n = 0 unless
+    n = 1 mod 2g.  All coefficients lie in Z[a, b].
     """
     if n_terms < 4:
         raise ValueError("need at least 4 terms")
     if modulus is not None and modulus % 2 == 0:
         raise ValueError("modulus must be odd")
-    half = (n_terms + 1) // 2
-    a_s2 = TruncatedSeries([0, 0, a], half, modulus)
-    b_s3 = TruncatedSeries([0, 0, 0, b], half, modulus)
+    # at a = b = 0, u = 1 and every stride holds; gcd(0, 0) = 0 is none
+    g = math.gcd(2 if a else 0, 3 if b else 0) or 1
+    stride = 2 * g
+    # a t^4 = a r^(4/stride), b t^6 = b r^(6/stride); the floor division
+    # is exact whenever the term is nonzero
+    ea, eb = 4 // stride, 6 // stride
+    length = -(-n_terms // stride)
+    a_r = TruncatedSeries([0] * ea + [a], length, modulus)
+    b_r = TruncatedSeries([0] * eb + [b], length, modulus)
     v = TruncatedSeries([1], 1, modulus)
-    while v.precision < half:
+    while v.precision < length:
         known = v.precision
-        k = min(2 * known, half)
+        k = min(2 * known, length)
         v = TruncatedSeries(v.coeffs, k, modulus)
         vv = v * v
-        # f = O(s^known), so the Newton step needs 1/f' only to s^(k - known)
-        f = vv * v - vv + v.scale(a).shift(2).truncate(k) + b_s3.truncate(k)
-        fp = (3 * vv - 2 * v + a_s2.truncate(k)).truncate(k - known)
+        # f = O(r^known), so the Newton step needs 1/f' only to r^(k - known)
+        f = vv * v - vv + v.scale(a).shift(ea).truncate(k) + b_r.truncate(k)
+        fp = (3 * vv - 2 * v + a_r.truncate(k)).truncate(k - known)
         v = v - (f.divide_by_x(known) * fp.inverse()).shift(known)
-    u = _in_t(v, n_terms)
+    u = _in_t(v, n_terms, stride)
     x = LaurentSeries(-2, u)
     y = LaurentSeries(-3, -u)
-    w = TruncatedSeries([1], n_terms // 2, modulus) - v.truncate(n_terms // 2).x_log_derivative()
-    exp = OriginExpansion(a, b, modulus, x, y, _in_t(w, n_terms - 1))
+    w_length = -(-(n_terms - 1) // stride)
+    w = TruncatedSeries([1], w_length, modulus) - v.truncate(w_length).x_log_derivative().scale(g)
+    exp = OriginExpansion(a, b, modulus, x, y, _in_t(w, n_terms - 1, stride))
     if exp.c(1) != 1:
         raise AssertionError("c_1 != 1")
     return exp
 
 
-def _in_t(f: TruncatedSeries, precision: int) -> TruncatedSeries:
-    """f(t^2) to the given precision, from f known to (precision + 1) // 2."""
+def _in_t(f: TruncatedSeries, precision: int, stride: int) -> TruncatedSeries:
+    """f(t^stride) to the given precision, from f known to ceil(precision / stride)."""
     coeffs = [0] * precision
-    coeffs[::2] = f.coeffs[: (precision + 1) // 2]
+    coeffs[::stride] = f.coeffs[: -(-precision // stride)]
     return TruncatedSeries(coeffs, precision, f.modulus)
 
 

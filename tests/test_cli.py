@@ -356,6 +356,32 @@ def test_all_is_its_subcommands(tmp_path, capsys):
     assert checks(["all", "--seed", "1"]) == [c for argv in steps for c in checks(argv)]
 
 
+def test_all_keeps_the_other_steps_when_a_self_check_trips(monkeypatch, tmp_path, capsys):
+    # a refutation in modp-space is one failed check in that step's place;
+    # the steps before and after it still report (exit 1)
+    def checks(argv):
+        path = tmp_path / "report.json"
+        code, _ = run_cli([*argv, "--json", str(path)], capsys)
+        return code, json.loads(path.read_text())["checks"]
+
+    _, whole = checks(["all", "--seed", "7"])
+    _, step = checks(["modp-space", "--p", "7"])
+    monkeypatch.setattr(modpspace, "tail_vector_mod", lambda p: (1, 0, 0, 0))
+    code, patched = checks(["all", "--seed", "7"])
+    assert code == 1
+    (i,) = [i for i, c in enumerate(patched) if c["status"] == "fail"]
+    refutation = "basis vector (1, 0, 0, 0) escapes the closed form at p = 7"
+    assert patched[i] == {
+        "name": "kernel self-check",
+        "status": "fail",
+        "details": f"modp-space --p 7: {refutation}",
+        "witness": {"refutation": refutation},
+    }
+    assert whole[i : i + len(step)] == step
+    assert patched[:i] == whole[:i] and patched[i + 1 :] == whole[i + len(step) :]
+    assert patched[:i] and patched[i + 1 :]
+
+
 def test_closed_stdout_pipe_exits_quietly_with_141():
     """`curveseq modp-space --pmax 400 | head -1`: the reader has gone when
     the report is written.  Exit 128 + SIGPIPE, not 1 (a refuted claim), and

@@ -17,7 +17,14 @@ from curveseq.frobenius import (
 )
 from curveseq.series import LaurentSeries, TruncatedSeries
 
-ROUTE_CURVES = [(0, 1), (2, 3), (-1, 5)]
+# (1, 0) has j = 1728 and (0, 1), (0, -2) have j = 0: the expansion runs in
+# t^4 and t^6 there, in t^2 on the generic curves
+ROUTE_CURVES = [(0, 1), (2, 3), (-1, 5), (1, 0), (0, -2)]
+
+
+def stride(a, b):
+    """2g: the curve equation involves t only through t^(2g), so c_n = 0 unless n = 1 mod 2g."""
+    return 6 if a == 0 else 4 if b == 0 else 2
 
 
 def test_point_count_cm_fixtures():
@@ -86,15 +93,17 @@ def test_origin_expansion_random_curve_equation():
         assert lhs == rhs
 
 
-@pytest.mark.parametrize("n_terms", [13, 15])
+@pytest.mark.parametrize("n_terms", [4, 5, 6, 7, 13, 15])
 @pytest.mark.parametrize("a, b", ROUTE_CURVES)
 def test_origin_expansion_odd_length(a, b, n_terms):
-    # the half-length expansion in s = t^2 spreads back to an odd length
+    # the expansion in r = t^(2g) spreads back to every length, odd ones
+    # and those shorter than one stride included
     e = origin_expansion(a, b, n_terms)
     assert e.x.series.precision == n_terms
     assert e.omega.precision == n_terms - 1
     assert e.y * e.y == plus_constant(e.x * e.x * e.x + a * e.x, b)
     assert all(e.c(n) == 0 for n in range(2, n_terms, 2))
+    assert all(e.c(n) == 0 for n in range(1, n_terms) if (n - 1) % stride(a, b))
     m = origin_expansion(a, b, n_terms, modulus=7**3)
     assert m.omega.precision == n_terms - 1
     assert [c % 7**3 for c in e.omega.coeffs] == m.omega.coeffs
@@ -206,7 +215,7 @@ def test_omega_coefficient_equals_expansion_over_q(a, b):
     for n in range(1, 62):
         c = e.c(n)
         assert c.denominator == 1 and 2 * abs(c) < mod
-        if n % 2 == 0:
+        if (n - 1) % stride(a, b):  # every even n among them
             assert c == 0 and omega_coefficient(a, b, n, BIG_P, BIG_R) == 0
         else:
             assert omega_coefficient(a, b, n, BIG_P, BIG_R) == c % mod, n
@@ -228,7 +237,7 @@ def test_omega_coefficient_tracks_b(a, b):
     mod = BIG_P**BIG_R
     wrong = [n for n in range(1, 62, 2) if omega_coefficient(a, b + 1, n, BIG_P, BIG_R) != e.c(n) % mod]
     assert 7 in wrong
-    p = 7  # a good prime of all three curves and of their b + 1 neighbours
+    p = 7  # a good prime of every route curve and of its b + 1 neighbour
     expanded = origin_expansion(a, b, p * p + 2, modulus=p * p).c(p * p)
     assert omega_coefficient(a, b + 1, p * p, p, 2) != expanded
 
