@@ -22,24 +22,14 @@ from .curve import (
     CurveForm,
     CurveFunction,
     Place,
-    eta,
     expand_to_bound,
     infinity_place,
-    omega,
     origin_place,
 )
 from .exactnum import QuadExt, require_prime, sqrt_mod
 from .polyring import Polynomial, RationalFunction
 from .recurrence import operator_recurrence, window_mod
 from .series import LaurentSeries, TruncatedSeries, _domain_inverse
-
-
-def cartier_series(g: TruncatedSeries, p: int) -> TruncatedSeries:
-    """C(g dx) = h dx on F_p[[x]]: h_m = g_{p(m+1)-1}; precision floor(N/p)."""
-    require_prime(p)
-    if g.modulus != p:
-        raise ValueError("series must live over F_p")
-    return cartier_laurent(LaurentSeries(0, g), p).series
 
 
 def cartier_laurent(w: LaurentSeries, p: int) -> LaurentSeries:
@@ -83,17 +73,12 @@ def exactness_scan_bound(form: CurveForm) -> int:
     return pole_degree_bound(form) + 4
 
 
-@dataclass(frozen=True)
-class ExactnessResult:
-    exact: bool
-    witness_m: int | None
-    bound: int
-
-
 def first_disagreement(claims: Sequence[tuple[CurveForm, CurveForm | None, int]], p: int) -> list[int | None]:
     """For each claim (form, target, scalar), C(form) = scalar * target on
     the reduced curve (target None: the zero form), the first exponent at
     which the two sides differ at (0, 2), or None when the claim holds.
+    Exactness (C1) is the claim (form, None, 1), logarithmic exactness (C2)
+    the claim (form, form, 1).
 
     (C(form) - scalar * target)/omega is a function with at most
     B(form) + B(target) + 4 poles, B = pole_degree_bound.  If its expansion
@@ -121,19 +106,6 @@ def first_disagreement(claims: Sequence[tuple[CurveForm, CurveForm | None, int]]
                 break
         out.append(first)
     return out
-
-
-def exactness_test(form: CurveForm, p: int) -> ExactnessResult:
-    """Decide whether the reduced form is exact (= killed by Cartier, C1),
-    through the budget B + 4 of first_disagreement with the zero target."""
-    [f] = first_disagreement([(form, None, 1)], p)
-    return ExactnessResult(f is None, None if f is None else f + 1, exactness_scan_bound(form))
-
-
-def log_exactness_test(form: CurveForm, p: int) -> bool:
-    """C(form) = form iff the form is d(phi)/phi for some function phi (C2);
-    decided through the budget 2B + 4."""
-    return first_disagreement([(form, form, 1)], p) == [None]
 
 
 # -- alpha / beta invariants ---------------------------------------------------
@@ -217,17 +189,6 @@ def alphabeta_quartic(p: int) -> CartierInvariants:
     if sanity != 0:
         raise AssertionError(f"[x^(2p-1)] (x^2+x) Q^((p-1)/2) = {sanity} != 0 at p = {p}")
     return CartierInvariants(p, a[3], (a[1] + a[2]) % p)
-
-
-def invariant_disagreement(inv: CartierInvariants) -> dict[str, int] | None:
-    """Decide C(omega) = alpha' omega (budget 4) and C(eta) = beta' omega
-    (budget 8) on the reduced quartic through first_disagreement: the first
-    exponent at which each refuted identity fails, by form name, or None
-    when both hold."""
-    w_omega, w_eta = omega(inv.p), eta(inv.p)
-    firsts = first_disagreement([(w_omega, w_omega, inv.alpha), (w_eta, w_omega, inv.beta)], inv.p)
-    refuted = {name: f for name, f in zip(("omega", "eta"), firsts) if f is not None}
-    return refuted or None
 
 
 # -- Legendre-form Hasse identities ------------------------------------------------

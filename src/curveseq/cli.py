@@ -21,10 +21,9 @@ from pathlib import Path
 from . import __version__
 from .cartier import (
     alphabeta_quartic,
-    exactness_test,
-    invariant_disagreement,
+    exactness_scan_bound,
+    first_disagreement,
     legendre_hasse,
-    log_exactness_test,
     require_good_prime,
 )
 from .curve import (
@@ -32,6 +31,8 @@ from .curve import (
     CurveForm,
     closed_forms,
     curve_model_checks,
+    eta,
+    omega,
     s_series,
     two_adic_facts,
     verify_algebraic_identities,
@@ -188,8 +189,17 @@ def cmd_seq(args) -> Report:
     seq = extend_rational(MAIN_RECURRENCE, init, args.n)
     for n, c in enumerate(seq):
         print(f"c_{n} = {c}")
-    witness = {"last": seq[-1], "special": init.is_special, "hyperplane": init.hyperplane_value}
-    rep.add("extend", True, f"{args.n} terms", witness)
+    # the printed terms must satisfy the recurrence at every stepped index,
+    # read apart from the loop that extended them
+    order = MAIN_RECURRENCE.order
+    if args.n <= order:
+        rep.skip("extend", f"--n {args.n} takes no step past the {order} initial values")
+    elif MAIN_RECURRENCE.satisfies(seq):
+        witness = {"last": seq[-1], "special": init.is_special, "hyperplane": init.hyperplane_value}
+        rep.add("extend", True, f"{args.n} terms", witness)
+    else:
+        bad = next(n for n in range(args.n - order) if MAIN_RECURRENCE.window_value(seq, n))
+        rep.add("extend", False, f"c_{bad + order} breaks the recurrence", {"first_violated_index": bad + order})
     if init.values == MAIN_INITIAL_DATA.values:
         if args.n >= 6:
             rep.add("golden-c5", seq[5] == Fraction(-77, 128), f"c_5 = {seq[5]}")
@@ -206,7 +216,7 @@ def cmd_congruence(args) -> Report:
     )
     seq = extend_rational(MAIN_RECURRENCE, init, args.nmax + 1)
     scan = congruence_scan(seq, args.p, args.rmax, args.nmax, reconstruct=True)
-    detail = f"p={args.p}, r<={args.rmax}, n<={args.nmax}"
+    detail = f"p={args.p}, r<={scan.r_max}, n<={args.nmax}"
     witness = None
     if scan.non_integral_index is not None:
         witness = {"non_integral_index": scan.non_integral_index}
@@ -344,14 +354,21 @@ def cmd_cartier(args) -> Report:
     rep = Report("cartier", {"p": args.p, "pmax": args.pmax})
     p = args.p
     inv = alphabeta_quartic(p)
-    # the invariants must also be the Cartier images: C(omega) = alpha' omega
-    # and C(eta) = beta' omega, refuted at the exponents in the witness
-    refuted = invariant_disagreement(inv)
+    # the Cartier claims, decided on one expansion at (0, 2): the invariants
+    # must also be the images C(omega) = alpha' omega and C(eta) = beta' omega
+    # (refuted at the exponents in the witness), xi_s/2 is fixed, and the xi
+    # form off the hyperplane is not killed
+    w_omega, half_xi, off_hyperplane = omega(p), CurveForm(xi_s(p).g * Fraction(1, 2)), xi_form((0, 0, 0, 1), p)
+    *firsts, log_first, exact_first = first_disagreement(
+        [(w_omega, w_omega, inv.alpha), (eta(p), w_omega, inv.beta), (half_xi, half_xi, 1), (off_hyperplane, None, 1)],
+        p,
+    )
+    refuted = {name: f for name, f in zip(("omega", "eta"), firsts) if f is not None}
     rep.add(
         f"(alpha', beta') != (0,0) at p={p}",
-        not inv.both_zero and refuted is None,
+        not inv.both_zero and not refuted,
         f"alpha'={inv.alpha}, beta'={inv.beta}",
-        refuted,
+        refuted or None,
     )
     pmax = args.pmax
     bad, scanned = [], 0
@@ -380,15 +397,12 @@ def cmd_cartier(args) -> Report:
         True,
         f"alpha'=0 at {alpha_zero}; beta'=0 at {beta_zero}; alpha'+4beta'=0 at {combo_zero}",
     )
-    rep.add(
-        "C(xi/2) = xi/2 (logarithmically exact)",
-        log_exactness_test(CurveForm(xi_s(p).g * Fraction(1, 2)), p),
-    )
-    res = exactness_test(xi_form((0, 0, 0, 1), p), p)
+    rep.add("C(xi/2) = xi/2 (logarithmically exact)", log_first is None)
+    witness_m, bound = None if exact_first is None else exact_first + 1, exactness_scan_bound(off_hyperplane)
     rep.add(
         "xi form off the hyperplane is not exact",
-        not res.exact and res.witness_m is not None and res.witness_m <= res.bound,
-        f"witness m = {res.witness_m} <= {res.bound}",
+        witness_m is not None and witness_m <= bound,
+        f"witness m = {witness_m} <= {bound}",
     )
     lh = legendre_hasse(random.Random(args.seed).randrange(2, p), p)
     rep.add("K' = -(m+1) H identity", lh.derivative_identity, f"lambda_0={lh.lam0}, H_m={lh.h_m}, H_(m-1)={lh.h_m1}")
@@ -492,10 +506,14 @@ def cmd_all(args) -> Report:
         try:
             rep.checks.extend(step.handler(step).checks)
         except AssertionError as exc:
-            # a kernel self-check refuted a claim in this step: record it as
-            # main does, keep the checks made so far and run the other steps
-            rep.add("kernel self-check", False, f"{' '.join(argv)}: {exc}", {"refutation": str(exc)})
+            # keep the checks made so far and run the other steps
+            _add_refutation(rep, f"{' '.join(argv)}: {exc}", exc)
     return rep
+
+
+def _add_refutation(rep: Report, details: str, exc: AssertionError):
+    """A kernel self-check refuted a claim: one failed check, the message its witness."""
+    rep.add("kernel self-check", False, details, {"refutation": str(exc)})
 
 
 # -- dispatcher ------------------------------------------------------------------------
@@ -608,9 +626,8 @@ def main(argv: list[str] | None = None) -> int:
         try:
             rep: Report = args.handler(args)
         except AssertionError as exc:
-            # a kernel self-check refuted a claim: one failed check, the message its witness
             rep = Report(args.command, {"argv": list(argv)})
-            rep.add("kernel self-check", False, str(exc), {"refutation": str(exc)})
+            _add_refutation(rep, str(exc), exc)
         _print_report(rep)
         sys.stdout.flush()
     except BrokenPipeError:

@@ -19,7 +19,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .cartier import alphabeta_quartic, exactness_scan_bound, exactness_test, hasse_window, require_good_prime
+from .cartier import (
+    alphabeta_quartic,
+    cartier_laurent,
+    exactness_scan_bound,
+    first_disagreement,
+    hasse_window,
+    require_good_prime,
+)
 from .curve import Q_COEFFS, expand_to_bound, origin_place, s_series, xi_form
 from .linalg import kernel_mod, rank_mod
 from .recurrence import (
@@ -282,23 +289,23 @@ def extendability_test(init4: Sequence[int], p: int) -> ExtendabilityResult:
     coefficients."""
     require_vp_prime(p)
     closed = all(form_value(row, init4) % p == 0 for row in (HYPERPLANE_FORM, cartier_form(p)))
-    res = exactness_test(xi_form(init4, p), p)
-    result = ExtendabilityResult(closed, res.exact, res.witness_m)
+    [first] = first_disagreement([(xi_form(init4, p), None, 1)], p)
+    result = ExtendabilityResult(closed, first is None, None if first is None else first + 1)
     if not result.agree:
         raise AssertionError(f"extendability routes disagree at p = {p}, init = {tuple(init4)}")
     return result
 
 
 def xi_obstruction_matrix(p: int) -> list[list[int]]:
-    """Rows m = 1..B + 5 of the x^(mp-1) expansion coefficients of the basis
-    forms xi(e_i), with B + 4 = exactness_scan_bound: the coefficients of
-    C(xi) at f = m - 1 = 0..B + 4, through which exactness_test proves.  A
-    vector extends iff this matrix kills it (bulk form of the series route)."""
+    """Rows f = 0..B + 4 of the coefficients of C(xi(e_i)) for the basis
+    forms xi(e_i), with B + 4 = exactness_scan_bound: the exponents through
+    which first_disagreement proves exactness.  A vector extends iff this
+    matrix kills it (bulk form of the series route)."""
     require_vp_prime(p)
     units = [xi_form([int(i == j) for j in range(4)], p) for i in range(4)]
     rows = max(exactness_scan_bound(u) for u in units) + 1
-    cols = expand_to_bound(units, origin_place(+1, p), rows * p)
-    return [[w.coefficient(m * p - 1) for w in cols] for m in range(1, rows + 1)]
+    images = [cartier_laurent(w, p) for w in expand_to_bound(units, origin_place(+1, p), rows * p)]
+    return [[c.coefficient(f) for c in images] for f in range(rows)]
 
 
 # -- Theorem on C_p = C_1 -------------------------------------------------------------

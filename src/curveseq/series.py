@@ -90,6 +90,12 @@ class TruncatedSeries:
     def _check_domain(self, other: "TruncatedSeries"):
         if self.modulus != other.modulus:
             raise ValueError("mixed scalar domains")
+        if self.modulus is None:
+            # the exact domain (Fraction or QuadExt) is read off a nonzero
+            # coefficient; a zero, such as the padding of an empty series, fits both
+            mine, theirs = (next((type(c) for c in s.coeffs if c), None) for s in (self, other))
+            if mine and theirs and mine is not theirs:
+                raise ValueError("mixed scalar domains")
 
     def __getitem__(self, n: int):
         if n < 0:
@@ -444,6 +450,10 @@ def congruence_scan(
     these exponents has p-integral coefficients.
     """
     n_max = min(n_max, len(c) - 1)
+    # level r examines a pair iff p^(r+1) <= n_max: the report names the
+    # levels it scanned
+    while r_max > 0 and p ** (r_max + 1) > n_max:
+        r_max -= 1
     for n in range(min(len(c), n_max + 1)):
         if not is_p_integral(c[n], p):
             return CongruenceReport(p, r_max, n_max, False, non_integral_index=n)

@@ -10,14 +10,11 @@ from curveseq.cartier import (
     alphabeta_quartic,
     alphabeta_weierstrass,
     cartier_laurent,
-    cartier_series,
-    exactness_test,
     exactness_scan_bound,
+    first_disagreement,
     half_pole_place,
     hasse_window,
-    invariant_disagreement,
     legendre_hasse,
-    log_exactness_test,
     pole_bound_check,
     reduce_form,
     residue_check,
@@ -45,27 +42,43 @@ from curveseq.recurrence import Recurrence, extend_rational, main_sequence
 from curveseq.series import LaurentSeries, TruncatedSeries
 
 
+def power_series_image(g, p):
+    """C(g dx) on F_p[[x]]: cartier_laurent on the power series g."""
+    return cartier_laurent(LaurentSeries(0, g), p).series
+
+
+def invariant_claims(inv):
+    """C(omega) = alpha' omega and C(eta) = beta' omega, as first_disagreement claims."""
+    w_omega = omega(inv.p)
+    return [(w_omega, w_omega, inv.alpha), (eta(inv.p), w_omega, inv.beta)]
+
+
+def refuted_forms(firsts):
+    """The forms among omega and eta whose invariant claim is refuted."""
+    return {name for name, f in zip(("omega", "eta"), firsts) if f is not None}
+
+
 def test_cartier_series_fixed_point():
     g = TruncatedSeries([1] * 12, 12, 3)
-    assert cartier_series(g, 3).coeffs == [1] * 4
+    assert power_series_image(g, 3).coeffs == [1] * 4
 
 
 def test_cartier_series_kills_derivative():
     # d(x^2) = 2x dx
     g = TruncatedSeries([0, 2, 0, 0, 0, 0], 6, 3)
-    assert cartier_series(g, 3).is_zero()
+    assert power_series_image(g, 3).is_zero()
     rng = random.Random(9)
     for p in (3, 5):
         h = TruncatedSeries([rng.randrange(p) for _ in range(30)], 30, p)
         dh = h.derivative().shift(0)
-        assert cartier_series(TruncatedSeries(dh.coeffs, dh.precision, p), p).is_zero()
+        assert power_series_image(TruncatedSeries(dh.coeffs, dh.precision, p), p).is_zero()
 
 
 def test_cartier_series_precision():
     g = TruncatedSeries([1] * 13, 13, 7)
-    assert cartier_series(g, 7).precision == 1
+    assert power_series_image(g, 7).precision == 1
     g = TruncatedSeries([1] * 6, 6, 7)
-    assert cartier_series(g, 7).precision == 0
+    assert power_series_image(g, 7).precision == 0
 
 
 def test_cartier_series_picks_main_sequence_blocks():
@@ -96,29 +109,29 @@ def test_semilinearity_over_pth_powers():
         for q, c in enumerate(h.coeffs):
             hp_coeffs[p * q] = c
         hp_series = TruncatedSeries(hp_coeffs, n, p)
-        lhs = cartier_series(hp_series * w, p)
-        rhs = TruncatedSeries(h.coeffs, lhs.precision, p) * cartier_series(w, p)
+        lhs = power_series_image(hp_series * w, p)
+        rhs = TruncatedSeries(h.coeffs, lhs.precision, p) * power_series_image(w, p)
         assert lhs == rhs.truncate(lhs.precision)
 
 
 def test_exactness_xi_family():
     f = xi_form((0, 0, 0, 1), 7)
-    res = exactness_test(f, 7)
-    assert not res.exact and res.witness_m is not None and res.witness_m <= 8
-    assert res.bound == 8
+    [first] = first_disagreement([(f, None, 1)], 7)
+    assert first is not None and first + 1 <= 8
+    assert exactness_scan_bound(f) == 8
     f2 = xi_form((1, 2, 6, 3), 7)  # special vector mod 7
-    assert exactness_test(f2, 7).exact
+    assert first_disagreement([(f2, None, 1)], 7) == [None]
 
 
 def test_exactness_omega_iff_supersingular():
     for p in (3, 7, 11, 17, 19, 23, 29):
         inv = alphabeta_quartic(p)
-        assert exactness_test(omega(p), p).exact == (inv.alpha == 0)
+        assert (first_disagreement([(omega(p), None, 1)], p) == [None]) == (inv.alpha == 0)
 
 
 def test_exactness_rejects_bad_primes():
     with pytest.raises(ValueError):
-        exactness_test(omega(7), 5)
+        first_disagreement([(omega(7), None, 1)], 5)
     with pytest.raises(ValueError):
         alphabeta_quartic(13)
 
@@ -126,21 +139,21 @@ def test_exactness_rejects_bad_primes():
 def test_log_exactness_dz_over_z():
     for p in (3, 7, 11):
         half = pow(2, -1, p)
-        assert log_exactness_test(CurveForm(xi_s(p).g * half), p)
-        # scalar multiples stay logarithmically exact: a dz/z = d(z^a)/z^a
-        assert log_exactness_test(CurveForm(xi_s(p).g), p)
+        for form in (CurveForm(xi_s(p).g * half), CurveForm(xi_s(p).g)):
+            # scalar multiples stay logarithmically exact: a dz/z = d(z^a)/z^a
+            assert first_disagreement([(form, form, 1)], p) == [None]
     # omega is not fixed by Cartier at p = 7 (C(omega) = 3 omega)
-    assert not log_exactness_test(omega(7), 7)
+    assert first_disagreement([(omega(7), omega(7), 1)], 7) != [None]
 
 
 def test_series_field_fixtures():
     # w dx is logarithmically exact in F_p((x)) when Cartier fixes every
     # known coefficient, and exact when it kills them
     ones = TruncatedSeries([1] * 40, 40, 5)
-    img = cartier_series(ones, 5)
+    img = power_series_image(ones, 5)
     assert img.coeffs == ones.coeffs[: img.precision]
     dx = TruncatedSeries([1] + [0] * 39, 40, 5)
-    img = cartier_series(dx, 5)
+    img = power_series_image(dx, 5)
     assert img.coeffs != dx.coeffs[: img.precision]
     assert img.is_zero()
 
@@ -165,7 +178,7 @@ def test_alphabeta_quartic_values():
         inv = alphabeta_quartic(p)
         assert not inv.both_zero
         if p <= 31:
-            assert invariant_disagreement(inv) is None, p
+            assert first_disagreement(invariant_claims(inv), p) == [None, None], p
 
 
 def test_quartic_alpha_is_trace_of_weierstrass_reduction():
@@ -189,12 +202,12 @@ SERIES_ROUTE_COEFFS = 60
 def series_route_refutes(p, invariants):
     """For each (alpha, beta), the forms among omega and eta whose Cartier
     image differs from alpha omega, beta omega within its first 60
-    coefficients: cartier_series on the first 61p + 1 coefficients of the
+    coefficients: power_series_image on the first 61p + 1 coefficients of the
     (0, 2)-expansions, a fixed length and no pole budget."""
     n = p * (SERIES_ROUTE_COEFFS + 1) + 1
     expansions = expand_to_bound([omega(p), eta(p)], origin_place(+1, p), n)
     w_omega, w_eta = (TruncatedSeries([w.coefficient(k) for k in range(n)], n, p) for w in expansions)
-    images = {"omega": cartier_series(w_omega, p), "eta": cartier_series(w_eta, p)}
+    images = {"omega": power_series_image(w_omega, p), "eta": power_series_image(w_eta, p)}
     out = []
     for alpha, beta in invariants:
         refuted = set()
@@ -223,20 +236,26 @@ def test_quartic_series_route_cross_check_to_50():
         inv = alphabeta_quartic(p)
         cases = [inv] + [mutant for mutant, _ in _invariant_mutants(inv)]
         series = series_route_refutes(p, [(c.alpha, c.beta) for c in cases])
-        budgeted = [set(invariant_disagreement(c) or ()) for c in cases]
+        firsts = first_disagreement([claim for c in cases for claim in invariant_claims(c)], p)
+        budgeted = [refuted_forms(firsts[2 * i : 2 * i + 2]) for i in range(len(cases))]
         assert series == budgeted, p
         assert series[0] == set()
 
 
 def test_invariant_mutants_are_caught_on_their_form():
+    # one batched call decides the invariants and their mutants, each claim
+    # exactly as a call of its own does
     for p in range(3, 100):
         if not is_prime(p) or p in (5, 13):
             continue
         inv = alphabeta_quartic(p)
-        assert invariant_disagreement(inv) is None, p
-        for mutant, form in _invariant_mutants(inv):
-            refuted = invariant_disagreement(mutant)
-            assert refuted is not None and set(refuted) == {form}, (p, mutant)
+        mutants = list(_invariant_mutants(inv))
+        claims = [claim for c in [inv] + [m for m, _ in mutants] for claim in invariant_claims(c)]
+        firsts = first_disagreement(claims, p)
+        assert firsts == [f for claim in claims for f in first_disagreement([claim], p)], p
+        assert firsts[:2] == [None, None], p
+        for i, (mutant, form) in enumerate(mutants, start=1):
+            assert refuted_forms(firsts[2 * i : 2 * i + 2]) == {form}, (p, mutant)
 
 
 def test_quartic_sanity_coefficient_all_p():
@@ -476,8 +495,14 @@ def test_expansion_refuses_a_form_over_another_domain():
     # one domain guard, in expand_to_bound: a form over Q or over another
     # prime is refused by every caller, not expanded and reported ok
     p = 7
+    checks = (
+        lambda form, p: first_disagreement([(form, None, 1)], p),  # exactness
+        lambda form, p: first_disagreement([(form, form, 1)], p),  # log-exactness
+        residue_check,
+        pole_bound_check,
+    )
     for form in (xi_form((1, 2, 3, 4), 11), xi_form((1, 2, 3, 4))):
-        for check in (exactness_test, log_exactness_test, residue_check, pole_bound_check):
+        for check in checks:
             with pytest.raises(ValueError, match="must live over the scalar domain"):
                 check(form, p)
 
@@ -519,8 +544,8 @@ def test_exactness_with_pole_at_expansion_place():
     # must be scanned even though the form has a pole at the expansion place
     for p in (7, 11):
         g = RationalFunction(Polynomial([1], p), Polynomial([0, 0, 0, 1], p))
-        res = exactness_test(CurveForm(CurveFunction.rational(g, p)), p)
-        assert not res.exact and res.witness_m == 0
+        [first] = first_disagreement([(CurveForm(CurveFunction.rational(g, p)), None, 1)], p)
+        assert first is not None and first + 1 == 0
 
 
 def test_example_modp_witness_form():
@@ -531,8 +556,7 @@ def test_example_modp_witness_form():
         Polynomial([0, 0, 0, 0, 1], p),
     )
     form = CurveForm(CurveFunction.rational(g, p))
-    res = exactness_test(form, p)
-    assert res.exact
+    assert first_disagreement([(form, None, 1)], p) == [None]
 
 
 def test_intro_congruence_families():

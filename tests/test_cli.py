@@ -10,9 +10,10 @@ from pathlib import Path
 import pytest
 
 import curveseq
-from curveseq import cartier, frobenius, modpspace
+from curveseq import cartier, cli, frobenius, modpspace
 from curveseq.cartier import legendre_hasse
 from curveseq.cli import main, report_from_json
+from curveseq.series import TruncatedSeries
 
 
 def run_cli(argv, capsys):
@@ -47,6 +48,20 @@ def test_congruence_failure_exit_code(tmp_path, capsys):
     data = json.loads(path.read_text())
     failed = [c for c in data["checks"] if c["status"] == "fail"]
     assert failed and all(c["witness"] is not None for c in failed)
+
+
+def test_congruence_details_name_the_levels_scanned(tmp_path, capsys):
+    # at p = 3, n <= 3 only level r = 0 has a pair: --rmax 5 scans r <= 0
+    path = tmp_path / "cong.json"
+    code, _ = run_cli(["congruence", "--p", "3", "--nmax", "3", "--rmax", "5", "--json", str(path)], capsys)
+    assert code == 0
+    data = json.loads(path.read_text())
+    assert data["params"]["rmax"] == 5
+    (check,) = [c for c in data["checks"] if c["name"] == "congruences"]
+    assert check["details"] == "p=3, r<=0, n<=3"
+    code, _ = run_cli(["congruence", "--p", "3", "--nmax", "27", "--rmax", "5", "--json", str(path)], capsys)
+    (check,) = [c for c in json.loads(path.read_text())["checks"] if c["name"] == "congruences"]
+    assert check["details"] == "p=3, r<=2, n<=27"
 
 
 def test_usage_error_exit_code():
@@ -193,6 +208,25 @@ def test_seq_main_data_below_c5_skips(tmp_path, capsys):
     assert "golden-c5" not in check_statuses(["seq", "--init", "0,0,0,0,1", "--n", "5"], tmp_path, capsys)
 
 
+def test_seq_extend_is_decided_on_the_printed_terms(monkeypatch, tmp_path, capsys):
+    # --n 5 takes no step, so nothing is checked; a term moved off the
+    # recurrence fails, and the witness names it
+    assert check_statuses(["seq", "--n", "5"], tmp_path, capsys)["extend"][0] == "skip"
+    assert check_statuses(["seq", "--n", "6"], tmp_path, capsys)["extend"] == ("pass", "6 terms")
+    real = cli.extend_rational
+
+    def corrupt_c8(spec, init, n):
+        seq = real(spec, init, n)
+        return seq[:8] + [seq[8] + 1] + seq[9:]
+
+    monkeypatch.setattr(cli, "extend_rational", corrupt_c8)
+    path = tmp_path / "seq.json"
+    code, out = run_cli(["seq", "--n", "12", "--json", str(path)], capsys)
+    assert code == 1 and "[FAIL] extend" in out
+    (check,) = [c for c in json.loads(path.read_text())["checks"] if c["name"] == "extend"]
+    assert check["witness"] == {"first_violated_index": 8}
+
+
 def test_modp_space_pmax_without_good_prime_skips(tmp_path, capsys):
     # the tabulation starts at p = 7: below it nothing is examined
     path = tmp_path / "modp.json"
@@ -223,6 +257,22 @@ def test_asd_command(capsys):
 def test_cartier_command(capsys):
     code, out = run_cli(["cartier", "--p", "7", "--pmax", "40"], capsys)
     assert code == 0
+
+
+def test_cartier_decides_its_claims_on_one_expansion(monkeypatch, capsys):
+    # the four Cartier claims share one chart at (0, 2): one Newton series
+    # of Q(x)^(-1/2) beyond length 1 (the length-1 calls are place checks)
+    real = TruncatedSeries.inverse_sqrt
+    lengths = []
+
+    def counted(series, root0):
+        lengths.append(series.precision)
+        return real(series, root0)
+
+    monkeypatch.setattr(TruncatedSeries, "inverse_sqrt", counted)
+    code, _ = run_cli(["cartier", "--p", "11"], capsys)
+    assert code == 0
+    assert len([n for n in lengths if n > 1]) == 1
 
 
 def test_cartier_scan_reports_the_primes_it_scanned(tmp_path, capsys):

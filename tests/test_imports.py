@@ -66,10 +66,6 @@ TEST_ONLY = {
         "V_p: the series route through the xi forms",
         "modpspace.xi_obstruction_matrix(7)",
     ),
-    "cartier.cartier_series": (
-        "the Cartier operator on F_p[[x]]: the series reference route",
-        "cartier.cartier_series(series.TruncatedSeries([0, 0, 1], 3, 3), 3)",
-    ),
     # routes of the acceptance criteria
     "series.dieudonne_exponents": (
         "criterion 14: Dieudonne exponents by the Moebius formula",
@@ -153,6 +149,7 @@ REFERENCES = {
 #: The functions and methods entered only when a check fails, is skipped or
 #: refuses its input, each with that path.
 FAILURE_PATHS = {
+    "cli._add_refutation": "a kernel self-check refutes a claim: one failed check in the report",
     "curve.PoleAtPlaceError.__init__": "expand_at_origin of a function with a pole at (0, 2)",
     "series.CongruenceReport.first_failure": "curveseq congruence: the witness of a refuted congruence",
 }

@@ -366,8 +366,14 @@ def test_precision_propagation():
     assert f.log_derivative().precision == 9
     assert f.x_log_derivative().precision == 10
     assert f.shift(3).precision == 13
-    with pytest.raises(ValueError):
-        f + TruncatedSeries([1], 3, 5)
+    # a Fraction series and one over F_7(sqrt 65) both carry modulus None;
+    # zeros, as in the padding of an empty series, fit either domain
+    over_f7 = TruncatedSeries([QuadExt(1, 0, 7, 65), QuadExt(0, 1, 7, 65)])
+    halves = TruncatedSeries([Fraction(1, 2), Fraction(1, 3)])
+    for mixed in (lambda: f + TruncatedSeries([1], 3, 5), lambda: halves + over_f7, lambda: halves * over_f7):
+        with pytest.raises(ValueError, match="mixed scalar domains"):
+            mixed()
+    assert TruncatedSeries([0, 0]) + over_f7 == over_f7
 
 
 def test_laurent_arithmetic_and_residue():
