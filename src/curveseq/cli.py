@@ -183,9 +183,8 @@ def _print_report(rep: Report):
 # -- subcommands --------------------------------------------------------------------
 
 
-def cmd_seq(args) -> Report:
+def cmd_seq(args, rep: Report):
     init = args.init
-    rep = Report("seq", {"init": list(init.values), "n": args.n})
     seq = extend_rational(MAIN_RECURRENCE, init, args.n)
     for n, c in enumerate(seq):
         print(f"c_{n} = {c}")
@@ -205,15 +204,10 @@ def cmd_seq(args) -> Report:
             rep.add("golden-c5", seq[5] == Fraction(-77, 128), f"c_5 = {seq[5]}")
         else:
             rep.skip("golden-c5", f"--n {args.n} stops before c_5")
-    return rep
 
 
-def cmd_congruence(args) -> Report:
+def cmd_congruence(args, rep: Report):
     init = args.init
-    rep = Report(
-        "congruence",
-        {"init": list(init.values), "p": args.p, "rmax": args.rmax, "nmax": args.nmax},
-    )
     seq = extend_rational(MAIN_RECURRENCE, init, args.nmax + 1)
     scan = congruence_scan(seq, args.p, args.rmax, args.nmax, reconstruct=True)
     detail = f"p={args.p}, r<={scan.r_max}, n<={args.nmax}"
@@ -234,12 +228,10 @@ def cmd_congruence(args) -> Report:
             bool(scan.witness_rederives),
             "x f'/f of the reconstructed product reproduces the input",
         )
-    return rep
 
 
-def cmd_denom(args) -> Report:
+def cmd_denom(args, rep: Report):
     init = args.init.normalized()
-    rep = Report("denom", {"init": list(init.values), "n": args.n})
     seq = extend_rational(MAIN_RECURRENCE, init, args.n + 1)
     d = common_denominator(init)
     prof = denominator_profile(seq, d)
@@ -252,22 +244,18 @@ def cmd_denom(args) -> Report:
     if init.values == MAIN_INITIAL_DATA.values:
         ok2 = all((Fraction(2) ** (2 * n - 3) * seq[n]).denominator == 1 for n in range(2, len(seq)))
         rep.add("2^(2n-3) c_n integral", ok2)
-    return rep
 
 
-def cmd_identities(args) -> Report:
-    rep = Report("identities", {})
+def cmd_identities(args, rep: Report):
     for chk in verify_algebraic_identities():
         rep.add(chk.name, chk.holds, chk.detail if not chk.holds else "")
     for chk in curve_model_checks():
         rep.add(chk.name, chk.holds, chk.detail)
     res = main_operator().apply_series(s_series(80))
     rep.add("ODE residual for s", res.is_zero(), "precision 80")
-    return rep
 
 
-def cmd_closed_forms(args) -> Report:
-    rep = Report("closed-forms", {"n": args.n})
+def cmd_closed_forms(args, rep: Report):
     rows = closed_forms(args.n)
     print(f"{'n':>4} {'b_n':>16} {'l_n':>16}")
     for r in rows:
@@ -284,14 +272,12 @@ def cmd_closed_forms(args) -> Report:
     rep.add("l_(2m) = 0 mod 4", two.even_multiple_of_4)
     rep.add("l_(2m+1) = (-1)^m C(2m,m) mod 8", two.mod8_matches)
     rep.add("v_2(l_(2m+1)) = digit sum of m", two.valuation_matches)
-    return rep
 
 
-def cmd_modp_space(args) -> Report:
+def cmd_modp_space(args, rep: Report):
     pmax = args.pmax
     if pmax is not None:
         # how V_p varies with p: tabulate the defining form and basis
-        rep = Report("modp-space", {"pmax": pmax})
         print(f"{'p':>5} {'cartier form':>22}  basis")
         count = 0
         for q in range(7, pmax + 1):
@@ -304,9 +290,8 @@ def cmd_modp_space(args) -> Report:
             rep.skip(f"dim V_p = 2 for good primes <= {pmax}", "no good prime; the tabulation starts at p = 7")
         else:
             rep.add(f"dim V_p = 2 for {count} good primes <= {pmax}", True)
-        return rep
+        return
     p = args.p
-    rep = Report("modp-space", {"p": p})
     space = compute_vp(p)
     print(f"dim V_{p} = {space.dim}")
     print(f"hyperplane: {space.hyperplane}  cartier: {space.cartier}")
@@ -347,11 +332,9 @@ def cmd_modp_space(args) -> Report:
         "j = 0, 1, 2 satisfy the recurrence",
         None if wp.satisfy and wp.independent else {"satisfy": wp.satisfy, "independent": wp.independent},
     )
-    return rep
 
 
-def cmd_cartier(args) -> Report:
-    rep = Report("cartier", {"p": args.p, "pmax": args.pmax})
+def cmd_cartier(args, rep: Report):
     p = args.p
     inv = alphabeta_quartic(p)
     # the Cartier claims, decided on one expansion at (0, 2): the invariants
@@ -415,13 +398,11 @@ def cmd_cartier(args) -> Report:
     rep.add("6 c_(kp+4) + c_(kp+2) + c_(kp+1) = 0 mod p", plus_ok, f"k < {kmax}, p={p}")
     minus_ok = all((c[k * p - 1] + c[k * p - 2]) % p == 0 for k in range(1, kmax))
     rep.add("c_(kp-1) + c_(kp-2) = 0 mod p (witness d(2y))", minus_ok, f"k < {kmax}, p={p}")
-    return rep
 
 
-def cmd_frobenius(args) -> Report:
+def cmd_frobenius(args, rep: Report):
     a, b = args.curve
     pmax = args.pmax
-    rep = Report("frobenius", {"curve": [a, b], "pmax": pmax})
     scan = supersingular_scan(a, b, pmax, vp_limit=args.vp_limit)
     mismatches = []
     good = len(scan.invariants)
@@ -470,13 +451,11 @@ def cmd_frobenius(args) -> Report:
             rep.skip("alpha_p = 0 iff p = 2 mod 3 (CM)", f"no prime of good reduction in [5, {pmax}]")
         else:
             rep.add("alpha_p = 0 iff p = 2 mod 3 (CM)", bool(scan.cm_pattern_ok))
-    return rep
 
 
-def cmd_asd(args) -> Report:
+def cmd_asd(args, rep: Report):
     a, b = args.curve
     p = args.p
-    rep = Report("asd", {"curve": [a, b], "p": p, "rmax": args.rmax, "nmax": args.nmax})
     res = asd_check(a, b, p, args.rmax, args.nmax)
     rep.add(
         "ASD congruence",
@@ -484,11 +463,9 @@ def cmd_asd(args) -> Report:
         f"trace={res.trace}, r<={args.rmax}, n<={args.nmax}",
         None if res.ok else {"failures": [list(f) for f in res.failures]},
     )
-    return rep
 
 
-def cmd_all(args) -> Report:
-    rep = Report("all", {"seed": args.seed})
+def cmd_all(args, rep: Report):
     seed = [] if args.seed is None else ["--seed", str(args.seed)]
     steps = [
         ["identities"],
@@ -504,11 +481,10 @@ def cmd_all(args) -> Report:
     for argv in steps:
         step = _parse(parser, argv)
         try:
-            rep.checks.extend(step.handler(step).checks)
+            step.handler(step, rep)
         except AssertionError as exc:
             # keep the checks made so far and run the other steps
             _add_refutation(rep, f"{' '.join(argv)}: {exc}", exc)
-    return rep
 
 
 def _add_refutation(rep: Report, details: str, exc: AssertionError):
@@ -622,11 +598,19 @@ def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespa
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _parse(build_parser(), argv)
+    # the one report of this command line: its params are every option but
+    # --json as parsed, and the handler only appends checks, so a self-check
+    # that trips keeps the checks decided before it
+    params = {
+        k: list(v.values) if isinstance(v, InitialData) else v
+        for k, v in vars(args).items()
+        if k not in ("command", "handler", "json")
+    }
+    rep = Report(args.command, params)
     try:
         try:
-            rep: Report = args.handler(args)
+            args.handler(args, rep)
         except AssertionError as exc:
-            rep = Report(args.command, {"argv": list(argv)})
             _add_refutation(rep, str(exc), exc)
         _print_report(rep)
         sys.stdout.flush()

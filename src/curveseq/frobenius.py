@@ -194,7 +194,6 @@ class AsdReport:
     p: int
     trace: int
     r_max: int
-    n_max: int
     ok: bool
     failures: tuple[tuple[int, int], ...] = ()
 
@@ -214,7 +213,7 @@ def asd_check(a: int, b: int, p: int, r_max: int, n_max: int) -> AsdReport:
                 val += p * exp.c(n * p ** (r - 2))
             if val % mod != 0:
                 failures.append((n, r))
-    return AsdReport(p, trace, r_max, n_max, not failures, tuple(failures))
+    return AsdReport(p, trace, r_max, not failures, tuple(failures))
 
 
 @dataclass
@@ -248,7 +247,6 @@ class SupersingularRow:
 class SupersingularReport:
     a: int
     b: int
-    p_max: int
     supersingular: list[SupersingularRow]
     cm_pattern_ok: bool | None  # for (0, 1): alpha_p = 0 iff p = 2 mod 3
     #: (alpha, beta) at every good prime 5 <= p <= p_max, in increasing p
@@ -281,4 +279,4 @@ def supersingular_scan(a: int, b: int, p_max: int, vp_limit: int | None = None) 
         if vp_limit is None or p <= vp_limit:
             expanded = origin_expansion(a, b, p * p + 2, modulus=p * p).c(p * p)
         rows.append(SupersingularRow(p, bool(inv.beta), omega_coefficient(a, b, p * p, p, 2), expanded))
-    return SupersingularReport(a, b, p_max, rows, pattern_ok, invariants)
+    return SupersingularReport(a, b, rows, pattern_ok, invariants)

@@ -91,7 +91,8 @@ def operator_recurrence(a1: Sequence[int], a0: Sequence[int], start: int = 0) ->
 
 def _integral(values) -> tuple[int, ...]:
     values = tuple(values)
-    assert all(Fraction(v).denominator == 1 for v in values), f"{values} is not integral"
+    if not all(Fraction(v).denominator == 1 for v in values):
+        raise AssertionError(f"{values} is not integral")
     return tuple(map(int, values))
 
 
@@ -133,7 +134,7 @@ T2_BLOCK = _integral(4 * r(Fraction(-1, 2)) for r in _R_TILDE)
 def form_value(row: Sequence[int], c4: Sequence):
     """The linear form ``row`` at (C_1..C_4): a Fraction for rational data, an
     int (still to be reduced mod p) for integer data."""
-    return sum(a * c for a, c in zip(row, c4))
+    return sum(a * c for a, c in zip(row, c4, strict=True))
 
 
 @dataclass(frozen=True)
@@ -494,7 +495,6 @@ class DenominatorProfile:
     d: int
     ok: bool
     witness: tuple[int, int] | None  # (index m, prime p) violating the bound
-    denominators: list[int]
     prime_support: list[int]
 
 
@@ -506,7 +506,6 @@ def denominator_profile(seq: Sequence[Fraction], d: int) -> DenominatorProfile:
     """
     if d == 0:
         raise ValueError("d must be nonzero")
-    denominators = []
     support: set[int] = set()
     witness = None
     lcm_val = 1  # lcm(1..m-1), maintained incrementally
@@ -514,14 +513,13 @@ def denominator_profile(seq: Sequence[Fraction], d: int) -> DenominatorProfile:
         if m >= 2:
             lcm_val = math.lcm(lcm_val, m - 1)
         den = (Fraction(d) * Fraction(16) ** m * c).denominator
-        denominators.append(den)
         support.update(prime_factors(den))
         if witness is None and lcm_val % den != 0:
             bad = next(
                 p for p in prime_factors(den) if padic_valuation(lcm_val, p) < padic_valuation(den, p)
             )
             witness = (m, bad)
-    return DenominatorProfile(d, witness is None, witness, denominators, sorted(support))
+    return DenominatorProfile(d, witness is None, witness, sorted(support))
 
 
 def common_denominator(init: InitialData) -> int:

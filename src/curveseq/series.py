@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exactnum import divisors, is_p_integral, mobius, padic_valuation, reduce_fraction_mod
+from .exactnum import QuadExt, divisors, is_p_integral, mobius, padic_valuation, reduce_fraction_mod
 
 _NUMPY_CUTOFF = 48
 
@@ -120,7 +120,15 @@ class TruncatedSeries:
         shown = ", ".join(repr(c) for c in self.coeffs[:6])
         if self.precision > 6:
             shown += ", ..."
-        dom = "QQ" if self.modulus is None else f"Z/{self.modulus}"
+        # modulus None: the exact domain is read off a nonzero coefficient, as
+        # _check_domain reads it
+        unit = next((c for c in self.coeffs if c), None)
+        if self.modulus is not None:
+            dom = f"Z/{self.modulus}"
+        elif isinstance(unit, QuadExt):
+            dom = f"F_{unit.p}(sqrt {unit.d})"
+        else:
+            dom = "QQ"
         return f"TruncatedSeries([{shown}] + O(x^{self.precision}), {dom})"
 
     def agrees_with(self, other: "TruncatedSeries", upto: int) -> bool:
@@ -420,7 +428,6 @@ def dieudonne_exponents_peeling(f: TruncatedSeries, m_max: int) -> DieudonneExpo
 class CongruenceReport:
     p: int
     r_max: int
-    n_max: int
     ok: bool
     non_integral_index: int | None = None
     failures: tuple[tuple[int, int], ...] = ()
@@ -456,7 +463,7 @@ def congruence_scan(
         r_max -= 1
     for n in range(min(len(c), n_max + 1)):
         if not is_p_integral(c[n], p):
-            return CongruenceReport(p, r_max, n_max, False, non_integral_index=n)
+            return CongruenceReport(p, r_max, False, non_integral_index=n)
     failures = []
     for r in range(r_max + 1):
         step = p ** (r + 1)
@@ -466,7 +473,7 @@ def congruence_scan(
             if padic_valuation(a - b, p) <= r:
                 failures.append((k, r))
             k += 1
-    report = CongruenceReport(p, r_max, n_max, not failures, failures=tuple(failures))
+    report = CongruenceReport(p, r_max, not failures, failures=tuple(failures))
     if reconstruct and report.ok:
         m = min(witness_terms, n_max)
         exps = _mobius_exponents(c, m)

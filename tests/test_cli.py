@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import random
@@ -150,7 +151,7 @@ def test_modp_space_and_json_roundtrip(tmp_path, capsys):
     assert "dim V_7 = 2" in out
     data = json.loads(path.read_text())
     assert data["command"] == "modp-space"
-    assert data["params"] == {"p": 7}
+    assert data["params"] == {"p": 7, "pmax": None, "seed": None}
     assert set(data.keys()) == {"command", "params", "version", "checks"}
     for check in data["checks"]:
         assert set(check.keys()) == {"name", "status", "details", "witness"}
@@ -346,7 +347,7 @@ def test_refuting_self_check_is_a_failure_with_a_witness(monkeypatch, tmp_path, 
     assert code == 1 and captured.err == ""
     assert "[FAIL] kernel self-check" in captured.out
     report = json.loads(path.read_text())
-    assert report["params"] == {"argv": ["modp-space", "--p", "7", "--json", str(path)]}
+    assert report["params"] == {"p": 7, "pmax": None, "seed": None}
     (check,) = report["checks"]
     assert check["status"] == "fail"
     assert check["witness"] == {"refutation": "basis vector (1, 0, 0, 0) escapes the closed form at p = 7"}
@@ -430,6 +431,60 @@ def test_all_keeps_the_other_steps_when_a_self_check_trips(monkeypatch, tmp_path
     assert whole[i : i + len(step)] == step
     assert patched[:i] == whole[:i] and patched[i + 1 :] == whole[i + len(step) :]
     assert patched[:i] and patched[i + 1 :]
+
+
+def test_a_self_check_that_trips_keeps_the_checks_decided_before_it(monkeypatch, tmp_path, capsys):
+    # the refutation joins the report the command was filling, alone or as
+    # a step of all
+    def trip(init4, p):
+        raise AssertionError(f"extendability routes disagree at p = {p}")
+
+    monkeypatch.setattr(cli, "extendability_test", trip)
+    path = tmp_path / "report.json"
+    code, _ = run_cli(["modp-space", "--p", "7", "--json", str(path)], capsys)
+    assert code == 1
+    assert [(c["name"], c["status"]) for c in json.loads(path.read_text())["checks"]] == [
+        ("dim V_7 = 2", "pass"),
+        ("tails satisfy recurrence", "pass"),
+        ("sigma_0, sigma_1 independent", "pass"),
+        ("kernel self-check", "fail"),
+    ]
+    code, _ = run_cli(["all", "--seed", "7", "--json", str(path)], capsys)
+    assert code == 1
+    checks = json.loads(path.read_text())["checks"]
+    assert len(checks) == 43
+    assert [c["details"] for c in checks if c["status"] == "fail"] == [
+        "modp-space --p 7: extendability routes disagree at p = 7"
+    ]
+
+
+def test_report_params_are_the_parsed_options(tmp_path, capsys):
+    # one rule for every command: each option but --json, as parsed (None
+    # where it was not given, --init as its values)
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    argvs = {
+        "seq": ["--n", "3"],
+        "congruence": ["--p", "3", "--nmax", "9"],
+        "denom": ["--init", "1,1,2,-1/8,-1/2", "--n", "5"],
+        "identities": [],
+        "closed-forms": ["--n", "5"],
+        "modp-space": ["--pmax", "3"],
+        "cartier": ["--p", "11", "--pmax", "20", "--kmax", "3", "--seed", "9"],
+        "frobenius": ["--pmax", "20", "--vp-limit", "11"],
+        "asd": ["--rmax", "1", "--nmax", "1"],
+        "all": [],
+    }
+    assert set(argvs) == set(sub.choices)
+    path = tmp_path / "report.json"
+    params = {}
+    for name, rest in argvs.items():
+        run_cli([name, *rest, "--json", str(path)], capsys)
+        params[name] = json.loads(path.read_text())["params"]
+        assert set(params[name]) == {a.dest for a in sub.choices[name]._actions} - {"help", "json"}, name
+    assert params["cartier"] == {"p": 11, "pmax": 20, "kmax": 3, "seed": 9}
+    assert params["modp-space"] == {"p": None, "pmax": 3, "seed": None}
+    assert params["frobenius"] == {"curve": [0, 1], "pmax": 20, "vp_limit": 11}
+    assert params["denom"] == {"init": ["1/1", "1/1", "2/1", "-1/8", "-1/2"], "n": 5}
 
 
 def test_closed_stdout_pipe_exits_quietly_with_141():

@@ -1,5 +1,5 @@
 """Lint guards: every name a module of the package imports is used there,
-every import sits at module level, only the operator translator builds a
+every import sits at module level, no check is an assert statement, only the operator translator builds a
 Recurrence, every public class and UPPER_CASE module constant is named (a
 constant: read) by the package or the benchmark, every function and method
 of the package is reached at run time, every defaulted parameter of a public
@@ -259,6 +259,17 @@ def recurrences_built_outside_the_translator(source: str) -> list[str]:
             if name == "Recurrence":
                 found.append(f"line {node.lineno}")
     return found
+
+
+def test_no_assert_statement():
+    # python -O strips an assert: a check of the package raises explicitly
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -236,6 +236,14 @@ def test_extendability_fixtures():
     assert not r.extendable and r.agree and r.witness_m is not None and r.witness_m <= 8
     r = extendability_test(tail_vector_mod(11), 11)
     assert r.extendable and r.agree
+    # a vector of another length than (C_1, ..., C_4) is refused, not cut
+    # short or padded with zeros
+    space = compute_vp(7, brute_validate=False)
+    for v in ((1, 2, 3), (1, 2, 6, 3, 5)):
+        with pytest.raises(ValueError):
+            extendability_test(v, 7)
+        with pytest.raises(ValueError):
+            space.contains(v)
 
 
 def test_method_agreement_full_f7_f11():

@@ -374,6 +374,15 @@ def test_precision_propagation():
         with pytest.raises(ValueError, match="mixed scalar domains"):
             mixed()
     assert TruncatedSeries([0, 0]) + over_f7 == over_f7
+    # the repr names the domain by the same rule (QuadExt keeps 65 mod 7 = 2)
+    for s, domain in (
+        (halves, "QQ"),
+        (over_f7, "F_7(sqrt 2)"),
+        (TruncatedSeries([QuadExt(1, 1, 7, 65)]), "F_7(sqrt 2)"),
+        (TruncatedSeries([QuadExt(1, 1, 11, 65)]), "F_11(sqrt 10)"),
+        (TruncatedSeries([1], 3, 5), "Z/5"),
+    ):
+        assert repr(s).endswith(f", {domain})"), repr(s)
 
 
 def test_laurent_arithmetic_and_residue():
