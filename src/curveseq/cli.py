@@ -28,6 +28,8 @@ from .cartier import (
 )
 from .curve import (
     BAD_PRIMES,
+    WEIERSTRASS_A,
+    WEIERSTRASS_B,
     CurveForm,
     closed_forms,
     curve_model_checks,
@@ -209,7 +211,7 @@ def cmd_seq(args, rep: Report):
 def cmd_congruence(args, rep: Report):
     init = args.init
     seq = extend_rational(MAIN_RECURRENCE, init, args.nmax + 1)
-    scan = congruence_scan(seq, args.p, args.rmax, args.nmax, reconstruct=True)
+    scan = congruence_scan(seq, args.p, args.rmax, args.nmax)
     detail = f"p={args.p}, r<={scan.r_max}, n<={args.nmax}"
     witness = None
     if scan.non_integral_index is not None:
@@ -217,7 +219,7 @@ def cmd_congruence(args, rep: Report):
     elif scan.failures:
         witness = {"first_failure_kr": list(scan.first_failure())}
     rep.add("congruences", scan.ok, detail, witness)
-    if scan.ok and scan.witness_integral is not None:
+    if scan.ok:
         rep.add(
             "witness-exponents-integral",
             scan.witness_integral,
@@ -356,11 +358,19 @@ def cmd_cartier(args, rep: Report):
     pmax = args.pmax
     bad, scanned = [], 0
     alpha_zero, beta_zero, combo_zero = [], [], []
+    # the tabulated alpha' is also read off the trace of Frobenius of
+    # y^2 = x^3 + ea x + eb, the integral model (x = 9U, y = 27V) of V^2 = U^3 + AU + B
+    ea, eb = int(81 * WEIERSTRASS_A), int(729 * WEIERSTRASS_B)
+    traced, off_trace = 0, []
     for q in range(3, pmax + 1):
         if not is_prime(q) or q in BAD_PRIMES:
             continue
         scanned += 1
         iv = alphabeta_quartic(q)
+        if q >= 5 and not singular_mod(ea, eb, q):
+            traced += 1
+            if (point_count(ea, eb, q).trace - iv.alpha) % q:
+                off_trace.append(q)
         if iv.both_zero:
             bad.append(q)
         if not iv.alpha:
@@ -375,11 +385,20 @@ def cmd_cartier(args, rep: Report):
         f"{scanned} good primes",
         witness=None if not bad else {"bad": bad},
     )
-    rep.add(
-        "invariant pair tabulation",
-        True,
-        f"alpha'=0 at {alpha_zero}; beta'=0 at {beta_zero}; alpha'+4beta'=0 at {combo_zero}",
+    tabulation = (
+        f"alpha'=0 at {alpha_zero}; beta'=0 at {beta_zero}; alpha'+4beta'=0 at {combo_zero}; "
+        f"alpha' = trace of Frobenius mod p at {traced} primes"
     )
+    # the trace route reads no prime below 7: the tabulation then decides nothing
+    if not traced:
+        rep.skip("invariant pair tabulation", tabulation)
+    else:
+        rep.add(
+            "invariant pair tabulation",
+            not off_trace,
+            tabulation,
+            None if not off_trace else {"alpha_off_trace": off_trace},
+        )
     rep.add("C(xi/2) = xi/2 (logarithmically exact)", log_first is None)
     witness_m, bound = None if exact_first is None else exact_first + 1, exactness_scan_bound(off_hyperplane)
     rep.add(

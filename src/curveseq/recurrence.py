@@ -400,7 +400,12 @@ def extend_modp_exhaustive(
     spec: Recurrence, init: Sequence[int], p: int, n_terms: int
 ) -> ModPSolution | None:
     """Search every combination of free choices (small p only); returns a
-    successful extension or None when no choice sequence reaches n_terms."""
+    successful extension or None when no choice sequence reaches n_terms.
+
+    Depth first, choices in the order 0..p-1: a forced index is stepped in
+    place, and ``free`` is the stack of branch points, so a dead end (a
+    violated constraint) backtracks to the deepest free index with a choice
+    left."""
     if p < 3:
         raise ValueError("p >= 3 required")
     require_prime(p)
@@ -409,27 +414,27 @@ def extend_modp_exhaustive(
         raise ValueError(f"need exactly {d} initial values")
     lead = spec.leading_poly
     lower = [(j, poly) for j, poly in spec.shifts if j < d]
-
-    def step(values: list[int], free: list[int]):
+    values, free = [v % p for v in init], []
+    while len(values) < n_terms:
         m = len(values)
-        if m >= n_terms:
-            return ModPSolution(p, values[: max(n_terms, 0)], [(f, 0) for f in free])
         n = m - d
         denom = poly_eval(lead, n) % p
         acc = 0
         for j, poly in lower:
             acc = (acc + poly_eval(poly, n) * values[n + j]) % p
         if denom:
-            return step(values + [-acc * pow(denom, -1, p) % p], free)
-        if acc % p != 0:
-            return None
-        for choice in range(p):
-            found = step(values + [choice], free + [m])
-            if found is not None:
-                return found
-        return None
-
-    return step([v % p for v in init], [])
+            values.append(-acc * pow(denom, -1, p) % p)
+        elif acc == 0:
+            free.append(m)
+            values.append(0)
+        else:
+            while free and values[free[-1]] == p - 1:
+                free.pop()
+            if not free:
+                return None
+            del values[free[-1] + 1 :]
+            values[-1] += 1
+    return ModPSolution(p, values[: max(n_terms, 0)], [(f, 0) for f in free])
 
 
 def extend_modp(

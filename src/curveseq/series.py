@@ -87,15 +87,26 @@ class TruncatedSeries:
         _init(out, coeffs, precision, self.modulus)
         return out
 
-    def _check_domain(self, other: "TruncatedSeries"):
+    def _exact_domain(self) -> str | None:
+        """With ``modulus`` None, the exact domain read off a nonzero
+        coefficient: QQ or F_p(sqrt d).  None for a zero series (such as the
+        padding of an empty one), which fits every exact domain."""
+        unit = next((c for c in self.coeffs if c), None)
+        if unit is None:
+            return None
+        return f"F_{unit.p}(sqrt {unit.d})" if isinstance(unit, QuadExt) else "QQ"
+
+    def _same_domain(self, other: "TruncatedSeries") -> bool:
         if self.modulus != other.modulus:
+            return False
+        if self.modulus is not None:
+            return True
+        mine, theirs = self._exact_domain(), other._exact_domain()
+        return mine is None or theirs is None or mine == theirs
+
+    def _check_domain(self, other: "TruncatedSeries"):
+        if not self._same_domain(other):
             raise ValueError("mixed scalar domains")
-        if self.modulus is None:
-            # the exact domain (Fraction or QuadExt) is read off a nonzero
-            # coefficient; a zero, such as the padding of an empty series, fits both
-            mine, theirs = (next((type(c) for c in s.coeffs if c), None) for s in (self, other))
-            if mine and theirs and mine is not theirs:
-                raise ValueError("mixed scalar domains")
 
     def __getitem__(self, n: int):
         if n < 0:
@@ -107,28 +118,19 @@ class TruncatedSeries:
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return (
-            self.modulus == other.modulus
-            and self.precision == other.precision
-            and self.coeffs == other.coeffs
-        )
+        # a zero fits every exact domain, so equality and hashing read the
+        # nonzero coefficients alone
+        mine, theirs = (tuple((i, c) for i, c in enumerate(s.coeffs) if c) for s in (self, other))
+        return self.precision == other.precision and self._same_domain(other) and mine == theirs
 
     def __hash__(self):
-        return hash((tuple(self.coeffs), self.precision, self.modulus))
+        return hash((tuple((i, c) for i, c in enumerate(self.coeffs) if c), self.precision, self.modulus))
 
     def __repr__(self):
         shown = ", ".join(repr(c) for c in self.coeffs[:6])
         if self.precision > 6:
             shown += ", ..."
-        # modulus None: the exact domain is read off a nonzero coefficient, as
-        # _check_domain reads it
-        unit = next((c for c in self.coeffs if c), None)
-        if self.modulus is not None:
-            dom = f"Z/{self.modulus}"
-        elif isinstance(unit, QuadExt):
-            dom = f"F_{unit.p}(sqrt {unit.d})"
-        else:
-            dom = "QQ"
+        dom = f"Z/{self.modulus}" if self.modulus is not None else self._exact_domain() or "QQ"
         return f"TruncatedSeries([{shown}] + O(x^{self.precision}), {dom})"
 
     def agrees_with(self, other: "TruncatedSeries", upto: int) -> bool:
@@ -364,14 +366,10 @@ def _mul_one_minus_xm_power(nums: list[int], den: int, m: int, a: Fraction, n: i
         scale *= v * k
     factor_den = v ** (n_terms - 1) * math.factorial(n_terms - 1)
     content = math.gcd(factor_den, *factor)
-    out = [0] * n
+    spread = [0] * n  # the factor on x^(mk); first, so _convolve skips its zeros
     for k, fk in enumerate(factor):
-        if fk:
-            fk //= content
-            e = m * k
-            for i, ni in enumerate(nums[: n - e]):
-                if ni:
-                    out[i + e] += fk * ni
+        spread[m * k] = fk // content
+    out = _convolve(spread, nums, n, None)
     den *= factor_den // content
     g = math.gcd(den, *out)
     return [c // g for c in out], den // g
@@ -423,6 +421,8 @@ def dieudonne_exponents_peeling(f: TruncatedSeries, m_max: int) -> DieudonneExpo
 
 # -- congruence scanner -------------------------------------------------------
 
+WITNESS_TERMS = 200
+
 
 @dataclass
 class CongruenceReport:
@@ -439,22 +439,15 @@ class CongruenceReport:
         return self.failures[0] if self.failures else None
 
 
-def congruence_scan(
-    c: list[Fraction],
-    p: int,
-    r_max: int,
-    n_max: int,
-    reconstruct: bool = False,
-    witness_terms: int = 200,
-) -> CongruenceReport:
+def congruence_scan(c: list[Fraction], p: int, r_max: int, n_max: int) -> CongruenceReport:
     """Check c_{k p^{r+1}} = c_{k p^r} mod p^{r+1} for k >= 1, r <= r_max,
     k p^{r+1} <= n_max.
 
     Every scanned coefficient must be p-integral (a non-p-integral one is an
-    explicit failure with its index).  On success and ``reconstruct``, the
-    witness exponents a_n of the converse direction are computed and their
-    p-integrality checked: the scanned congruences hold iff the series with
-    these exponents has p-integral coefficients.
+    explicit failure with its index).  On success, the witness exponents
+    a_1..a_M, M = min(WITNESS_TERMS, n_max), of the converse direction are
+    computed and their p-integrality checked: the scanned congruences hold
+    iff the series with these exponents has p-integral coefficients.
     """
     n_max = min(n_max, len(c) - 1)
     # level r examines a pair iff p^(r+1) <= n_max: the report names the
@@ -474,8 +467,8 @@ def congruence_scan(
                 failures.append((k, r))
             k += 1
     report = CongruenceReport(p, r_max, not failures, failures=tuple(failures))
-    if reconstruct and report.ok:
-        m = min(witness_terms, n_max)
+    if report.ok:
+        m = min(WITNESS_TERMS, n_max)
         exps = _mobius_exponents(c, m)
         report.witness_exponents = DieudonneExponents(tuple(exps), m)
         report.witness_integral = all(is_p_integral(a_n, p) for a_n in exps)
@@ -584,13 +577,14 @@ class LaurentSeries:
         if not isinstance(other, LaurentSeries):
             return NotImplemented
         a, b = self.normalized(), other.normalized()
-        if a.is_zero() and b.is_zero():
-            return True
-        return a.offset == b.offset and a.series.coeffs == b.series.coeffs
+        if a.is_zero() or b.is_zero():
+            # every zero of a domain is equal, whatever its offset and precision
+            return a.is_zero() and b.is_zero() and a.series._same_domain(b.series)
+        return a.offset == b.offset and a.series == b.series
 
     def __hash__(self):
         n = self.normalized()
-        return hash((n.offset, n.series))
+        return hash(self.modulus) if n.is_zero() else hash((n.offset, n.series))
 
     def __repr__(self):
         return f"x^{self.offset} * {self.series!r}"

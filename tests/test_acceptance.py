@@ -308,7 +308,7 @@ def test_criterion_14_dieudonne_round_trip():
     # converse at p = 7: the scan rebuilds a 7-integral witness for the
     # sequence, whose exponential form reproduces the coefficients
     c = main_sequence(160)
-    rep = congruence_scan(c, 7, 2, 150, reconstruct=True, witness_terms=120)
+    rep = congruence_scan(c, 7, 2, 150)
     assert rep.ok and rep.witness_integral
     witness = rep.witness_exponents.reconstruct()
     assert all(padic_valuation(v, 7) >= 0 for v in witness.coeffs)

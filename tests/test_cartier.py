@@ -195,6 +195,21 @@ def test_quartic_alpha_is_trace_of_weierstrass_reduction():
         assert point_count(a, b, p).trace % p == alphabeta_quartic(p).alpha, p
 
 
+def test_quartic_alpha_is_trace_of_the_integral_model_to_1050():
+    # the route `cartier` decides its tabulation by: y^2 = x^3 + 81A x + 729B,
+    # the integral model of V^2 = U^3 + AU + B, nonsingular at every good p >= 7
+    from curveseq.curve import BAD_PRIMES, WEIERSTRASS_A, WEIERSTRASS_B
+    from curveseq.exactnum import is_prime
+    from curveseq.frobenius import point_count, singular_mod
+
+    assert (81 * WEIERSTRASS_A, 729 * WEIERSTRASS_B) == (-1323, 3942)
+    a, b = -1323, 3942
+    good = [p for p in range(7, 1050) if is_prime(p) and p not in BAD_PRIMES]
+    assert not any(singular_mod(a, b, p) for p in good)
+    for p in good:
+        assert point_count(a, b, p).trace % p == alphabeta_quartic(p).alpha, p
+
+
 #: Cartier image coefficients the series reference route compares
 SERIES_ROUTE_COEFFS = 60
 

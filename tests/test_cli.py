@@ -305,6 +305,34 @@ def test_cartier_refuted_invariant_is_a_failure_with_a_witness(monkeypatch, tmp_
     assert check["witness"] == {"eta": 0}
 
 
+def test_cartier_tabulation_is_decided_by_the_trace_of_frobenius(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "cartier.json"
+    code, _ = run_cli(["cartier", "--p", "7", "--pmax", "100", "--json", str(path)], capsys)
+    assert code == 0
+    (check,) = [c for c in json.loads(path.read_text())["checks"] if c["name"] == "invariant pair tabulation"]
+    # the scan reads 22 good primes <= 100; all but p = 3 are point-counted
+    assert check["status"] == "pass"
+    assert check["details"].endswith("; alpha' = trace of Frobenius mod p at 21 primes")
+    # below 7 the route reads no prime, and the tabulation decides nothing
+    code, _ = run_cli(["cartier", "--p", "7", "--pmax", "5", "--json", str(path)], capsys)
+    assert code == 0
+    (check,) = [c for c in json.loads(path.read_text())["checks"] if c["name"] == "invariant pair tabulation"]
+    assert check["status"] == "skip" and check["details"].endswith("at 0 primes")
+    # alpha' shifted by one at every prime: the trace route refutes it at each
+    real = cartier.alphabeta_quartic
+
+    def alpha_shifted(p):
+        inv = real(p)
+        return cartier.CartierInvariants(p, (inv.alpha + 1) % p, inv.beta)
+
+    monkeypatch.setattr(cli, "alphabeta_quartic", alpha_shifted)
+    code, out = run_cli(["cartier", "--p", "7", "--pmax", "30", "--json", str(path)], capsys)
+    assert code == 1
+    assert "[FAIL] invariant pair tabulation" in out
+    (check,) = [c for c in json.loads(path.read_text())["checks"] if c["name"] == "invariant pair tabulation"]
+    assert check["witness"] == {"alpha_off_trace": [7, 11, 17, 19, 23, 29]}
+
+
 def test_cartier_report_names_lambda_0_and_the_hasse_values(tmp_path, capsys):
     path = tmp_path / "cartier.json"
     for p, seed in ((7, 0), (11, 5), (23, 9)):

@@ -232,6 +232,20 @@ def test_extend_modp_exhaustive_policy():
     assert sol is not None and sol.ok and len(sol.values) == 24
 
 
+def test_extend_modp_exhaustive_runs_past_the_recursion_limit():
+    # 1200 terms take 171 free indices and more than 1000 forced steps, one
+    # stack frame each in a recursive search
+    from curveseq.recurrence import extend_modp_exhaustive
+
+    sol = extend_modp_exhaustive(MAIN_RECURRENCE, (0, 1, 2, 6, 3), 7, 1200)
+    assert sol is not None and sol.ok and len(sol.values) == 1200
+    # the linear stepper, fed the same free choices, rebuilds every value
+    free = [sol.values[m] for m, _ in sol.residuals]
+    again = extend_modp(MAIN_RECURRENCE, (0, 1, 2, 6, 3), 7, 1200, free)
+    assert again.ok and again.values == sol.values
+    assert [m for m, _ in again.residuals] == [m for m, _ in sol.residuals]
+
+
 def test_extend_modp_zero_solution():
     sol = extend_modp(MAIN_RECURRENCE, (0, 0, 0, 0, 0), 7, 40)
     assert sol.ok and all(v == 0 for v in sol.values)

@@ -15,6 +15,7 @@ from curveseq.series import (
     _NUMPY_CUTOFF,
     _convolve,
     _exponent_product,
+    WITNESS_TERMS,
     _rederives,
     congruence_scan,
     dieudonne_exponents,
@@ -260,7 +261,7 @@ def test_exponent_product_matches_fraction_reference(exps):
 
 def test_main_witness_denominator_is_least():
     # the congruence witness of curveseq all: p = 3, m = 200
-    rep = congruence_scan(main_sequence(501), 3, 2, 500, reconstruct=True)
+    rep = congruence_scan(main_sequence(501), 3, 2, 500)
     assert rep.witness_exponents.precision == 200
     nums, den = _exponent_product(rep.witness_exponents.exponents, 201)
     assert den > 1
@@ -270,7 +271,7 @@ def test_main_witness_denominator_is_least():
 def test_rederivation_detects_any_changed_term():
     m = 200
     c = main_sequence(m + 1)
-    witness = congruence_scan(c, 3, 2, m, reconstruct=True).witness_exponents
+    witness = congruence_scan(c, 3, 2, m).witness_exponents
     nums, _ = _exponent_product(witness.exponents, m + 1)
     assert _rederives(nums, c)
     for n in range(1, m + 1):
@@ -298,13 +299,29 @@ def test_congruence_scan_main_sequence():
     # c_3 = -1/8 = 1 = c_1 mod 3
     rep3 = congruence_scan(c, 3, 2, 125)
     assert rep3.ok
-    rep5 = congruence_scan(c, 5, 1, 125, reconstruct=True)
+    rep5 = congruence_scan(c, 5, 1, 125)
     assert rep5.ok and rep5.witness_integral
     # the actual residues at the first congruence instances
     from curveseq.exactnum import reduce_fraction_mod
 
     assert reduce_fraction_mod(c[3], 3) == reduce_fraction_mod(c[1], 3) == 1
     assert reduce_fraction_mod(c[5], 5) == reduce_fraction_mod(c[1], 5) == 1
+
+
+def test_every_passing_scan_carries_its_witness():
+    rep = congruence_scan(main_sequence(501), 3, 2, 500)
+    assert rep.ok
+    assert rep.witness_exponents.precision == WITNESS_TERMS == 200
+    assert rep.witness_integral is True and rep.witness_rederives is True
+    # a short scan covers a_1..a_n_max
+    assert congruence_scan(main_sequence(30), 3, 2, 27).witness_exponents.precision == 27
+    # a failing scan, on either path, carries none
+    broken = [Fraction(0)] + [Fraction(1)] * 30
+    broken[9] = Fraction(4)
+    non_integral = [Fraction(0), Fraction(1, 3), Fraction(1)]
+    for failed in (congruence_scan(broken, 3, 2, 27), congruence_scan(non_integral, 3, 0, 2)):
+        assert not failed.ok
+        assert (failed.witness_exponents, failed.witness_integral, failed.witness_rederives) == (None, None, None)
 
 
 def test_congruence_scan_fermat():
@@ -349,7 +366,7 @@ def test_scan_congruence_implies_integral_witness():
     # exponents, hence a Z_p-coefficient witness series
     c = main_sequence(200)
     for p in (3, 7):
-        rep = congruence_scan(c, p, 2, 190, reconstruct=True, witness_terms=80)
+        rep = congruence_scan(c, p, 2, 190)
         assert rep.ok and rep.witness_integral and rep.witness_rederives
         witness = rep.witness_exponents.reconstruct()
         from curveseq.exactnum import padic_valuation
@@ -437,6 +454,51 @@ def test_ring_operations_stay_reduced(m):
     for got, want in pairs:
         assert all(isinstance(c, int) and 0 <= c < m for c in got.coeffs)
         assert got == TruncatedSeries(want.coeffs, want.precision, m)
+
+
+def test_series_equality_reads_the_scalar_domain():
+    # 1/2 = 4 and 1/3 = 5 mod 7, yet a Q series is not one over F_7(sqrt 65)
+    halves = TruncatedSeries([Fraction(1, 2), Fraction(1, 3)])
+    over_f7 = TruncatedSeries([QuadExt(4, 0, 7, 65), QuadExt(5, 0, 7, 65)])
+    assert halves != over_f7 and over_f7 != halves
+    # a Z/7 series is not a Q series
+    assert LaurentSeries(0, TruncatedSeries([1, 2], 2, 7)) != LaurentSeries(0, TruncatedSeries([1, 2], 2))
+    # the zero series of one domain are equal at every offset, and hash alike
+    zeros = [LaurentSeries(0, TruncatedSeries([0, 0], 2)), LaurentSeries(3, TruncatedSeries([0], 1))]
+    assert zeros[0] == zeros[1] and hash(zeros[0]) == hash(zeros[1])
+    assert zeros[0] != LaurentSeries(0, TruncatedSeries([0, 0], 2, 7))
+    # F_7 and F_11 are two domains, also at equal residues
+    assert TruncatedSeries([QuadExt(1, 0, 7, 65)]) != TruncatedSeries([QuadExt(1, 0, 11, 65)])
+
+
+def _series_on(domain, values, precision):
+    # the value v is v/2 in every domain, plus (v // 3) sqrt 65 over F_p
+    halves = [Fraction(v, 2) for v in values]
+    if domain == "Q":
+        return TruncatedSeries(halves, precision)
+    if domain == "Z/7":
+        return TruncatedSeries(halves, precision, 7)
+    p = 7 if domain == "F_7" else 11
+    return TruncatedSeries([QuadExt(0, v // 3, p, 65) + h for v, h in zip(values, halves)], precision)
+
+
+series_on_a_domain = st.builds(
+    _series_on,
+    st.sampled_from(["Q", "Z/7", "F_7", "F_11"]),
+    st.lists(st.sampled_from([0, 0, 0, 1, 3, 4]), max_size=3),
+    st.integers(0, 3),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-1, 1), series_on_a_domain, st.integers(-1, 1), series_on_a_domain)
+def test_equal_series_hash_alike(off_a, a, off_b, b):
+    # a == b implies hash(a) == hash(b), across the four domains and at any offset
+    if a == b:
+        assert hash(a) == hash(b)
+    la, lb = LaurentSeries(off_a, a), LaurentSeries(off_b, b)
+    if la == lb:
+        assert hash(la) == hash(lb)
 
 
 @pytest.mark.parametrize("modulus", [None, 101])
