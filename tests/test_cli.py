@@ -209,6 +209,15 @@ def test_seq_main_data_below_c5_skips(tmp_path, capsys):
     assert "golden-c5" not in check_statuses(["seq", "--init", "0,0,0,0,1", "--n", "5"], tmp_path, capsys)
 
 
+def test_denom_other_data_skips_the_main_data_bound(tmp_path, capsys):
+    # 2^(2n-3) c_n is integral for the main data; on other data that check
+    # is reported as skipped, not dropped
+    checks = check_statuses(["denom", "--init", "0,1,0,0,0", "--n", "50"], tmp_path, capsys)
+    assert list(checks) == ["denominator-bound", "2^(2n-3) c_n integral"]
+    assert checks["2^(2n-3) c_n integral"] == ("skip", "the bound is stated for the main data")
+    assert check_statuses(["denom", "--n", "50"], tmp_path, capsys)["2^(2n-3) c_n integral"][0] == "pass"
+
+
 def test_seq_extend_is_decided_on_the_printed_terms(monkeypatch, tmp_path, capsys):
     # --n 5 takes no step, so nothing is checked; a term moved off the
     # recurrence fails, and the witness names it

@@ -1,7 +1,9 @@
+import itertools
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,6 +17,7 @@ from curveseq.series import (
     _NUMPY_CUTOFF,
     _convolve,
     _exponent_product,
+    _lowest_terms,
     WITNESS_TERMS,
     _rederives,
     congruence_scan,
@@ -266,6 +269,59 @@ def test_main_witness_denominator_is_least():
     nums, den = _exponent_product(rep.witness_exponents.exponents, 201)
     assert den > 1
     assert den == math.lcm(*(Fraction(v, den).denominator for v in nums))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.one_of(st.just(0), st.integers(-(10**20), 10**20)), max_size=10),
+    st.one_of(st.integers(1, 10**6), st.builds(lambda k: 2**k, st.integers(0, 40))),
+    st.sampled_from([1, 3, 5, 9, 15, 49, 105]),
+    st.integers(0, 70),
+    st.integers(0, 70),
+)
+def test_lowest_terms_divides_by_the_gcd(nums, common, odd, num_shift, den_shift):
+    # a shared factor and powers of two on both sides: odd, even and
+    # power-of-two denominators; negative, all-zero and empty numerators
+    nums = [(c * common) << num_shift for c in nums]
+    den = (odd * common) << den_shift
+    g = math.gcd(den, *nums)
+    assert _lowest_terms(nums, den) == ([c // g for c in nums], den // g)
+
+
+def assert_product_matches_reference(exps, n):
+    ref = fraction_product(exps, n)
+    nums, den = _exponent_product(exps, n)
+    assert den == math.lcm(*(v.denominator for v in ref))
+    assert [Fraction(v, den) for v in nums] == ref
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_exponent_product_at_the_lowest_orders(n):
+    # n = 1 has no factor, n = 2 only the linear tail, n = 3 one stepped factor
+    for exps in itertools.product([Fraction(0), Fraction(-3, 2), Fraction(5, 3), Fraction(2)], repeat=3):
+        assert_product_matches_reference(list(exps), n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(exponent_lists, st.integers(0, 1), st.sampled_from(["zeros", "single", "odd"]), st.data())
+def test_exponent_product_linear_tail(head, extra, kind, data):
+    # the factors with m > (n-1)/2 go in as one polynomial: a tail of zeros,
+    # of a single nonzero exponent, or of odd denominators only
+    n = 2 * len(head) + 1 + extra
+    size = n - 1 - len(head)
+    if kind == "zeros":
+        tail = [Fraction(0)] * size
+    elif kind == "single":
+        tail = [Fraction(0)] * size
+        tail[data.draw(st.integers(0, size - 1))] = data.draw(
+            st.builds(Fraction, st.integers(-40, 40).filter(bool), st.sampled_from([1, 2, 3, 8, 15]))
+        )
+    else:
+        tail = data.draw(
+            st.lists(st.builds(Fraction, st.integers(-40, 40), st.sampled_from([1, 3, 5, 9, 15, 49])),
+                     min_size=size, max_size=size)
+        )
+    assert_product_matches_reference(head + tail, n)
 
 
 def test_rederivation_detects_any_changed_term():
@@ -521,3 +577,65 @@ def test_convolve_drops_zero_padding(modulus):
         assert head[: short + m - 1] == _convolve(a, b[:m], short + m - 1, modulus)
         assert head[short + m - 1 :] == [0] * (n - short - m + 1)
     assert _convolve([1, 2], [3], 0, modulus) == [] and _convolve([1, 2], [3], -1, modulus) == []
+
+
+def schoolbook(a, b, n_out, modulus):
+    out = [0] * n_out
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            if i + j < n_out:
+                out[i + j] += ai * bj
+    return [v % modulus for v in out]
+
+
+def counting_np_convolve(monkeypatch):
+    """Patch np.convolve to count its calls; returns the list of calls."""
+    calls, real = [], np.convolve
+    monkeypatch.setattr(np, "convolve", lambda a, b: calls.append(1) or real(a, b))
+    return calls
+
+
+@pytest.mark.parametrize("modulus", [3, 7, 10007**2])
+def test_convolve_path_choice_across_the_cutoff(modulus, monkeypatch):
+    # every pair of lengths below and around the cutoff: the numpy path runs
+    # iff both operands reach it, and both paths give the schoolbook product
+    calls = counting_np_convolve(monkeypatch)
+    rng = random.Random(modulus)
+    lengths = sorted(set(range(1, 17)) | set(range(max(1, _NUMPY_CUTOFF - 4), _NUMPY_CUTOFF + 9)))
+    for la, lb in itertools.product(lengths, repeat=2):
+        a = [rng.randrange(1, modulus) for _ in range(la)]
+        b = [rng.randrange(1, modulus) for _ in range(lb)]
+        n_out = la + lb - 1
+        before = len(calls)
+        assert _convolve(a, b, n_out, modulus) == schoolbook(a, b, n_out, modulus), (la, lb)
+        assert len(calls) - before == (min(la, lb) >= _NUMPY_CUTOFF), (la, lb)
+
+
+def test_convolve_int64_guard_at_its_edge(monkeypatch):
+    # min(len) * m^2 just below 2^62 takes numpy, just above it and far
+    # above it (where int64 sums would wrap) the exact loop
+    calls = counting_np_convolve(monkeypatch)
+    length = _NUMPY_CUTOFF + 2
+    below = math.isqrt((2**62 - 1) // length)
+    rng = random.Random(62)
+    for modulus, numpy_runs in ((below, True), (below + 1, False), (2**61 - 1, False)):
+        a = [modulus - rng.randrange(1, 5) for _ in range(length)]
+        b = [modulus - rng.randrange(1, 5) for _ in range(length + 3)]
+        before = len(calls)
+        assert _convolve(a, b, 2 * length + 2, modulus) == schoolbook(a, b, 2 * length + 2, modulus)
+        assert len(calls) - before == numpy_runs, modulus
+    assert length * below**2 < 2**62 <= length * (below + 1) ** 2
+
+
+@pytest.mark.parametrize("modulus", [3, 7, 10007**2])
+def test_convolve_padded_and_truncated_products(modulus):
+    # zero padding never reaches the result, and n_out below the full
+    # product length keeps its head
+    rng = random.Random(modulus + 1)
+    for la, lb in ((3, 12), (_NUMPY_CUTOFF, _NUMPY_CUTOFF), (_NUMPY_CUTOFF + 4, 20)):
+        a = [rng.randrange(1, modulus) for _ in range(la)]
+        b = [rng.randrange(1, modulus) for _ in range(lb)]
+        full = schoolbook(a, b, la + lb - 1, modulus)
+        for n_out in (1, min(la, lb), la + lb - 2, la + lb + 5):
+            want = (full + [0] * n_out)[:n_out]
+            assert _convolve(a + [0] * 7, b + [0] * 3, n_out, modulus) == want, (la, lb, n_out)
