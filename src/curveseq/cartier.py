@@ -2,11 +2,12 @@
 
 On a series field F_p((x)) the operator sends (sum u_n x^n) dx to
 (sum over n = -1 mod p of u_n^(1/p) x^((n+1)/p - 1)) dx; the p-th root is
-the identity on F_p and, on F_p(sqrt 65), the conjugation when 65 is a
-non-residue.  A form is exact iff its image vanishes (C1) and
-logarithmically exact iff it is fixed (C2).  Both properties are decided
-here through finitely many expansion coefficients, the number of which is
-controlled by the pole divisor of the form.
+the identity on F_p.  Above x = -1/2 a form is E +- y0 F, y0^2 = 65/16,
+with E and F over F_p, and where 65 is no square mod p the operator acts
+on the two coordinates E and y0 F apart.  A form is exact iff its image
+vanishes (C1) and logarithmically exact iff it is fixed (C2).  Both
+properties are decided here through finitely many expansion coefficients,
+the number of which is controlled by the pole divisor of the form.
 """
 
 from __future__ import annotations
@@ -21,32 +22,24 @@ from .curve import (
     Q_COEFFS,
     CurveForm,
     CurveFunction,
-    Place,
+    expand_pairs,
     expand_to_bound,
     infinity_place,
     origin_place,
 )
-from .exactnum import QuadExt, require_prime, sqrt_mod
+from .exactnum import require_prime, sqrt_mod
 from .polyring import Polynomial, RationalFunction
 from .recurrence import operator_recurrence, window_mod
-from .series import LaurentSeries, TruncatedSeries, _domain_inverse
+from .series import LaurentSeries, TruncatedSeries
 
 
 def cartier_laurent(w: LaurentSeries, p: int) -> LaurentSeries:
-    """C(w(t) dt): the same coefficient picking on a Laurent expansion, with
-    the p-th root of each picked coefficient.  That root is the identity on
-    F_p; on F_p(sqrt d) it is a + b sqrt d -> a + b d^((p-1)/2) sqrt d, the
-    conjugation when d is a non-residue."""
+    """C(w(t) dt) on F_p((t)): the same coefficient picking on a Laurent
+    expansion; the p-th root of a picked coefficient is itself."""
     f_min = -((-(w.offset + 1)) // p) - 1  # smallest f with p(f+1)-1 >= offset
     # exclusive bound: p(f+1)-1 < w.bound
-    coeffs = [_pth_root(w.coefficient(p * (f + 1) - 1), p) for f in range(f_min, w.bound // p)]
+    coeffs = [w.coefficient(p * (f + 1) - 1) for f in range(f_min, w.bound // p)]
     return LaurentSeries(f_min, TruncatedSeries(coeffs, len(coeffs), w.modulus))
-
-
-def _pth_root(c, p: int):
-    if isinstance(c, QuadExt):
-        return QuadExt(c.a, c.b * pow(c.d, (p - 1) // 2, p), p, c.d)
-    return c
 
 
 def require_good_prime(p: int) -> int:
@@ -262,26 +255,43 @@ def legendre_hasse(lam0: int, p: int) -> LegendreHasseData:
 # -- residues and pole bounds ------------------------------------------------------
 
 
-def half_pole_place(p: int, sign: int) -> Place:
-    """A place above x = -1/2 on the reduced curve (where t = 1 + 2x vanishes);
-    defined over F_p(sqrt(65)), which may be F_p or the quadratic extension."""
+def half_pole_pairs(items, p: int, bound: int) -> list[tuple[LaurentSeries, LaurentSeries]]:
+    """The pairs (E, F) of ``items`` over F_p (expand_pairs) on the chart
+    x = w - 1/2 of the two places above x = -1/2, where t = 1 + 2x
+    vanishes: an item is E + y0 F at (-1/2, y0) and E - y0 F at
+    (-1/2, -y0), y0^2 = Q(-1/2) = 65/16."""
     require_good_prime(p)
-    # y0 = sign sqrt(65)/4; it has b = 0 when 65 is a square mod p
-    inv4 = _domain_inverse(4, p)
-    root65 = sqrt_mod(65 % p, p)
-    if root65 is not None:
-        y0 = QuadExt(sign * root65 * inv4, 0, p, 65)
-    else:
-        y0 = QuadExt(0, sign * inv4, p, 65)
-    return Place(f"t=0({'+' if sign > 0 else '-'})", Polynomial([Fraction(-1, 2), 1], p), Polynomial([1], p), y0)
+    return expand_pairs(items, Polynomial([Fraction(-1, 2), 1], p), Polynomial([1], p), bound)
 
 
-def residue_check(form: CurveForm, p: int) -> dict[str, object]:
+def _half_pole_coordinates(form: CurveForm, p: int, bound: int) -> dict[str, tuple[LaurentSeries, ...]]:
+    """The expansion of ``form`` at each place above x = -1/2, by place name,
+    as its coordinates over F_p.
+
+    Where 65 is a square mod p, y0 = +-sqrt(65)/4 lies in F_p and the one
+    coordinate is the series E +- y0 F.  Where it is not, the coordinates
+    are E and +-F/4, of 1 and sqrt 65: these are independent over
+    F_p((w)), so the valuation of the expansion is the least of theirs, and
+    as C(E + sqrt(65) G) = C(E) - sqrt(65) C(G) (the p-th root of sqrt 65
+    is its conjugate) so is that of its Cartier image."""
+    [(e, f)] = half_pole_pairs([form], p, bound)
+    root, inv4 = sqrt_mod(65, p), pow(4, -1, p)
+    out = {}
+    for sign, name in ((+1, "t=0(+)"), (-1, "t=0(-)")):
+        out[name] = (e, f * (sign * inv4)) if root is None else (e + f * (sign * root * inv4),)
+    return out
+
+
+def residue_check(form: CurveForm, p: int) -> dict[str, int | tuple[int, int]]:
     """Residues of the reduced form at the places above x = -1/2 and at both
-    points at infinity."""
+    points at infinity, each in [0, p); above x = -1/2, where 65 is no
+    square mod p, the pair (a, b) of the residue a + b sqrt 65."""
     require_good_prime(p)
     out = {}
-    for place in (half_pole_place(p, +1), half_pole_place(p, -1), infinity_place(+1, p), infinity_place(-1, p)):
+    for name, coords in _half_pole_coordinates(form, p, 0).items():
+        residues = tuple(c.residue() for c in coords)
+        out[name] = residues if len(residues) > 1 else residues[0]
+    for place in (infinity_place(+1, p), infinity_place(-1, p)):
         [w] = expand_to_bound([form], place, 0)
         out[place.name] = w.residue()
     return out
@@ -300,31 +310,39 @@ def pole_bound_check(form: CurveForm, p: int) -> list[PoleBoundRow]:
     """v(C(form)) >= ceil((v(form)+1)/p) - 1 at the inspected places, plus the
     degree comparison sum_{v<0} v(C(form)) >= sum_{v<0} v(form) over them.
 
-    Inspected places: (0, +-2), inf+-, and the two places above x = -1/2;
-    fixtures are chosen with all their poles among these.  C(form)/omega has
-    at most B + 4 poles (exactness_scan_bound), so each image is expanded
-    through that exponent: ``v_image`` is None exactly when the image
-    vanishes there, and then the image is zero.
+    Inspected places: (0, +-2), inf+-, and the two places above x = -1/2
+    (by their coordinates over F_p, _half_pole_coordinates); fixtures are
+    chosen with all their poles among these.  C(form)/omega has at most
+    B + 4 poles (exactness_scan_bound), so each image is expanded through
+    that exponent: ``v_image`` is None exactly when the image vanishes
+    there, and then the image is zero.
     """
     require_good_prime(p)
     budget = exactness_scan_bound(form)
-    rows = []
+    n = p * (budget + 1)
     places = [make(sign, p) for make in (origin_place, infinity_place) for sign in (+1, -1)]
-    for place in places + [half_pole_place(p, +1), half_pole_place(p, -1)]:
-        [w] = expand_to_bound([form], place, p * (budget + 1))
-        v = w.valuation()
-        vc = cartier_laurent(w, p).valuation()
+    expansions = {place.name: tuple(expand_to_bound([form], place, n)) for place in places}
+    expansions.update(_half_pole_coordinates(form, p, n))
+    rows = []
+    for name, coords in expansions.items():
+        v = _least_valuation(coords)
+        vc = _least_valuation([cartier_laurent(c, p) for c in coords])
         if v is None:
-            rows.append(PoleBoundRow(place.name, None, vc, None, vc is None or vc >= 0))
+            rows.append(PoleBoundRow(name, None, vc, None, vc is None or vc >= 0))
             continue
         bound = -((-(v + 1)) // p) - 1  # ceil((v+1)/p) - 1
         ok = vc is None or vc >= bound
-        rows.append(PoleBoundRow(place.name, v, vc, bound, ok))
+        rows.append(PoleBoundRow(name, v, vc, bound, ok))
     neg_form = sum(r.v_form for r in rows if r.v_form is not None and r.v_form < 0)
     neg_image = sum(r.v_image for r in rows if r.v_image is not None and r.v_image < 0)
     degree_ok = neg_image >= neg_form
     rows.append(PoleBoundRow("degree-sum", neg_form, neg_image, neg_form, degree_ok))
     return rows
+
+
+def _least_valuation(series: Sequence[LaurentSeries]) -> int | None:
+    """The least valuation of the series, None if every one vanishes."""
+    return min((v for v in (s.valuation() for s in series) if v is not None), default=None)
 
 
 def reduce_form(form: CurveForm, p: int) -> CurveForm:

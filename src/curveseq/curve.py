@@ -3,10 +3,13 @@
 Functions are represented as u + v*y with rational-function components, so
 the identities behind the main theorems are checked exactly, not to finite
 precision.  Series enter only through expansions at places of the curve:
-the rational points above x = 0, the two points at infinity, and the
-places above the zero of 1 + 2x (over F_p(sqrt(65))).  Each place is an
-exact chart x = a(w)/b(w), and the one series an expansion needs is
-Q(x(w))^(-1/2).
+the rational points above x = 0, the two points at infinity, and the two
+places above the zero of 1 + 2x.  Each chart x = a(w)/b(w) serves both
+places above x(0), y = +-y0 + ..., and an expansion there is a pair (E, F)
+over the chart's domain, E + y0 F at the one place and E - y0 F at the
+other; the one series a pair needs is Q(x(w))^(-1/2) up to the scalar y0.
+So y0 need not lie in the domain: above x = -1/2, y0^2 = 65/16, and the
+pair is all there is where 65 is no square mod p.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactnum import QuadExt, padic_valuation, prime_factors, reduce_fraction_mod
+from .exactnum import padic_valuation, prime_factors, reduce_fraction_mod
 from .polyring import Polynomial, RationalFunction, _to_ratfunc, resultant
 from .recurrence import (
     A_COEFFS,
@@ -225,10 +228,10 @@ def differential_of(f: CurveFunction) -> CurveForm:
 class Place:
     """A place as its exact chart: x = a(w)/b(w) in the local parameter w,
     with a and b over the domain of the functions expanded there, and y the
-    square root of Q(x) for which b^2 y starts with y0, a square root of
-    the lead of H = b^4 Q(a/b).  y0 may lie in an extension of that domain
-    (F_p(sqrt 65) above x = -1/2).  H must have even order (x regular with
-    Q(x(0)) != 0, or a simple pole of x), as y is no series in w otherwise."""
+    square root of Q(x) for which b^2 y starts with y0, a square root, in
+    that domain, of the lead of H = b^4 Q(a/b).  H must have even order (x
+    regular with Q(x(0)) != 0, or a simple pole of x), as y is no series in
+    w otherwise."""
 
     name: str
     a: Polynomial
@@ -239,7 +242,7 @@ class Place:
         h = _homogenized(q_polynomial(self.a.modulus), self.a, self.b)
         if _order(h) % 2:
             raise ValueError(f"Q(x) has odd order {_order(h)} at {self.name}")
-        _chart_series(self, h.coeffs[_order(h) :], 1).inverse_sqrt(self.y0)  # y0^2 is H's lead
+        TruncatedSeries([h.coeffs[_order(h)]], 1, h.modulus).inverse_sqrt(self.y0)  # y0^2 is H's lead
 
 
 def origin_place(sign: int, modulus: int | None = None) -> Place:
@@ -268,61 +271,69 @@ def _order(f: Polynomial) -> int:
     return next(i for i, c in enumerate(f.coeffs) if c)
 
 
-def _chart_series(place: Place, coeffs: list, n: int) -> TruncatedSeries:
-    """The first n of ``coeffs`` as a series over the scalars of y0."""
-    if isinstance(place.y0, QuadExt):
-        zero = place.y0 * 0
-        return TruncatedSeries([zero + c for c in coeffs[:n]], n)
-    return TruncatedSeries(coeffs[:n], n, place.a.modulus)
-
-
-def _at_chart(f: RationalFunction, place: Place, factor: Polynomial, e: int) -> tuple[Polynomial, Polynomial]:
+def _at_chart(
+    f: RationalFunction, a: Polynomial, b: Polynomial, factor: Polynomial, e: int
+) -> tuple[Polynomial, Polynomial]:
     """f(a/b) * factor * b^e as a numerator and a denominator polynomial in
     w, with no gcd taken."""
-    a, b = place.a, place.b
     num, den = _homogenized(f.num, a, b) * factor, _homogenized(f.den, a, b)
     e += f.den.degree - f.num.degree
     return (num * b**e, den) if e >= 0 else (num, den * b ** (-e))
 
 
-def _expand(part: tuple[Polynomial, Polynomial], place: Place, bound: int, shift=0, root=None) -> LaurentSeries:
+def _expand(part: tuple[Polynomial, Polynomial], bound: int, shift=0, root=None) -> LaurentSeries:
     """num/den (times w^shift root) below the exponent ``bound``, from the
     offset read off the two polynomials."""
     num, den = part
+    m = num.modulus
     n = 0 if num.is_zero() else bound - (_order(num) - _order(den) + shift)
     if n <= 0:
-        return LaurentSeries(bound, _chart_series(place, [], 0))
-    w = _chart_series(place, num.coeffs[_order(num) :], n) / _chart_series(place, den.coeffs[_order(den) :], n)
+        return LaurentSeries(bound, TruncatedSeries([], 0, m))
+    num, den = (TruncatedSeries(f.coeffs[_order(f) :][:n], n, m) for f in (num, den))
+    w = num / den
     return LaurentSeries(bound - n, w if root is None else w * root.truncate(n))
 
 
-def expand_to_bound(items: Sequence[CurveForm | CurveFunction], place: Place, bound: int) -> list[LaurentSeries]:
-    """The expansions at ``place`` of ``items`` over its domain (functions,
-    and forms as their coefficient of dw), each known exactly below the
-    exponent ``bound``.
+def expand_pairs(
+    items: Sequence[CurveForm | CurveFunction], a: Polynomial, b: Polynomial, bound: int
+) -> list[tuple[LaurentSeries, LaurentSeries]]:
+    """The expansions of ``items`` (functions, and forms as their
+    coefficient of dw) at the places of the chart x = a(w)/b(w), as pairs
+    (E, F) over the chart's domain, each known exactly below the exponent
+    ``bound``: the expansion at the place where b^2 y starts with y0 w^k is
+    E + y0 F, so E - y0 F at the other.  y0^2 = h0, the lead of
+    H = b^4 Q(a/b) = h0 w^2k + ..., and y0 itself is never needed.
 
-    With x = a/b, H = b^4 Q(a/b) and s = H^(-1/2) = 1/(b^2 y), every
-    expansion is E + R s with E and R exact ratios of polynomials in w:
-    u + v y is u(x) + v(x) H b^-2 s, and (u + v y) omega = (u + v y) x' dw/y
-    is v(x) D b^-2 + u(x) D s, D = a'b - ab' (y s = b^-2).  Offsets are read
-    off their exact valuations, and s's one Newton series, w^(-k) times a
-    power series, runs at the precision the tightest item needs.
+    With s = H^(-1/2) = 1/(b^2 y), every expansion is E + R s with E and R
+    exact ratios of polynomials in w: u + v y is u(x) + v(x) H b^-2 s, and
+    (u + v y) omega = (u + v y) x' dw/y is v(x) D b^-2 + u(x) D s,
+    D = a'b - ab' (y s = b^-2).  And s = y0 w^-k r/h0, r the root with
+    constant term 1 of (H/(h0 w^2k))^(-1/2), so F = R w^-k r/h0.  Offsets
+    are read off exact valuations, and r's one Newton series runs at the
+    precision the tightest item needs.
     """
-    m = place.a.modulus
+    m = a.modulus
     if any(item.modulus != m for item in items):
-        raise ValueError(f"items must live over the scalar domain of {place.name} (modulus {m})")
-    a, b = place.a, place.b
+        raise ValueError(f"items must live over the scalar domain of the chart (modulus {m})")
     h, d, one = _homogenized(q_polynomial(m), a, b), a.derivative() * b - a * b.derivative(), Polynomial([1], m)
     parts = [
-        (_at_chart(item.g.v, place, d, -2), _at_chart(item.g.u, place, d, 0))
+        (_at_chart(item.g.v, a, b, d, -2), _at_chart(item.g.u, a, b, d, 0))
         if isinstance(item, CurveForm)
-        else (_at_chart(item.u, place, one, 0), _at_chart(item.v, place, h, -2))
+        else (_at_chart(item.u, a, b, one, 0), _at_chart(item.v, a, b, h, -2))
         for item in items
     ]
     k = _order(h) // 2
     need = [bound - _order(num) + _order(den) + k for _, (num, den) in parts if not num.is_zero()]
-    root = _chart_series(place, h.coeffs[2 * k :], max(need + [0])).inverse_sqrt(place.y0)
-    return [_expand(e, place, bound) + _expand(r, place, bound, -k, root) for e, r in parts]
+    n, h0_inv = max(need + [0]), _domain_inverse(h.coeffs[2 * k], m)
+    root = TruncatedSeries(h.coeffs[2 * k :][:n], n, m).scale(h0_inv).inverse_sqrt(1).scale(h0_inv)
+    return [(_expand(e, bound), _expand(r, bound, -k, root)) for e, r in parts]
+
+
+def expand_to_bound(items: Sequence[CurveForm | CurveFunction], place: Place, bound: int) -> list[LaurentSeries]:
+    """The expansions at ``place`` of ``items`` over its domain, each known
+    exactly below the exponent ``bound``: E + y0 F for the pairs of
+    ``expand_pairs`` on the place's chart."""
+    return [e + f * place.y0 for e, f in expand_pairs(items, place.a, place.b, bound)]
 
 
 def expand_at_origin(f: CurveFunction, n: int) -> TruncatedSeries:

@@ -1,10 +1,12 @@
-"""Exact scalar arithmetic: rationals, valuations, binomials, F_p(sqrt d).
+"""Exact scalar arithmetic: rationals, valuations, binomials, residues mod p.
 
 Rationals are ``fractions.Fraction`` (always reduced, positive denominator),
 so equality is structural and values hash/compare as expected.  An element
 of F_p is a plain int in [0, p); ``reduce_fraction_mod`` takes a rational
-there.  All values in this module are immutable and safe to share between
-workers.
+there.  There are no other scalars: where y0 = sqrt(65)/4 is missing from
+F_p, above x = -1/2, the curve code carries an expansion as the pair
+(E, F) of E + y0 F over F_p instead.  All values in this module are
+immutable and safe to share between workers.
 """
 
 from __future__ import annotations
@@ -195,79 +197,3 @@ def reduce_fraction_mod(q: Fraction | tuple[int, int], m: int) -> int:
         num, den = num // g, den // g
         shared = math.gcd(den, m)
     return num % m * pow(den % m, -1, m) % m
-
-
-class QuadExt:
-    """Element a + b*sqrt(d) of F_p(sqrt(d)).
-
-    Used for the places of the curve above the zeros of 1 + 2x, which live
-    over F_p(sqrt(65)).  When d is a non-residue mod p this is the quadratic
-    extension field.  When d is a square mod p, every element has b = 0 and
-    each operation keeps b = 0 (the norm is a^2), so the arithmetic is that
-    of F_p.
-    """
-
-    __slots__ = ("a", "b", "p", "d")
-
-    def __init__(self, a: int, b: int, p: int, d: int):
-        object.__setattr__(self, "a", a % p)
-        object.__setattr__(self, "b", b % p)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "d", d % p)
-
-    def __setattr__(self, *args):
-        raise AttributeError("QuadExt is immutable")
-
-    def _coerce(self, other):
-        if isinstance(other, QuadExt):
-            if (other.p, other.d) != (self.p, self.d):
-                raise ValueError("mixed extensions")
-            return other
-        if isinstance(other, int):
-            return QuadExt(other, 0, self.p, self.d)
-        if isinstance(other, Fraction):
-            return QuadExt(reduce_fraction_mod(other, self.p), 0, self.p, self.d)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return QuadExt(self.a + other.a, self.b + other.b, self.p, self.d)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QuadExt(-self.a, -self.b, self.p, self.d)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a = self.a * other.a + self.d * self.b * other.b
-        b = self.a * other.b + self.b * other.a
-        return QuadExt(a, b, self.p, self.d)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "QuadExt":
-        norm = (self.a * self.a - self.d * self.b * self.b) % self.p
-        if norm == 0:
-            raise ZeroDivisionError("non-unit in quadratic extension")
-        ninv = pow(norm, -1, self.p)
-        return QuadExt(self.a * ninv, -self.b * ninv, self.p, self.d)
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.a == other.a and self.b == other.b
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.p, self.d))
-
-    def __bool__(self):
-        return self.a != 0 or self.b != 0
-
-    def __repr__(self):
-        return f"({self.a} + {self.b}*sqrt({self.d})) (mod {self.p})"

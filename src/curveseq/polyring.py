@@ -175,14 +175,11 @@ class Polynomial:
         return self._wrap([c * i for i, c in terms] if m is None else [c * i % m for i, c in terms])
 
     def __call__(self, x):
-        """Evaluate at a scalar by Horner (reduced mod the modulus, if any)."""
-        acc = None
+        """Evaluate at a scalar, taken into the domain, by Horner."""
+        m, x = self.modulus, _to_domain(x, self.modulus)
+        acc = self._zero()
         for c in reversed(self.coeffs):
-            acc = c if acc is None else acc * x + c
-            if self.modulus is not None and isinstance(acc, int):
-                acc %= self.modulus
-        if acc is None:
-            return self._zero() if not hasattr(x, "__mul__") else x * 0
+            acc = acc * x + c if m is None else (acc * x + c) % m
         return acc
 
     def reduce_mod(self, p: int) -> "Polynomial":

@@ -2,10 +2,11 @@
 
 A :class:`TruncatedSeries` is known modulo x^N where N is its ``precision``.
 Coefficients are either plain ints in [0, m) with a ``modulus`` tag
-(arithmetic mod m, the fast path) or exact scalar objects (``Fraction``,
-:class:`~curveseq.exactnum.QuadExt`) with ``modulus=None``.  ``_to_domain``
-is the one rule by which a scalar enters a domain, and ``_domain_inverse``
-the one scalar inverse; :mod:`curveseq.polyring` and the curve code use
+(arithmetic mod m, the fast path) or ``Fraction`` objects with
+``modulus=None``, which means Q and nothing else.  ``_to_domain`` is the
+one rule by which a scalar enters a domain (anything but an int or a
+Fraction is refused, a float too), and ``_domain_inverse`` the one scalar
+inverse; :mod:`curveseq.polyring` and the curve code use
 both.  A public constructor coerces its coefficients once; ring operations
 keep their results in the domain and wrap them without coercing again.
 Every operation records the tightest precision that is actually valid;
@@ -21,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exactnum import QuadExt, divisors, is_p_integral, mobius, padic_valuation, reduce_fraction_mod
+from .exactnum import divisors, is_p_integral, mobius, padic_valuation, reduce_fraction_mod
 
 #: mod m, np.convolve beats the Python loop once both operands have this
 #: many coefficients (measured on square products mod 7 and mod 10007^2:
@@ -34,8 +35,10 @@ def _convolve(a: list, b: list, n_out: int, modulus: int | None) -> list:
     lists: reduced mod ``modulus``, or exact scalars when it is None.
 
     Trailing zeros (a series pads to its precision) and entries at or past
-    ``n_out`` cannot reach the result, so both operands drop them first."""
-    zero = _zero_like(a, modulus)  # before trimming: a QuadExt zero carries p and d
+    ``n_out`` cannot reach the result, so both operands drop them first.
+    Over Q the result's zeros are those of the operands' scalars: Fractions
+    for a series, ints for the integer numerators of the Dieudonne witness."""
+    zero = a[0] * 0 if a else 0
     a, b = _trim(a, n_out), _trim(b, n_out)
     if modulus is not None and len(a) >= _NUMPY_CUTOFF and len(b) >= _NUMPY_CUTOFF:
         # exact in int64: coefficients < m, sums bounded by len * m^2
@@ -72,7 +75,7 @@ class TruncatedSeries:
         if precision < 0:
             raise ValueError("negative precision")
         if len(coeffs) < precision:
-            coeffs = coeffs + [_zero_like(coeffs, modulus)] * (precision - len(coeffs))
+            coeffs = coeffs + [0] * (precision - len(coeffs))
         _init(self, _to_domain_list(coeffs[:precision], modulus), precision, modulus)
 
     def __setattr__(self, *args):
@@ -81,7 +84,7 @@ class TruncatedSeries:
     # -- helpers -----------------------------------------------------------
 
     def _zero(self):
-        return _zero_like(self.coeffs, self.modulus)
+        return _to_domain(0, self.modulus)
 
     def _wrap(self, coeffs: list, precision: int) -> "TruncatedSeries":
         """A series of this domain on ``precision`` coefficients that are
@@ -90,25 +93,8 @@ class TruncatedSeries:
         _init(out, coeffs, precision, self.modulus)
         return out
 
-    def _exact_domain(self) -> str | None:
-        """With ``modulus`` None, the exact domain read off a nonzero
-        coefficient: QQ or F_p(sqrt d).  None for a zero series (such as the
-        padding of an empty one), which fits every exact domain."""
-        unit = next((c for c in self.coeffs if c), None)
-        if unit is None:
-            return None
-        return f"F_{unit.p}(sqrt {unit.d})" if isinstance(unit, QuadExt) else "QQ"
-
-    def _same_domain(self, other: "TruncatedSeries") -> bool:
-        if self.modulus != other.modulus:
-            return False
-        if self.modulus is not None:
-            return True
-        mine, theirs = self._exact_domain(), other._exact_domain()
-        return mine is None or theirs is None or mine == theirs
-
     def _check_domain(self, other: "TruncatedSeries"):
-        if not self._same_domain(other):
+        if self.modulus != other.modulus:
             raise ValueError("mixed scalar domains")
 
     def __getitem__(self, n: int):
@@ -121,19 +107,16 @@ class TruncatedSeries:
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        # a zero fits every exact domain, so equality and hashing read the
-        # nonzero coefficients alone
-        mine, theirs = (tuple((i, c) for i, c in enumerate(s.coeffs) if c) for s in (self, other))
-        return self.precision == other.precision and self._same_domain(other) and mine == theirs
+        return (self.precision, self.modulus, self.coeffs) == (other.precision, other.modulus, other.coeffs)
 
     def __hash__(self):
-        return hash((tuple((i, c) for i, c in enumerate(self.coeffs) if c), self.precision, self.modulus))
+        return hash((tuple(self.coeffs), self.precision, self.modulus))
 
     def __repr__(self):
         shown = ", ".join(repr(c) for c in self.coeffs[:6])
         if self.precision > 6:
             shown += ", ..."
-        dom = f"Z/{self.modulus}" if self.modulus is not None else self._exact_domain() or "QQ"
+        dom = "QQ" if self.modulus is None else f"Z/{self.modulus}"
         return f"TruncatedSeries([{shown}] + O(x^{self.precision}), {dom})"
 
     def agrees_with(self, other: "TruncatedSeries", upto: int) -> bool:
@@ -280,41 +263,30 @@ def _init(series: TruncatedSeries, coeffs: list, precision: int, modulus: int | 
 
 
 def _to_domain(c, modulus: int | None):
-    """The scalar c in the domain of ``modulus``: over Z/m an int in [0, m)
-    (a Fraction must be m-integral); over Q
-    the exact scalar itself, an int made a Fraction."""
-    if modulus is None:
-        return Fraction(c) if isinstance(c, int) else c
+    """The scalar c, an int or a Fraction, in the domain of ``modulus``:
+    over Z/m an int in [0, m) (a Fraction must be m-integral); over Q a
+    Fraction.  Any other scalar, a float too, is a TypeError."""
     if isinstance(c, int):
-        return c % modulus
+        return Fraction(c) if modulus is None else c % modulus
     if isinstance(c, Fraction):
-        return reduce_fraction_mod(c, modulus)
-    raise TypeError(f"cannot reduce {c!r} mod {modulus}")
+        return c if modulus is None else reduce_fraction_mod(c, modulus)
+    domain = "Q" if modulus is None else f"Z/{modulus}"
+    raise TypeError(f"cannot take {c!r} into {domain}: not an int or a Fraction")
 
 
 def _to_domain_list(coeffs: list, modulus: int | None) -> list:
     """``_to_domain`` on every coefficient; the int path stays inline."""
     if modulus is None:
-        return [Fraction(c) if isinstance(c, int) else c for c in coeffs]
+        return [
+            c if isinstance(c, Fraction) else Fraction(c) if isinstance(c, int) else _to_domain(c, None) for c in coeffs
+        ]
     return [c % modulus if isinstance(c, int) else _to_domain(c, modulus) for c in coeffs]
 
 
 def _domain_inverse(c, modulus: int | None):
-    """1/c in the domain of ``modulus`` (an exact object's own inverse over Q)."""
-    if modulus is not None:
-        return pow(_to_domain(c, modulus), -1, modulus)
-    if isinstance(c, (int, Fraction)):
-        return 1 / Fraction(c)
-    return c.inverse()
-
-
-def _zero_like(coeffs, modulus: int | None):
-    """Zero of the domain; over Q that of the coefficients' exact type."""
-    if modulus is not None:
-        return 0
-    for c in coeffs:
-        return c * 0
-    return Fraction(0)
+    """1/c in the domain of ``modulus``."""
+    c = _to_domain(c, modulus)
+    return 1 / c if modulus is None else pow(c, -1, modulus)
 
 
 # -- Dieudonne exponents ----------------------------------------------------
@@ -608,7 +580,7 @@ class LaurentSeries:
         a, b = self.normalized(), other.normalized()
         if a.is_zero() or b.is_zero():
             # every zero of a domain is equal, whatever its offset and precision
-            return a.is_zero() and b.is_zero() and a.series._same_domain(b.series)
+            return a.is_zero() and b.is_zero() and a.modulus == b.modulus
         return a.offset == b.offset and a.series == b.series
 
     def __hash__(self):

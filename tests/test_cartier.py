@@ -12,7 +12,7 @@ from curveseq.cartier import (
     cartier_laurent,
     exactness_scan_bound,
     first_disagreement,
-    half_pole_place,
+    half_pole_pairs,
     hasse_window,
     legendre_hasse,
     pole_bound_check,
@@ -24,6 +24,7 @@ from curveseq.curve import (
     Q_COEFFS,
     CurveForm,
     CurveFunction,
+    Place,
     eta,
     expand_to_bound,
     fn_s,
@@ -36,9 +37,9 @@ from curveseq.curve import (
     xi_form,
     xi_s,
 )
-from curveseq.exactnum import QuadExt, is_prime, reduce_fraction_mod
+from curveseq.exactnum import is_prime, reduce_fraction_mod, sqrt_mod
 from curveseq.polyring import Polynomial, RationalFunction
-from curveseq.recurrence import Recurrence, extend_rational, main_sequence
+from curveseq.recurrence import HYPERPLANE_FORM, Recurrence, extend_rational, form_value, main_sequence
 from curveseq.series import LaurentSeries, TruncatedSeries
 
 
@@ -442,22 +443,184 @@ def test_legendre_hasse_exhaustive_f13():
         legendre_hasse(lam, 13)  # raises if (H_m, H_{m-1}) = (0, 0)
 
 
+def is_nonzero(residue) -> bool:
+    """A value of residue_check: an int, or the pair (a, b) of a + b sqrt 65."""
+    return any(residue) if isinstance(residue, tuple) else bool(residue)
+
+
 def test_residue_check_xi_family():
     res = residue_check(xi_form((0, 0, 0, 1), 7), 7)
     t_residues = [v for k, v in res.items() if k.startswith("t=0")]
-    assert all(bool(v) for v in t_residues)  # R~'(-1/2) = -12 != 0
+    assert all(is_nonzero(v) for v in t_residues)  # R~'(-1/2) = -12 != 0
     res2 = residue_check(xi_form((1, 1, 0, 0), 11), 11)  # hyperplane: 1+1+0 != 0
-    assert any(bool(v) for v in res2.values())
+    assert any(is_nonzero(v) for v in res2.values())
     res3 = residue_check(xi_form((1, 2, 6, 3), 7), 7)
-    assert not any(bool(v) for v in res3.values())
+    assert not any(is_nonzero(v) for v in res3.values())
 
 
 def test_residue_at_split_half_pole_places():
     # 65 = 2 is a square mod 7: the places above x = -1/2 are F_7-rational and
-    # their residues are QuadExt values with b = 0
+    # their residues are elements of F_7
     res = residue_check(xi_form((0, 0, 0, 1), 7), 7)
-    assert res["t=0(+)"] == QuadExt(5, 0, 7, 65) and res["t=0(+)"].b == 0
-    assert res["t=0(-)"] == QuadExt(2, 0, 7, 65) and res["t=0(-)"].b == 0
+    assert (res["t=0(+)"], res["t=0(-)"]) == (5, 2)
+    assert type(res["t=0(+)"]) is int and type(res["t=0(-)"]) is int
+
+
+def residue_fixtures(p):
+    return [omega(p), eta(p), xi_s(p), xi_form((0, 0, 0, 1), p), xi_form((1, 2, 3, 4), p), x_shift_form(3, p)]
+
+
+@pytest.mark.parametrize("p", [7, 11, 23, 101])
+def test_every_residue_mod_p_is_a_residue_class(p):
+    # an int in [0, p), or where 65 is no square mod p a pair of them above
+    # x = -1/2: a zero residue there used to come back as the rational 0
+    inert = sqrt_mod(65, p) is None
+    for form in residue_fixtures(p):
+        for name, value in residue_check(form, p).items():
+            pair = inert and name.startswith("t=0")
+            parts = value if pair else (value,)
+            assert type(parts) is tuple and len(parts) == 1 + pair, (name, value)
+            assert all(type(v) is int and 0 <= v < p for v in parts), (name, value)
+
+
+@pytest.mark.parametrize("p", [7, 11, 17, 23, 101])
+def test_xi_residues_above_minus_one_half_by_the_hyperplane_form(p):
+    # an exact second route: at (-1/2, +-y0) the residue of xi_C is
+    # -+HYPERPLANE_FORM(C)/(4 y0) = -+(H/65) sqrt 65, as y0 = sqrt(65)/4;
+    # so res E = 0 and res F = -4 H/65.  Split primes (7, 101) read sqrt 65
+    # in F_p, inert ones (11, 17, 23) give the pair (a, b) of a + b sqrt 65.
+    rng = random.Random(p)
+    root = sqrt_mod(65, p)
+    for _ in range(6):
+        c4 = tuple(rng.randrange(-50, 50) for _ in range(4))
+        h = form_value(HYPERPLANE_FORM, c4)
+        form = xi_form(c4, p)
+        res = residue_check(form, p)
+        for sign, name in ((+1, "t=0(+)"), (-1, "t=0(-)")):
+            b = -sign * h * pow(65, -1, p) % p
+            assert res[name] == ((0, b) if root is None else b * root % p), (c4, name)
+        [(e, f)] = half_pole_pairs([form], p, 0)
+        assert (e.residue(), f.residue()) == (0, -4 * h * pow(65, -1, p) % p), c4
+
+
+#: pole_bound_check rows (v_form, v_image, bound), all ok, at (0, 2),
+#: (0, -2), inf+, inf-, t=0(+), t=0(-) and the degree sum, and residue_check
+#: values at t=0(+), t=0(-), inf+ and inf-, recorded from the F_p(sqrt 65)
+#: arithmetic that computed them before the pairs did: a residue above
+#: x = -1/2 as the pair (a, b) of a + b sqrt 65, with b = 0 where 65 is a
+#: square mod p (7, 101).  That arithmetic returned a zero residue there as
+#: the rational 0; it is pinned as (0, 0).
+PINNED_POLE_ROWS_AND_RESIDUES = {
+    ("omega", 7): (
+        ((0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0)),
+        ((0, 0), (0, 0), 0, 0),
+    ),
+    ("omega", 11): (
+        ((0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0)),
+        ((0, 0), (0, 0), 0, 0),
+    ),
+    ("omega", 23): (
+        ((0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0)),
+        ((0, 0), (0, 0), 0, 0),
+    ),
+    ("omega", 101): (
+        ((0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0)),
+        ((0, 0), (0, 0), 0, 0),
+    ),
+    ("eta", 7): (
+        ((1, 0, 0), (1, 0, 0), (-2, 0, -1), (-2, 0, -1), (0, 0, 0), (0, 0, 0), (-4, 0, -4)),
+        ((0, 0), (0, 0), 0, 0),
+    ),
+    ("eta", 11): (
+        ((1, 0, 0), (1, 0, 0), (-2, 0, -1), (-2, 0, -1), (0, 0, 0), (0, 0, 0), (-4, 0, -4)),
+        ((0, 0), (0, 0), 0, 0),
+    ),
+    ("eta", 23): (
+        ((1, 0, 0), (1, 0, 0), (-2, 0, -1), (-2, 0, -1), (0, 0, 0), (0, 0, 0), (-4, 0, -4)),
+        ((0, 0), (0, 0), 0, 0),
+    ),
+    ("eta", 101): (
+        ((1, 0, 0), (1, 0, 0), (-2, 0, -1), (-2, 0, -1), (0, 0, 0), (0, 0, 0), (-4, 0, -4)),
+        ((0, 0), (0, 0), 0, 0),
+    ),
+    ("xi_s", 7): (
+        ((0, 0, 0), (0, 0, 0), (-1, -1, -1), (-1, -1, -1), (1, 1, 0), (1, 1, 0), (-2, -2, -2)),
+        ((0, 0), (0, 0), 3, 4),
+    ),
+    ("xi_s", 11): (
+        ((0, 0, 0), (0, 0, 0), (-1, -1, -1), (-1, -1, -1), (1, 1, 0), (1, 1, 0), (-2, -2, -2)),
+        ((0, 0), (0, 0), 7, 4),
+    ),
+    ("xi_s", 23): (
+        ((0, 0, 0), (0, 0, 0), (-1, -1, -1), (-1, -1, -1), (1, 1, 0), (1, 1, 0), (-2, -2, -2)),
+        ((0, 0), (0, 0), 19, 4),
+    ),
+    ("xi_s", 101): (
+        ((0, 0, 0), (0, 0, 0), (-1, -1, -1), (-1, -1, -1), (1, 1, 0), (1, 1, 0), (-2, -2, -2)),
+        ((0, 0), (0, 0), 97, 4),
+    ),
+    ("xi_0001", 7): (
+        ((2, 0, 0), (2, 0, 0), (0, 1, 0), (0, 1, 0), (-2, -1, -1), (-2, -1, -1), (-4, -2, -4)),
+        ((5, 0), (2, 0), 0, 0),
+    ),
+    ("xi_0001", 11): (
+        ((2, 0, 0), (2, 0, 0), (0, 0, 0), (0, 0, 0), (-2, -1, -1), (-2, -1, -1), (-4, -2, -4)),
+        ((0, 6), (0, 5), 0, 0),
+    ),
+    ("xi_0001", 23): (
+        ((2, 0, 0), (2, 0, 0), (0, 0, 0), (0, 0, 0), (-2, -1, -1), (-2, -1, -1), (-4, -2, -4)),
+        ((0, 13), (0, 10), 0, 0),
+    ),
+    ("xi_0001", 101): (
+        ((2, 0, 0), (2, 0, 0), (0, 0, 0), (0, 0, 0), (-2, -1, -1), (-2, -1, -1), (-4, -2, -4)),
+        ((91, 0), (10, 0), 0, 0),
+    ),
+    ("xi_1234", 7): (
+        ((1, 1, 0), (1, 1, 0), (0, 0, 0), (0, 0, 0), (-2, -1, -1), (-2, -1, -1), (-4, -2, -4)),
+        ((5, 0), (2, 0), 0, 0),
+    ),
+    ("xi_1234", 11): (
+        ((1, 0, 0), (1, 0, 0), (0, 0, 0), (0, 0, 0), (-2, -1, -1), (-2, -1, -1), (-4, -2, -4)),
+        ((0, 5), (0, 6), 0, 0),
+    ),
+    ("xi_1234", 23): (
+        ((1, 0, 0), (1, 0, 0), (0, 1, 0), (0, 1, 0), (-2, -1, -1), (-2, -1, -1), (-4, -2, -4)),
+        ((0, 1), (0, 22), 0, 0),
+    ),
+    ("xi_1234", 101): (
+        ((1, 0, 0), (1, 0, 0), (0, 0, 0), (0, 0, 0), (-2, -1, -1), (-2, -1, -1), (-4, -2, -4)),
+        ((56, 0), (45, 0), 0, 0),
+    ),
+    ("x_shift_3", 7): (
+        ((-3, -1, -1), (-3, -1, -1), (2, 0, 0), (2, 0, 0), (1, 0, 0), (1, 0, 0), (-6, -2, -6)),
+        ((0, 0), (0, 0), 0, 0),
+    ),
+    ("x_shift_3", 11): (
+        ((-3, -1, -1), (-3, -1, -1), (2, 0, 0), (2, 0, 0), (1, 0, 0), (1, 0, 0), (-6, -2, -6)),
+        ((0, 0), (0, 0), 0, 0),
+    ),
+    ("x_shift_3", 23): (
+        ((-3, -1, -1), (-3, -1, -1), (2, 0, 0), (2, 0, 0), (1, 0, 0), (1, 0, 0), (-6, -2, -6)),
+        ((0, 0), (0, 0), 0, 0),
+    ),
+    ("x_shift_3", 101): (
+        ((-3, -1, -1), (-3, -1, -1), (2, 0, 0), (2, 0, 0), (1, 0, 0), (1, 0, 0), (-6, -2, -6)),
+        ((0, 0), (0, 0), 0, 0),
+    ),
+}
+
+
+@pytest.mark.parametrize("p", [7, 11, 23, 101])
+def test_pole_bounds_and_residues_are_pinned(p):
+    names = ("omega", "eta", "xi_s", "xi_0001", "xi_1234", "x_shift_3")
+    root = sqrt_mod(65, p)
+    for name, form in zip(names, residue_fixtures(p)):
+        rows, residues = PINNED_POLE_ROWS_AND_RESIDUES[(name, p)]
+        got = pole_bound_check(form, p)
+        assert [r.place for r in got] == ["(0,2)", "(0,-2)", "inf+", "inf-", "t=0(+)", "t=0(-)", "degree-sum"]
+        assert all(r.ok for r in got) and [(r.v_form, r.v_image, r.bound) for r in got] == list(rows), name
+        halves = [a if root is not None and b == 0 else (a, b) for a, b in residues[:2]]
+        assert list(residue_check(form, p).values()) == halves + list(residues[2:]), name
 
 
 def test_residue_xi_s_at_infinity_mod_p():
@@ -495,15 +658,19 @@ def test_every_expansion_lands_on_the_requested_bound():
     # offsets are read off exact valuations, so every expansion is known
     # exactly below the bound asked for: alone or among other items, at a
     # pole, a zero or a regular point, and for a bound below the valuation
+    # (above x = -1/2, at the inert p = 11, both halves of every pair)
     p = 11
     items = [omega(p), eta(p), xi_form((1, 2, 3, 4), p), x_shift_form(3, p), fn_s(p), fn_y(p)]
-    places = [origin_place(-1, p), infinity_place(+1, p), half_pole_place(p, +1)]
-    for place in places:
+    expanders = [
+        lambda items, bound, place=place: expand_to_bound(items, place, bound)
+        for place in (origin_place(-1, p), infinity_place(+1, p))
+    ]
+    expanders.append(lambda items, bound: [w for pair in half_pole_pairs(items, p, bound) for w in pair])
+    for expand in expanders:
         for bound in (-5, 0, 1, 45, 3 * p):
             for item in items:
-                [w] = expand_to_bound([item], place, bound)
-                assert w.bound == bound
-            assert [w.bound for w in expand_to_bound(items, place, bound)] == [bound] * len(items)
+                assert {w.bound for w in expand([item], bound)} == {bound}
+            assert {w.bound for w in expand(items, bound)} == {bound}
 
 
 def test_expansion_refuses_a_form_over_another_domain():
@@ -524,18 +691,22 @@ def test_expansion_refuses_a_form_over_another_domain():
 
 @pytest.mark.parametrize("p", [7, 11, 23])
 def test_cartier_is_semilinear_over_the_half_pole_field(p):
-    # C(c^p w) = c C(w) for c = sqrt 65: the p-th root of a coefficient is
-    # the conjugation where 65 is a non-residue (11, 23) and the identity
-    # where it is a square (7)
-    [w] = expand_to_bound([xi_form((1, 2, 3, 4), p)], half_pole_place(p, +1), 6 * p)
-    c = QuadExt(0, 1, p, 65)
-    cp = c
-    for _ in range(p - 1):
-        cp = cp * c
-    lhs, rhs = cartier_laurent(w * cp, p), cartier_laurent(w, p) * c
-    assert lhs.bound == rhs.bound == 6
-    assert any(lhs.coefficient(e) != 0 for e in range(lhs.offset, 6))
-    assert all(lhs.coefficient(e) == rhs.coefficient(e) for e in range(min(lhs.offset, rhs.offset), 6))
+    # C(y^p w) = y C(w) above x = -1/2, on the pairs E + y0 F: C takes a pair
+    # to (C(E), eps C(F)), eps = (65/16)^((p-1)/2), as the p-th root of y0
+    # is y0^p = eps y0 -- the identity where 65 is a square mod p (7) and the
+    # conjugation where it is not (11, 23).  w has both halves nonzero.
+    w = CurveForm(xi_form((1, 2, 3, 4), p).g + fn_s(p))
+    y_to_p = CurveFunction.y_multiple(q_polynomial(p) ** ((p - 1) // 2), p)  # y^p = Q^((p-1)/2) y
+    (e, f), (e_p, f_p), (_, f_y) = half_pole_pairs([w, CurveForm(w.g * y_to_p), fn_y(p)], p, 6 * p)
+    eps = pow(65 * pow(16, -1, p), (p - 1) // 2, p)
+    assert eps == (1 if p == 7 else p - 1)
+    lhs = cartier_laurent(e_p, p), cartier_laurent(f_p, p) * eps
+    # y = y0 F_y times C(E) + y0 eps C(F) is (65/16) F_y eps C(F) + y0 F_y C(E)
+    rhs = f_y * cartier_laurent(f, p) * (eps * Fraction(65, 16)), f_y * cartier_laurent(e, p)
+    for a, b in zip(lhs, rhs):
+        known = range(min(a.offset, b.offset), 6)
+        assert a.bound == b.bound == 6 and any(a.coefficient(k) for k in known)
+        assert [a.coefficient(k) for k in known] == [b.coefficient(k) for k in known]
 
 
 def test_pole_bound_v_minus_p():
@@ -631,21 +802,26 @@ def test_exactness_scan_bound_values():
 
 
 def test_half_pole_chart_is_the_root_of_q_above_minus_one_half():
-    # Q(-1/2 + w) = 65/16 - w^2/2 + w^4 and y(0) = +-sqrt(65)/4, in F_p(sqrt 65)
-    # whether or not 65 is a square mod p (7: it is; 11: it is not)
+    # Q(-1/2 + w) = 65/16 - w^2/2 + w^4, and y = +-y0 F with y0^2 = 65/16 and
+    # F = sqrt(16 Q(-1/2 + w)/65), F(0) = 1, whether or not 65 is a square
+    # mod p (7: it is; 11: it is not)
     n = 12
-    for p, split in ((7, True), (11, False)):
-        one = QuadExt(1, 0, p, 65)
-        shifted = [one * c for c in (Fraction(65, 16), 0, Fraction(-1, 2), 0, 1)]
-        places = {sign: half_pole_place(p, sign) for sign in (+1, -1)}
-        ys = {sign: expand_to_bound([fn_y(p)], place, n)[0] for sign, place in places.items()}
-        y0 = ys[+1].coefficient(0)
-        assert y0 * y0 == one * Fraction(65, 16) and (y0.b == 0) == split
-        assert ys[-1].coefficient(0) == -y0
-        for sign, place in places.items():
-            assert (place.a, place.b) == (Polynomial([Fraction(-1, 2), 1], p), Polynomial([1], p))
-            f, y0 = TruncatedSeries(shifted, n), ys[sign].coefficient(0)
-            assert (ys[sign].offset, ys[sign].series) == (0, f * f.inverse_sqrt(y0))
+    for p in (7, 11):
+        [(e, f)] = half_pole_pairs([fn_y(p)], p, n)
+        g = TruncatedSeries([Fraction(65, 16), 0, Fraction(-1, 2), 0, 1], n, p).scale(Fraction(16, 65))
+        assert e.is_zero() and e.bound == n
+        assert (f.offset, f.series) == (0, g * g.inverse_sqrt(1))
+        # a Place holds y0 in its own domain: F_7 has sqrt 65, F_11 none
+        chart = Polynomial([Fraction(-1, 2), 1], p), Polynomial([1], p)
+        roots = [y0 for y0 in range(p) if (16 * y0 * y0 - 65) % p == 0]
+        assert len(roots) == (2 if p == 7 else 0)
+        for y0 in range(p):
+            if y0 in roots:
+                [y] = expand_to_bound([fn_y(p)], Place("t=0", *chart, y0), n)
+                assert y == LaurentSeries(0, f.series * y0)
+            else:
+                with pytest.raises(ValueError):
+                    Place("t=0", *chart, y0)
 
 
 def test_infinity_chart_is_the_reversed_quartic():
@@ -664,14 +840,17 @@ def test_place_omega_is_dx_over_y():
     # omega, a product with the chart's one Newton series, against the
     # division route x'(w)/y: the same coefficients below the bound; at
     # (0, +-2) and inf+- over Q, Z/7 and Z/101 (n = 60 > _NUMPY_CUTOFF), and
-    # above x = -1/2 at a split (7) and an inert (11) prime of F_p(sqrt 65)
+    # above x = -1/2 where sqrt 65 lies in F_p (7, 29); test_curve checks
+    # y omega = x' on the pairs there, over Q and at the inert 11 too
     places = [
         make(sign, modulus)
         for make in (origin_place, infinity_place)
         for sign in (+1, -1)
         for modulus in (None, 7, 101)
     ]
-    places += [half_pole_place(p, sign) for p in (7, 11) for sign in (+1, -1)]
+    for p in (7, 29):
+        chart, y0 = (Polynomial([Fraction(-1, 2), 1], p), Polynomial([1], p)), sqrt_mod(65, p) * pow(4, -1, p)
+        places += [Place("t=0", *chart, sign * y0 % p) for sign in (+1, -1)]
     for place in places:
         m = place.a.modulus
         x_fn = CurveFunction.rational(Polynomial([0, 1], m), m)

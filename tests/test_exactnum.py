@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from curveseq.exactnum import (
     INF,
-    QuadExt,
     generalized_binomial,
     is_prime,
     legendre_symbol,
@@ -186,13 +185,3 @@ def test_sqrt_mod():
     r = sqrt_mod(65, 7)
     assert r is not None and r * r % 7 == 65 % 7
     assert sqrt_mod(65, 11) is None  # 65 = 10 is a non-residue mod 11
-
-
-def test_quadext_field_ops():
-    x = QuadExt(2, 3, 11, 65)
-    y = QuadExt(5, 1, 11, 65)
-    assert x + y == QuadExt(7, 4, 11, 65)
-    assert x * y == QuadExt((2 * 5 + 65 * 3) % 11, (2 + 15) % 11, 11, 65)
-    assert (x * y.inverse()) * y == x
-    assert x * x.inverse() == QuadExt(1, 0, 11, 65)
-    assert bool(QuadExt(0, 0, 11, 65)) is False

@@ -1,6 +1,7 @@
 """Lint guards: every name a module of the package imports is used there,
-every import sits at module level, no check is an assert statement, only the operator translator builds a
-Recurrence, every public class and UPPER_CASE module constant is named (a
+every import sits at module level, no check is an assert statement, no
+float enters the package by a literal or a float() or round() call, only
+the operator translator builds a Recurrence, every public class and UPPER_CASE module constant is named (a
 constant: read) by the package or the benchmark, every function and method
 of the package is reached at run time, every defaulted parameter of a public
 function or method is passed by some call, and every call the benchmark
@@ -89,8 +90,8 @@ TEST_ONLY = {
     ),
     # claims only the tests check
     "cartier.pole_bound_check": (
-        "pole bounds of the Cartier image, at places over F_p(sqrt 65) too",
-        "cartier.pole_bound_check(curve.omega(7), 7)",
+        "pole bounds of the Cartier image, above x = -1/2 too (p = 11: sqrt 65 is not in F_11)",
+        "cartier.pole_bound_check(curve.omega(11), 11)",
     ),
     "cartier.residue_check": (
         "residues of the xi forms",
@@ -138,7 +139,6 @@ REFERENCES = {
     "polyring.RationalFunction.reduce_mod": "reduce_form's reduction of a component",
     "exactnum.generalized_binomial": "test_series: the binomials of _mul_one_minus_xm_power",
     # the Laurent arithmetic test_curve, test_frobenius and test_cartier check expansions with
-    "series.LaurentSeries.__mul__": "products of chart and origin expansions",
     "series.LaurentSeries.__neg__": "differences of expansions",
     "series.LaurentSeries.__sub__": "differences of expansions",
     "series.LaurentSeries.derivative": "x'(w) of a chart against the expansion of omega",
@@ -270,6 +270,41 @@ def test_no_assert_statement():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def float_entries(source: str) -> list[str]:
+    """The float literals and the calls of float() and round() in
+    ``source``: the static half of "no floats" (math.inf, the valuation of
+    zero, is no literal)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            found.append(f"literal {node.value!r} (line {node.lineno})")
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in ("float", "round"):
+            found.append(f"{node.func.id}() (line {node.lineno})")
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_float_enters_the_package(path):
+    assert float_entries(path.read_text()) == []
+
+
+def test_guard_flags_a_float():
+    source = (
+        "import math\n"
+        "INF = math.inf\n"
+        "HALF = 0.5\n"
+        "def f(x):\n"
+        "    return round(x, 2) + float(x) + 1e3 + 2j + int('7')\n"
+    )
+    assert float_entries(source) == [
+        "float() (line 5)",
+        "literal 0.5 (line 3)",
+        "literal 1000.0 (line 5)",
+        "literal 2j (line 5)",
+        "round() (line 5)",
+    ]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

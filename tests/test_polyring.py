@@ -190,3 +190,23 @@ def test_polynomial_operations_stay_reduced(m):
     for got, want in pairs:
         assert all(isinstance(c, int) and 0 <= c < m for c in got.coeffs)
         assert got == want.reduce_mod(m)
+
+
+@pytest.mark.parametrize("modulus", [None, 7])
+def test_a_float_enters_no_domain(modulus):
+    # Q's scalars are ints and Fractions only, so a float is refused over Q
+    # as over Z/m, by every way a scalar enters a series or a polynomial
+    series, poly = TruncatedSeries([1, 2], 2, modulus), Polynomial([1, 1], modulus)
+    for enter in (
+        lambda: TruncatedSeries([1, 0.5], 2, modulus),
+        lambda: Polynomial([0.25, 1], modulus),
+        lambda: series.scale(0.1),
+        lambda: series / 0.5,
+        lambda: poly(0.5),
+        lambda: poly + 0.5,
+    ):
+        with pytest.raises(TypeError, match="cannot take|unsupported operand"):
+            enter()
+    # the int fast path still takes an int into the domain
+    want = [Fraction(1), Fraction(2)] if modulus is None else [1, 2]
+    assert TruncatedSeries([1, 2], 2, modulus).coeffs == want

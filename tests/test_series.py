@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from curveseq.curve import s_series
-from curveseq.exactnum import QuadExt, generalized_binomial
+from curveseq.exactnum import generalized_binomial
 from curveseq.recurrence import main_sequence
 from curveseq.series import (
     DieudonneExponents,
@@ -87,9 +87,7 @@ def test_sqrt_perfect_square_and_sign():
 
 
 def test_sqrt_rejects():
-    def f(coeffs, modulus=None, p=None):
-        if p is not None:  # pairs (a, b) for a + b sqrt 65 in F_p(sqrt 65)
-            coeffs = [QuadExt(a, b, p, 65) for a, b in coeffs]
+    def f(coeffs, modulus=None):
         return TruncatedSeries(coeffs, 4, modulus)
 
     for series, root0 in [
@@ -102,9 +100,6 @@ def test_sqrt_rejects():
         (f([1, 1], 7), Fraction(1, 7)),  # not 7-integral
         (f([0, 1], 9), 3),  # 3^2 = 0 = f(0), but 2 * 3 is no unit mod 9
         (f([1, 1], 4), 1),  # 2 * 1 is no unit mod 4
-        (f([(2, 0), (1, 0)], p=7), QuadExt(1, 0, 7, 65)),  # split
-        (f([(0, 0), (1, 0)], p=11), QuadExt(0, 0, 11, 65)),  # inert, zero root0
-        (f([(65, 0), (1, 0)], p=11), QuadExt(0, 2, 11, 65)),  # (2 sqrt 65)^2 != 65
     ]:
         with pytest.raises(ValueError):
             series.inverse_sqrt(root0)
@@ -112,14 +107,11 @@ def test_sqrt_rejects():
 
 def _random_unit_series(domain: str, n: int, rng: random.Random) -> TruncatedSeries:
     """A series with a unit constant term: over Q with denominators prime to
-    7 and 11 (so it reduces mod 7 and mod 121), or over F_p(sqrt 65), split
-    at p = 7 (every element has b = 0) and inert at p = 11."""
+    7 and 11 (so it reduces mod 7 and mod 121), or over F_p with residues
+    drawn uniformly from all of F_p."""
     if domain.startswith("F_"):
         p = int(domain[2:])
-        b = (lambda: 0) if p == 7 else (lambda: rng.randrange(p))
-        coeffs = [QuadExt(rng.randrange(1, p), 0, p, 65)]
-        coeffs += [QuadExt(rng.randrange(p), b(), p, 65) for _ in range(n - 1)]
-        return TruncatedSeries(coeffs, n)
+        return TruncatedSeries([rng.randrange(1, p)] + [rng.randrange(p) for _ in range(n - 1)], n, p)
     coeffs = [Fraction(rng.choice([1, 2, 3]))]
     coeffs += [Fraction(rng.randint(-3, 3), rng.choice([1, 2, 4, 5])) for _ in range(n - 1)]
     return TruncatedSeries(coeffs, n, None if domain == "Q" else int(domain[2:]))
@@ -439,22 +431,12 @@ def test_precision_propagation():
     assert f.log_derivative().precision == 9
     assert f.x_log_derivative().precision == 10
     assert f.shift(3).precision == 13
-    # a Fraction series and one over F_7(sqrt 65) both carry modulus None;
-    # zeros, as in the padding of an empty series, fit either domain
-    over_f7 = TruncatedSeries([QuadExt(1, 0, 7, 65), QuadExt(0, 1, 7, 65)])
+    # a Q series and a Z/5 one do not mix, and the repr names the domain
     halves = TruncatedSeries([Fraction(1, 2), Fraction(1, 3)])
-    for mixed in (lambda: f + TruncatedSeries([1], 3, 5), lambda: halves + over_f7, lambda: halves * over_f7):
+    for mixed in (lambda: f + TruncatedSeries([1], 3, 5), lambda: halves * TruncatedSeries([1], 3, 5)):
         with pytest.raises(ValueError, match="mixed scalar domains"):
             mixed()
-    assert TruncatedSeries([0, 0]) + over_f7 == over_f7
-    # the repr names the domain by the same rule (QuadExt keeps 65 mod 7 = 2)
-    for s, domain in (
-        (halves, "QQ"),
-        (over_f7, "F_7(sqrt 2)"),
-        (TruncatedSeries([QuadExt(1, 1, 7, 65)]), "F_7(sqrt 2)"),
-        (TruncatedSeries([QuadExt(1, 1, 11, 65)]), "F_11(sqrt 10)"),
-        (TruncatedSeries([1], 3, 5), "Z/5"),
-    ):
+    for s, domain in ((halves, "QQ"), (TruncatedSeries([0, 0]), "QQ"), (TruncatedSeries([1], 3, 5), "Z/5")):
         assert repr(s).endswith(f", {domain})"), repr(s)
 
 
@@ -513,34 +495,29 @@ def test_ring_operations_stay_reduced(m):
 
 
 def test_series_equality_reads_the_scalar_domain():
-    # 1/2 = 4 and 1/3 = 5 mod 7, yet a Q series is not one over F_7(sqrt 65)
+    # 1/2 = 4 and 1/3 = 5 mod 7, yet a Q series is not one over Z/7
     halves = TruncatedSeries([Fraction(1, 2), Fraction(1, 3)])
-    over_f7 = TruncatedSeries([QuadExt(4, 0, 7, 65), QuadExt(5, 0, 7, 65)])
-    assert halves != over_f7 and over_f7 != halves
+    over_z7 = TruncatedSeries([4, 5], 2, 7)
+    assert halves != over_z7 and over_z7 != halves
+    assert TruncatedSeries([0, 0]) != TruncatedSeries([0, 0], 2, 7)
     # a Z/7 series is not a Q series
     assert LaurentSeries(0, TruncatedSeries([1, 2], 2, 7)) != LaurentSeries(0, TruncatedSeries([1, 2], 2))
     # the zero series of one domain are equal at every offset, and hash alike
     zeros = [LaurentSeries(0, TruncatedSeries([0, 0], 2)), LaurentSeries(3, TruncatedSeries([0], 1))]
     assert zeros[0] == zeros[1] and hash(zeros[0]) == hash(zeros[1])
     assert zeros[0] != LaurentSeries(0, TruncatedSeries([0, 0], 2, 7))
-    # F_7 and F_11 are two domains, also at equal residues
-    assert TruncatedSeries([QuadExt(1, 0, 7, 65)]) != TruncatedSeries([QuadExt(1, 0, 11, 65)])
+    # Z/7 and Z/11 are two domains, also at equal residues
+    assert TruncatedSeries([1], 1, 7) != TruncatedSeries([1], 1, 11)
 
 
-def _series_on(domain, values, precision):
-    # the value v is v/2 in every domain, plus (v // 3) sqrt 65 over F_p
-    halves = [Fraction(v, 2) for v in values]
-    if domain == "Q":
-        return TruncatedSeries(halves, precision)
-    if domain == "Z/7":
-        return TruncatedSeries(halves, precision, 7)
-    p = 7 if domain == "F_7" else 11
-    return TruncatedSeries([QuadExt(0, v // 3, p, 65) + h for v, h in zip(values, halves)], precision)
+def _series_on(modulus, values, precision):
+    # the value v is v/2 in every domain
+    return TruncatedSeries([Fraction(v, 2) for v in values], precision, modulus)
 
 
 series_on_a_domain = st.builds(
     _series_on,
-    st.sampled_from(["Q", "Z/7", "F_7", "F_11"]),
+    st.sampled_from([None, 7, 11]),
     st.lists(st.sampled_from([0, 0, 0, 1, 3, 4]), max_size=3),
     st.integers(0, 3),
 )
@@ -549,7 +526,7 @@ series_on_a_domain = st.builds(
 @settings(max_examples=200, deadline=None)
 @given(st.integers(-1, 1), series_on_a_domain, st.integers(-1, 1), series_on_a_domain)
 def test_equal_series_hash_alike(off_a, a, off_b, b):
-    # a == b implies hash(a) == hash(b), across the four domains and at any offset
+    # a == b implies hash(a) == hash(b), across the three domains and at any offset
     if a == b:
         assert hash(a) == hash(b)
     la, lb = LaurentSeries(off_a, a), LaurentSeries(off_b, b)
