@@ -21,19 +21,9 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 #: A014233; Jaeschke 1993, Sorenson and Webster 2015): Miller-Rabin on the
 #: first k primes decides every n < psi_k
 _PSI = (
-    2047,
-    1373653,
-    25326001,
-    3215031751,
-    2152302898747,
-    3474749660383,
-    341550071728321,
-    341550071728321,
-    3825123056546413051,
-    3825123056546413051,
-    3825123056546413051,
-    318665857834031151167461,
-    3317044064679887385961981,
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321,
+    341550071728321, 3825123056546413051, 3825123056546413051, 3825123056546413051,
+    318665857834031151167461, 3317044064679887385961981,
 )
 
 
@@ -121,19 +111,25 @@ def legendre_symbol(a: int, p: int) -> int:
 
 
 def sqrt_mod(a: int, p: int) -> int | None:
-    """A square root of a modulo an odd prime p, or None if a is a non-residue.
+    """The least square root of a modulo an odd prime p, None for a non-residue.
 
-    Desk scale: simple search (p stays small in every scan we run).
-    """
+    Tonelli-Shanks: p - 1 = 2^s q (q odd), z a non-residue; r = a^((q+1)/2)
+    has r^2 = a t with t = a^q of order 2^i < 2^s, and each step multiplies r
+    by the element of order 2^(i+1) among the powers of z^q, lowering i."""
     a %= p
     if a == 0:
         return 0
     if legendre_symbol(a, p) != 1:
         return None
-    for r in range(1, p):
-        if r * r % p == a:
-            return r
-    raise AssertionError("unreachable for prime p")
+    s = ((p - 1) & (1 - p)).bit_length() - 1
+    q = (p - 1) >> s
+    z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i = next(i for i in range(1, s) if pow(t, 1 << i, p) == 1)
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return min(r, p - r)
 
 
 def mobius(n: int) -> int:

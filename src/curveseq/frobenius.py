@@ -11,8 +11,10 @@ p-integrality upon integration at the t^(p^2) term.
 
 The curve equation involves t only through t^(2g), g = gcd of the
 t^2-exponents of its nonzero terms (g = 3 for A = 0, 2 for B = 0, else 1), so
-c_n = 0 unless n = 1 mod 2g, and the expansion is computed in r = t^(2g) at
-1/(2g) of the length.  Honda's formula
+c_n = 0 unless n = 1 mod 2g.  The expansion is computed in r = t^(2g), at
+1/(2g) of the length, by Newton's iteration: each doubling step appends only
+the new half of the series, from the curve equation's defect there.  Honda's
+formula
 
     c_n = [x^(n-1)] (x^3 + Ax + B)^((n-1)/2)
 
@@ -29,7 +31,7 @@ from fractions import Fraction
 
 from .cartier import CartierInvariants, alphabeta_weierstrass
 from .exactnum import is_prime, require_prime
-from .series import LaurentSeries, TruncatedSeries
+from .series import LaurentSeries, TruncatedSeries, _convolve, _lift_inverse, _to_domain, _wrapped
 
 
 def singular_mod(a: int, b: int, p: int) -> bool:
@@ -91,10 +93,14 @@ def origin_expansion(a, b, n_terms: int, modulus: int | None = None) -> OriginEx
 
     u satisfies u^3 - u^2 + a u t^4 + b t^6 = 0, which involves t only
     through r = t^(2g), g = gcd of the t^2-exponents 2 (if a != 0) and
-    3 (if b != 0), so u(t) = v(r) with v^3 - v^2 + a v r^(2/g) + b r^(3/g)
-    = 0.  v is computed by Newton iteration at 1/(2g) of the length, and
-    then omega/dt = 1 - t u'/(2u) = 1 - g r v'(r)/v(r): c_n = 0 unless
-    n = 1 mod 2g.  All coefficients lie in Z[a, b].
+    3 (if b != 0), so u(t) = v(r) with F(v) = v^3 - v^2 + a r^ea v + b r^eb
+    = 0.  Newton's iteration finds v at 1/(2g) of the length.  Once v is
+    known below r^k0, F(v) = O(r^k0), so the step to r^k (k <= 2 k0) appends
+    -F(v)/F'(v) on [k0, k): it forms v^2 and v^3 once, F(v) on [k0, k) and
+    F'(v) below r^(k - k0) alone, and lifts 1/F'(v) from the step before.
+    Then omega/dt = 1 - t u'/(2u) = 1 - g r v'(r)/v(r): c_n = 0 unless
+    n = 1 mod 2g.  No coefficient leaves the scalar domain, and x, y and
+    omega are laid out in t once.  All coefficients lie in Z[a, b].
     """
     if n_terms < 4:
         raise ValueError("need at least 4 terms")
@@ -107,34 +113,43 @@ def origin_expansion(a, b, n_terms: int, modulus: int | None = None) -> OriginEx
     # is exact whenever the term is nonzero
     ea, eb = 4 // stride, 6 // stride
     length = -(-n_terms // stride)
-    a_r = TruncatedSeries([0] * ea + [a], length, modulus)
-    b_r = TruncatedSeries([0] * eb + [b], length, modulus)
-    v = TruncatedSeries([1], 1, modulus)
-    while v.precision < length:
-        known = v.precision
-        k = min(2 * known, length)
-        v = TruncatedSeries(v.coeffs, k, modulus)
-        vv = v * v
-        # f = O(r^known), so the Newton step needs 1/f' only to r^(k - known)
-        f = vv * v - vv + v.scale(a).shift(ea).truncate(k) + b_r.truncate(k)
-        fp = (3 * vv - 2 * v + a_r.truncate(k)).truncate(k - known)
-        v = v - (f.divide_by_x(known) * fp.inverse()).shift(known)
-    u = _in_t(v, n_terms, stride)
-    x = LaurentSeries(-2, u)
-    y = LaurentSeries(-3, -u)
+    m = modulus
+    a_m, b_m, zero, one = (_to_domain(c, m) for c in (a, b, 0, 1))
+
+    def reduced(cs: list) -> list:
+        return cs if m is None else [c % m for c in cs]
+
+    # F'(v) = 1 at r = 0 (ea = 0 only where a = 0).  A step changes v, and so
+    # F'(v), only from r^k0 on, past where the step before formed 1/F'(v):
+    # that inverse still holds, and is lifted
+    v, inv_df = [one], [one]
+    while len(v) < length:
+        known, k = len(v), min(2 * len(v), length)
+        vv = _convolve(v, v, k, m)
+        vvv = _convolve(vv, v, k, m)
+        av = [zero] * ea + v + [zero] * (k - known)  # r^ea v below r^k
+        f = reduced([vvv[i] - vv[i] + a_m * av[i] + (b_m if i == eb else zero) for i in range(known, k)])
+        df = reduced([3 * vv[i] - 2 * v[i] + (a_m if i == ea else zero) for i in range(k - known)])
+        inv_df = _lift_inverse(df, inv_df, k - known, m)
+        v += reduced([-c for c in _convolve(f, inv_df, k - known, m)])
     w_length = -(-(n_terms - 1) // stride)
-    w = TruncatedSeries([1], w_length, modulus) - v.truncate(w_length).x_log_derivative().scale(g)
-    exp = OriginExpansion(a, b, modulus, x, y, _in_t(w, n_terms - 1, stride))
+    # (r v'/v)_i = (v'/v)_(i-1)
+    dv = reduced([i * c for i, c in enumerate(v[1:w_length], start=1)])
+    log_dv = _convolve(dv, _lift_inverse(v, [one], w_length - 1, m), w_length - 1, m)
+    w = [one] + reduced([-g * c for c in log_dv])
+    x = LaurentSeries(-2, _in_t(v, n_terms, stride, m))
+    y = LaurentSeries(-3, _in_t(reduced([-c for c in v]), n_terms, stride, m))
+    exp = OriginExpansion(a, b, modulus, x, y, _in_t(w, n_terms - 1, stride, m))
     if exp.c(1) != 1:
         raise AssertionError("c_1 != 1")
     return exp
 
 
-def _in_t(f: TruncatedSeries, precision: int, stride: int) -> TruncatedSeries:
+def _in_t(f: list, precision: int, stride: int, modulus: int | None) -> TruncatedSeries:
     """f(t^stride) to the given precision, from f known to ceil(precision / stride)."""
-    coeffs = [0] * precision
-    coeffs[::stride] = f.coeffs[: -(-precision // stride)]
-    return TruncatedSeries(coeffs, precision, f.modulus)
+    coeffs = [_to_domain(0, modulus)] * precision
+    coeffs[::stride] = f[: -(-precision // stride)]
+    return _wrapped(coeffs, modulus)
 
 
 def omega_coefficient(a: int, b: int, n: int, p: int, r: int) -> int:
@@ -202,8 +217,7 @@ def asd_check(a: int, b: int, p: int, r_max: int, n_max: int) -> AsdReport:
     """Verify c_{np^r} - f_p c_{np^(r-1)} + p c_{np^(r-2)} = 0 mod p^r for
     n <= n_max, r in 1..r_max (terms with non-positive index drop out)."""
     trace = point_count(a, b, p).trace
-    need = n_max * p**r_max + 1
-    exp = origin_expansion(a, b, need + 1, modulus=p**r_max)
+    exp = origin_expansion(a, b, n_max * p**r_max + 2, modulus=p**r_max)
     failures = []
     for r in range(1, r_max + 1):
         mod = p**r

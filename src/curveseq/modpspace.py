@@ -59,10 +59,7 @@ def cartier_form(p: int) -> list[int]:
     require_vp_prime(p)
     inv = alphabeta_quartic(p)
     a, b = inv.alpha, inv.beta
-    return [
-        (65 * a * x + (a + 4 * b) * y) % p
-        for x, y in zip(CONSTANT_BLOCK, T2_BLOCK)
-    ]
+    return [(65 * a * x + (a + 4 * b) * y) % p for x, y in zip(CONSTANT_BLOCK, T2_BLOCK)]
 
 
 def special_vector_mod(p: int) -> tuple[int, int, int, int]:
@@ -255,12 +252,8 @@ def sigma_blocks(p: int, m_max: int) -> SigmaBlocks:
     satisfies the recurrence, and sigma_0, sigma_1 are independent."""
     require_good_prime(p)
     cbar = s_series((m_max + 2) * p + 6, modulus=p).coeffs
-    blocks = tuple(
-        tuple(cbar[m * p + 1 : m * p + p]) for m in range(m_max + 1)
-    )
-    tails_ok = all(
-        MAIN_RECURRENCE.satisfies(cbar[m * p :], modulus=p) for m in range(m_max + 1)
-    )
+    blocks = tuple(tuple(cbar[m * p + 1 : m * p + p]) for m in range(m_max + 1))
+    tails_ok = all(MAIN_RECURRENCE.satisfies(cbar[m * p :], modulus=p) for m in range(m_max + 1))
     indep = rank_mod([list(blocks[0]), list(blocks[1])], p) == 2 if m_max >= 1 else False
     return SigmaBlocks(p, blocks, tails_ok, indep)
 
@@ -345,32 +338,34 @@ def union_check(p: int, sample: int | None = None, seed: int = 0) -> UnionReport
     over all of V_p, or over ``sample`` members drawn with ``seed``.
 
     No index up to p is free, so C_p is the linear form ell.V with
-    ell_i = C_p of the extension of (0, e_i); the first member (in elements()
-    or sample order) on which the two sides differ is the counterexample.  At
-    a degenerate prime (c_{2p} = c_{p+1} mod p; see
-    union_functional_degenerate) the equivalence genuinely fails and the
-    report carries a counterexample with the diagnostic set."""
+    ell_i = C_p of the extension of (0, e_i); both sides are decided for all
+    members at once, and the first member (in elements() or sample order)
+    on which they differ is the counterexample.  At a degenerate prime
+    (c_{2p} = c_{p+1} mod p; see union_functional_degenerate) the
+    equivalence genuinely fails and the report carries a counterexample with
+    the diagnostic set."""
     require_vp_prime(p)
     if sample is not None and sample < 1:
         raise ValueError(f"sample = {sample}: the check needs at least one member")
     space = compute_vp(p, brute_validate=False)
     if sample is None:
-        candidates = list(space.elements())
+        coords = np.divmod(np.arange(p * p), p)
     else:
         rng = random.Random(seed)
-        b1, b2 = space.basis
-        candidates = []
-        for _ in range(sample):
-            a, b = rng.randrange(p), rng.randrange(p)
-            candidates.append(tuple((a * x + b * y) % p for x, y in zip(b1, b2)))
-    ell = [extend_modp(MAIN_RECURRENCE, (0, *_unit(i, 4)), p, p + 1).values[p] for i in range(4)]
-    special = special_vector_mod(p)
-    for i, v in enumerate(candidates):
-        # proportional to the special vector s (s_1 = 1): C_i = C_1 s_i
-        proportional = all((v[0] * s - x) % p == 0 for s, x in zip(special, v))
-        if (form_value(ell, v) % p == v[0]) != proportional:
-            return UnionReport(p, i + 1, False, v, union_functional_degenerate(p))
-    return UnionReport(p, len(candidates), True)
+        coords = np.array([(rng.randrange(p), rng.randrange(p)) for _ in range(sample)]).T
+    # int64 holds the sums of four products below p^2 while p < 2^30
+    dtype = np.int64 if p < 2**30 else object
+    a, b = (np.asarray(c, dtype=dtype)[:, None] for c in coords)
+    b1, b2 = (np.array(v, dtype=dtype) for v in space.basis)
+    members = (a * b1 + b * b2) % p
+    ell = np.array([extend_modp(MAIN_RECURRENCE, (0, *_unit(i, 4)), p, p + 1).values[p] for i in range(4)], dtype)
+    # proportional to the special vector s (s_1 = 1): C_i = C_1 s_i
+    proportional = ((members[:, :1] * np.array(special_vector_mod(p), dtype) - members) % p == 0).all(axis=1)
+    failing = np.flatnonzero((members @ ell % p == members[:, 0]) != proportional)
+    if failing.size:
+        i = int(failing[0])
+        return UnionReport(p, i + 1, False, tuple(int(c) for c in members[i]), union_functional_degenerate(p))
+    return UnionReport(p, len(members), True)
 
 
 # -- W_p witnesses ---------------------------------------------------------------------
@@ -392,16 +387,10 @@ def wp_witnesses(p: int, k: int) -> WpWitnesses:
     (so they are independent)."""
     length = (k + 3) * p + 10
     if p == 2:
-        seqs = []
-        for j in range(k):
-            w = [0] * (2 * j) + [1, 1]
-            w += [0] * (length - len(w))
-            seqs.append([v % 2 for v in w[:length]])
+        seqs = [([0] * (2 * j) + [1, 1] + [0] * length)[:length] for j in range(k)]
     else:
         cbar = s_series(length, modulus=p).coeffs
-        seqs = []
-        for j in range(k):
-            seqs.append([0] * (j * p) + cbar[: length - j * p])
+        seqs = [[0] * (j * p) + cbar[: length - j * p] for j in range(k)]
     satisfy = all(MAIN_RECURRENCE.satisfies(w, modulus=p) for w in seqs)
     vals = [next((i for i, c in enumerate(w) if c), None) for w in seqs]
     independent = None not in vals and len(set(vals)) == len(vals)

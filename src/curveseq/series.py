@@ -55,6 +55,18 @@ def _convolve(a: list, b: list, n_out: int, modulus: int | None) -> list:
     return out if modulus is None else [c % modulus for c in out]
 
 
+def _lift_inverse(f: list, g: list, n: int, modulus: int | None) -> list:
+    """1/f below x^n at least, by Newton's g <- g (2 - f g) from its first
+    len(g) >= 1 coefficients g (returned as they are if n or more).  Over Z/m
+    fg is reduced and starts with 1, so |t_i| < m keeps _convolve's guard."""
+    while len(g) < n:
+        k = min(2 * len(g), n)
+        t = [-v for v in _convolve(f[:k], g, k, modulus)]
+        t[0] += 2
+        g = _convolve(g, t, k, modulus)
+    return g
+
+
 def _trim(c: list, n: int) -> list:
     """c below index n, less its trailing zeros."""
     k = max(0, min(len(c), n))
@@ -85,13 +97,6 @@ class TruncatedSeries:
 
     def _zero(self):
         return _to_domain(0, self.modulus)
-
-    def _wrap(self, coeffs: list, precision: int) -> "TruncatedSeries":
-        """A series of this domain on ``precision`` coefficients that are
-        already in it: no copy, no coercion."""
-        out = object.__new__(TruncatedSeries)
-        _init(out, coeffs, precision, self.modulus)
-        return out
 
     def _check_domain(self, other: "TruncatedSeries"):
         if self.modulus != other.modulus:
@@ -128,7 +133,7 @@ class TruncatedSeries:
     def truncate(self, precision: int) -> "TruncatedSeries":
         if precision > self.precision:
             raise ValueError("cannot raise precision by truncation")
-        return self._wrap(self.coeffs[:precision], precision)
+        return _wrapped(self.coeffs[:precision], self.modulus)
 
     def valuation(self) -> int | None:
         """Index of the first nonzero known coefficient, None if all vanish."""
@@ -145,7 +150,7 @@ class TruncatedSeries:
     def __neg__(self):
         m = self.modulus
         neg = [-c for c in self.coeffs] if m is None else [-c % m for c in self.coeffs]
-        return self._wrap(neg, self.precision)
+        return _wrapped(neg, m)
 
     def __add__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -153,7 +158,7 @@ class TruncatedSeries:
         self._check_domain(other)
         n, m = min(self.precision, other.precision), self.modulus
         pairs = zip(self.coeffs[:n], other.coeffs[:n])
-        return self._wrap([a + b for a, b in pairs] if m is None else [(a + b) % m for a, b in pairs], n)
+        return _wrapped([a + b for a, b in pairs] if m is None else [(a + b) % m for a, b in pairs], m)
 
     def __sub__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -164,7 +169,7 @@ class TruncatedSeries:
         if isinstance(other, TruncatedSeries):
             self._check_domain(other)
             n = min(self.precision, other.precision)
-            return self._wrap(_convolve(self.coeffs, other.coeffs, n, self.modulus), n)
+            return _wrapped(_convolve(self.coeffs, other.coeffs, n, self.modulus), self.modulus)
         return self.scale(other)
 
     __rmul__ = __mul__
@@ -173,39 +178,28 @@ class TruncatedSeries:
         m = self.modulus
         scalar = _to_domain(scalar, m)
         out = [c * scalar for c in self.coeffs] if m is None else [c * scalar % m for c in self.coeffs]
-        return self._wrap(out, self.precision)
+        return _wrapped(out, m)
 
     def shift(self, k: int) -> "TruncatedSeries":
         """Multiply by x^k (k >= 0); precision increases by k."""
         if k < 0:
             raise ValueError("use divide_by_x for negative shifts")
-        return self._wrap([self._zero()] * k + self.coeffs, self.precision + k)
+        return _wrapped([self._zero()] * k + self.coeffs, self.modulus)
 
     def divide_by_x(self, k: int = 1) -> "TruncatedSeries":
         """Divide by x^k; the k leading coefficients must vanish."""
         if any(self.coeffs[:k]):
             raise ValueError("series not divisible by x^k")
-        return self._wrap(self.coeffs[k:], self.precision - k)
+        return _wrapped(self.coeffs[k:], self.modulus)
 
     def inverse(self) -> "TruncatedSeries":
         """Multiplicative inverse; requires a unit constant term."""
         if self.precision == 0:
             return self
-        f0 = self.coeffs[0]
+        f0, m = self.coeffs[0], self.modulus
         if not f0:
             raise ZeroDivisionError("zero constant term")
-        n, m = self.precision, self.modulus
-        g = [_domain_inverse(f0, m)]
-        # Newton iteration g <- g*(2 - f*g), doubling the known order; over Z/m
-        # fg is reduced and starts with 1, so |t_i| < m keeps _convolve's
-        # int64 guard valid
-        while len(g) < n:
-            k = min(2 * len(g), n)
-            fg = _convolve(self.coeffs[:k], g, k, m)
-            t = [-v for v in fg]
-            t[0] += 2
-            g = _convolve(g, t, k, m)
-        return self._wrap(g, n)
+        return _wrapped(_lift_inverse(self.coeffs, [_domain_inverse(f0, m)], self.precision, m), m)
 
     def __truediv__(self, other):
         if isinstance(other, TruncatedSeries):
@@ -227,20 +221,20 @@ class TruncatedSeries:
         _domain_inverse(root0 + root0, m)  # 2 root0 must be a unit
         r, half = [_domain_inverse(root0, m)], _domain_inverse(2, m)
         # Newton iteration r <- r*(3 - f*r^2)/2, doubling the known order; as
-        # in inverse, f r^2 is reduced and starts with 1, so |t_i| < m
+        # in _lift_inverse, f r^2 is reduced and starts with 1, so |t_i| < m
         while len(r) < self.precision:
             k = min(2 * len(r), self.precision)
             t = [-v for v in _convolve(_convolve(self.coeffs[:k], r, k, m), r, k, m)]
             t[0] += 3
             r = _to_domain_list([v * half for v in _convolve(r, t, k, m)], m)
-        return self._wrap(r, self.precision)
+        return _wrapped(r, m)
 
     def derivative(self) -> "TruncatedSeries":
         n, m = self.precision, self.modulus
         if n == 0:
             return self
         terms = enumerate(self.coeffs[1:], start=1)
-        return self._wrap([c * i for i, c in terms] if m is None else [c * i % m for i, c in terms], n - 1)
+        return _wrapped([c * i for i, c in terms] if m is None else [c * i % m for i, c in terms], m)
 
     def log_derivative(self) -> "TruncatedSeries":
         """f'/f to precision N-1; additive on products.  1/f is formed at
@@ -251,6 +245,13 @@ class TruncatedSeries:
     def x_log_derivative(self) -> "TruncatedSeries":
         """x f'/f to precision N (coefficient n depends on f only up to x^n)."""
         return self.log_derivative().shift(1)
+
+
+def _wrapped(coeffs: list, modulus: int | None) -> TruncatedSeries:
+    """The series on ``coeffs``, already in the domain: no copy, no coercion."""
+    out = object.__new__(TruncatedSeries)
+    _init(out, coeffs, len(coeffs), modulus)
+    return out
 
 
 def _init(series: TruncatedSeries, coeffs: list, precision: int, modulus: int | None):
@@ -572,7 +573,7 @@ class LaurentSeries:
     def derivative(self) -> "LaurentSeries":
         s, m = self.series, self.modulus
         out = [c * e for e, c in enumerate(s.coeffs, start=self.offset)]
-        return LaurentSeries(self.offset - 1, s._wrap(out if m is None else [c % m for c in out], s.precision))
+        return LaurentSeries(self.offset - 1, _wrapped(out if m is None else [c % m for c in out], m))
 
     def __eq__(self, other):
         if not isinstance(other, LaurentSeries):

@@ -185,3 +185,26 @@ def test_sqrt_mod():
     r = sqrt_mod(65, 7)
     assert r is not None and r * r % 7 == 65 % 7
     assert sqrt_mod(65, 11) is None  # 65 = 10 is a non-residue mod 11
+
+
+def test_sqrt_mod_is_the_least_root_at_every_odd_prime_below_300():
+    # against the exhaustive search, p = 1 mod 8 (17, 41, 73, 97, ..., 281) included
+    for p in range(3, 300, 2):
+        if is_prime(p):
+            for a in range(-1, p + 1):
+                want = min((r for r in range(p) if (r * r - a) % p == 0), default=None)
+                assert sqrt_mod(a, p) == want, (a, p)
+
+
+def test_sqrt_mod_near_a_million():
+    p = 995329  # p - 1 = 2^12 3^5: Tonelli-Shanks takes up to 11 steps
+    assert is_prime(p)
+    for r0 in (1, 2, 3, 1000, 123457, 497664, 497665, p - 1, pow(3, 243, p)):
+        r = sqrt_mod(r0 * r0, p)
+        assert r == min(r0, p - r0)
+    for a in range(2, 400):
+        r = sqrt_mod(a, p)
+        if pow(a, (p - 1) // 2, p) == p - 1:
+            assert r is None, a
+        else:
+            assert r * r % p == a and 2 * r < p, a

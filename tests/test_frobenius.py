@@ -221,6 +221,43 @@ def test_omega_coefficient_equals_expansion_over_q(a, b):
             assert omega_coefficient(a, b, n, BIG_P, BIG_R) == c % mod, n
 
 
+# (a, b, (p, r)): strides 2, 4 and 6, and a = b = 0, over Q (None) and over
+# Z/p^r where p divides a or b
+BOUNDARY_CASES = [
+    (2, 3, None), (1, 0, None), (0, 1, None), (0, 0, None),
+    (7, 3, (7, 2)), (2, 14, (7, 3)), (5, 0, (5, 3)), (0, 7, (7, 2)), (0, 0, (7, 2)),
+]
+
+
+@pytest.mark.parametrize("a, b, domain", BOUNDARY_CASES)
+def test_expansion_is_honda_at_every_doubling_boundary(a, b, domain):
+    # Newton doubles the length in r = t^(2g): the lengths stride 2^j - 1,
+    # stride 2^j and stride 2^j + 1 end a step exactly, inside one, or one
+    # coefficient into the next
+    s = stride(a, b) if (a, b) != (0, 0) else 2
+    lengths = [s * 2**j + d for j in range(1, 6) for d in (-1, 0, 1) if s * 2**j + d >= 4]
+    p, r = domain or (BIG_P, BIG_R)  # over Q, c_n is compared mod BIG_P^BIG_R
+    modulus = domain and p**r
+    honda = [None] + [omega_coefficient(a, b, n, p, r) for n in range(1, max(lengths))]
+    for n_terms in lengths:
+        e = origin_expansion(a, b, n_terms, modulus)
+        assert e.omega.precision == n_terms - 1 and e.x.series.precision == n_terms
+        for n in range(1, n_terms):
+            c = e.c(n)
+            if modulus is None:
+                assert c.denominator == 1
+            assert honda[n] == c % p**r, (n_terms, n)
+
+
+def test_expansion_is_honda_near_the_int64_guard():
+    # mod p ~ 10^7 at 1000 coefficients in r, _convolve takes np.convolve
+    # (1000 p^2 < 2^62) with no room for an operand >= p: every list the
+    # expansion hands it must be reduced first
+    p = 10**7 + 19
+    e = origin_expansion(2, 3, 2001, modulus=p)
+    assert all(omega_coefficient(2, 3, n, p, 1) == e.c(n) for n in range(1, 2001))
+
+
 @pytest.mark.parametrize("a, b", ROUTE_CURVES)
 def test_omega_coefficient_equals_c_p2_mod_p2(a, b):
     good = [p for p in range(5, 48) if is_prime(p) and (4 * a**3 + 27 * b**2) % p]

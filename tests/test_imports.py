@@ -144,6 +144,9 @@ REFERENCES = {
     "series.LaurentSeries.derivative": "x'(w) of a chart against the expansion of omega",
     "series.LaurentSeries.normalized": "equality of expansions",
     "series.LaurentSeries.is_zero": "equality of expansions",
+    "series.TruncatedSeries.__neg__": "LaurentSeries.__neg__: differences of expansions",
+    "series.TruncatedSeries.__sub__": "test_series: ring operations on series stay reduced",
+    "modpspace.VpSpace.elements": "test_modpspace: the plain loop over V_p that union_check's one pass must match",
 }
 
 #: The functions and methods entered only when a check fails, is skipped or

@@ -291,8 +291,10 @@ def test_union_check_sampled_large_prime():
 
 def test_union_check_lanes_match_scalar_extension():
     # the first member (in order) where C_p = C_1 and proportionality differ,
-    # found by extend_modp one member at a time
-    for p, sample in ((11, None), (37, 60), (41, 40)):
+    # found by extend_modp one member at a time: all of V_p at every good
+    # p <= 41, and samples
+    good = [p for p in range(7, 42) if is_prime(p) and p not in EXCLUDED_PRIMES]
+    for p, sample in [*((p, None) for p in good), (37, 60), (41, 40)]:
         rep = union_check(p, sample=sample, seed=5)
         space = compute_vp(p, brute_validate=False)
         if sample is None:
@@ -315,6 +317,7 @@ def test_union_check_lanes_match_scalar_extension():
                 False, failing[0] + 1, members[failing[0]])
         else:
             assert (rep.equivalence_holds, rep.checked, rep.counterexample) == (True, len(members), None)
+        assert type(rep.checked) is int and all(type(c) is int for c in rep.counterexample or ())
 
 
 def test_union_degenerates_at_37():
